@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -417,58 +419,161 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# chromatic index
+# the search kernel and chromatic index
 
-def _proper_coloring_exists(n: int, edges: Sequence[tuple[int, int]], t: int) -> bool:
-    """Backtracking existence check for a proper edge coloring in [1,t]."""
-    m = len(edges)
+def _interval_mask(mask: int) -> bool:
+    """Whether the set bits of a nonzero mask are consecutive."""
+    m = mask >> ((mask & -mask).bit_length() - 1)
+    return (m & (m + 1)) == 0
+
+
+def _random_bit(mask: int, rng: random.Random) -> int:
+    """A uniformly chosen set bit of a nonzero mask."""
+    for _ in range(rng.randrange(mask.bit_count())):
+        mask &= mask - 1
+    return mask & -mask
+
+
+def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
+            order: Sequence[int] | None = None,
+            rng: random.Random | None = None, reflect: bool = True,
+            node_limit: int = 2**63, deadline: float | None = None):
+    """Depth-first search over the proper edge t-colorings of g.
+
+    The one search kernel behind ``chromatic_index``, ``search.solve`` and
+    ``search.sample``. The next edge is ``order[depth]``, or without an
+    order the uncolored edge with the most colored edges at its endpoints
+    (lowest index on ties). Colors free at both endpoints are tried lowest
+    first, or in random order when ``rng`` is given. Returns ``(best,
+    witness_colors, nodes, tag)``, tag "exhausted", "bound-met" or "budget".
+
+    Leaves are valid colorings: proper since only free colors are tried,
+    surjective since a branch dies when fewer uncolored edges remain than
+    unused colors (at equality only unused colors are tried). A vertex
+    with all edges colored is committed interval (ci) or not (cn); a
+    maximizing search prunes when ci plus the open vertices cannot beat
+    ``best``, a minimizing one when ci already matches it. ``best`` leaves
+    as the optimum over the explored space and the entering incumbent; a
+    leaf reaching ``cap`` (maximizing) or ``floor`` ends the search. So
+    ``maximize=True, best=-1, cap=0`` is a first-solution search.
+
+    ``reflect`` restricts the first edge to colors <= ceil(t/2): k -> t+1-k
+    maps valid colorings to valid colorings with the same f, and one of k,
+    t+1-k is <= ceil(t/2). No other color permutation preserves f.
+
+    ``chromatic_index`` asks for any proper coloring in [1,t] at t = max
+    degree. Surjectivity pruning loses none there, since a max-degree
+    vertex sees all t colors, and reflection loses none, since it keeps
+    colorings proper.
+    """
+    n, m = g.n, g.m
+    eu = [u for u, _ in g.edges]
+    ev = [v for _, v in g.edges]
+    deg = list(g.degrees)
     full = (1 << t) - 1
     used = [0] * n
     cnt = [0] * n
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    colored = [False] * m
+    colors = [0] * m
+    ccnt = [0] * (t + 1)
+    sym_mask = (1 << ((t + 1) // 2)) - 1 if reflect else full
 
-    def rec(remaining: int) -> bool:
+    witness: list[int] | None = None
+    nodes = 0
+    aborted: str | None = None
+
+    def rec(remaining: int, ci: int, cn: int, unused: int, depth: int) -> None:
+        nonlocal best, witness, nodes, aborted
         if remaining == 0:
-            return True
-        # most-constrained edge first keeps the tree small
-        bi, bscore = -1, -1
-        for i in range(m):
-            if not colored[i]:
-                s = cnt[eu[i]] + cnt[ev[i]]
-                if s > bscore:
-                    bi, bscore = i, s
+            # proper by construction; surjective because unused hit 0
+            if maximize:
+                if ci > best:
+                    best, witness = ci, colors[:]
+                    if best >= cap:
+                        aborted = "bound-met"
+            else:
+                if ci < best:
+                    best, witness = ci, colors[:]
+                    if best <= floor:
+                        aborted = "bound-met"
+            return
+        openv = n - ci - cn
+        if maximize:
+            if ci + openv <= best:
+                return
+        elif ci >= best:
+            return
+        if order is not None:
+            bi = order[depth]
+        else:  # most-constrained edge first keeps the tree small
+            bi, score = -1, -1
+            for i in range(m):
+                if colors[i] == 0:
+                    s = cnt[eu[i]] + cnt[ev[i]]
+                    if s > score:
+                        score, bi = s, i
         u, v = eu[bi], ev[bi]
         avail = full & ~(used[u] | used[v])
-        colored[bi] = True
-        cnt[u] += 1
-        cnt[v] += 1
+        if unused == remaining:
+            unused_mask = 0
+            for c in range(1, t + 1):
+                if ccnt[c] == 0:
+                    unused_mask |= 1 << (c - 1)
+            avail &= unused_mask
+        if depth == 0:
+            avail &= sym_mask
         while avail:
-            bit = avail & -avail
+            bit = avail & -avail if rng is None else _random_bit(avail, rng)
             avail ^= bit
+            c = bit.bit_length()
+            nodes += 1
+            if nodes >= node_limit or (
+                    deadline is not None and nodes % 2048 == 0
+                    and time.monotonic() > deadline):
+                aborted = "budget"
+                return
+            colors[bi] = c
             used[u] |= bit
             used[v] |= bit
-            if rec(remaining - 1):
-                return True
+            cnt[u] += 1
+            cnt[v] += 1
+            nci, ncn = ci, cn
+            if cnt[u] == deg[u]:
+                if _interval_mask(used[u]):
+                    nci += 1
+                else:
+                    ncn += 1
+            if cnt[v] == deg[v]:
+                if _interval_mask(used[v]):
+                    nci += 1
+                else:
+                    ncn += 1
+            was_new = ccnt[c] == 0
+            ccnt[c] += 1
+            nu = unused - 1 if was_new else unused
+            if nu <= remaining - 1:
+                rec(remaining - 1, nci, ncn, nu, depth + 1)
+            ccnt[c] -= 1
+            cnt[u] -= 1
+            cnt[v] -= 1
             used[u] ^= bit
             used[v] ^= bit
-        colored[bi] = False
-        cnt[u] -= 1
-        cnt[v] -= 1
-        return False
+            colors[bi] = 0
+            if aborted:
+                return
 
-    return rec(m)
+    rec(m, 0, 0, t, 0)
+    return best, witness, nodes, aborted or "exhausted"
 
 
 @lru_cache(maxsize=None)
 def chromatic_index(g: Graph) -> int:
     """Least t admitting a proper edge coloring with colors [1,t].
 
-    Tries t = max degree, then max degree + 1; one of the two always works.
+    Searches at t = max degree; failing that, max degree + 1 always works
+    (Vizing).
     """
     d = g.max_degree()
-    if _proper_coloring_exists(g.n, g.edges, d):
+    if _search(g, d, True, -1, 0, 0)[3] == "bound-met":
         return d
     return d + 1
 

@@ -1,21 +1,12 @@
 """Exact branch-and-bound for the extremal interval-vertex counts.
 
 ``solve`` computes mu1(G,t) = min f and mu2(G,t) = max f over all valid
-t-colorings of G by depth-first search over edges with color bitmasks.
-Pruning rules:
-
-* properness: only colors absent at both endpoints are branched on;
-* surjectivity feasibility: a branch dies when fewer uncolored edges
-  remain than unused colors; when the two are equal, only unused colors
-  may be assigned;
-* commitment bound: once all edges at a vertex are colored its interval
-  status is final, so with ci committed-interval vertices, cn committed
-  non-interval and the rest open, mu2 search prunes when ci + open cannot
-  beat the incumbent and mu1 search prunes when ci alone already matches it;
-* reflection: the involution k -> t+1-k preserves validity and f, so the
-  first assigned edge may be restricted to colors <= ceil(t/2). This is
-  the only sound color symmetry here: arbitrary permutations of colors
-  change which spectra are intervals.
+t-colorings of G. ``sample`` draws seeded random members of that space.
+Both walk it with the one search kernel, ``graphs._search``, which also
+decides ``chromatic_index``: a depth-first search over edges with color
+bitmasks, pruned by properness, surjectivity feasibility, a commitment
+bound on f and the reflection k -> t+1-k (its docstring states each rule
+and why it is sound).
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -33,6 +24,7 @@ from enum import Enum
 
 from .coloring import EdgeColoring, analyze, require_valid, rebind
 from .graphs import Graph, GraphError, chromatic_index, is_petersen_labeled
+from .graphs import _search
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
 
@@ -58,8 +50,6 @@ class SearchConfig:
     ``node_limit`` applies to a single solve; ``profile_node_limit`` is the
     per-(t, objective) budget used inside profile, kept separate so a full
     sweep stays fast while individual solves default to a deep budget.
-    ``threads`` is accepted for interface stability; branches are explored
-    sequentially regardless, which keeps outcomes bit-identical.
     """
 
     node_limit: int = 10**8
@@ -69,7 +59,6 @@ class SearchConfig:
     initial_bound: int | None = None
     seed_fixtures: bool = True
     use_structural_bounds: bool = True
-    threads: int = 1
     profile_node_limit: int = 200_000
 
     def __post_init__(self):
@@ -77,8 +66,6 @@ class SearchConfig:
             raise ValueError("node_limit must be >= 1")
         if self.profile_node_limit < 1:
             raise ValueError("profile_node_limit must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.time_limit_ms is not None and self.time_limit_ms < 1:
             raise ValueError("time_limit_ms must be >= 1")
 
@@ -143,125 +130,6 @@ def _require_legal_t(g: Graph, t: int) -> None:
     if t not in r:
         raise GraphError(
             f"t={t} outside [{r.start}, {r.stop - 1}] for {g.name}")
-
-
-def _interval_mask(mask: int) -> bool:
-    m = mask >> ((mask & -mask).bit_length() - 1)
-    return (m & (m + 1)) == 0
-
-
-def _branch_and_bound(g: Graph, t: int, maximize: bool, best: int,
-                      floor: int, cap: int, cfg: SearchConfig,
-                      node_limit: int):
-    """Core DFS. Returns (best, witness_colors, nodes, outcome_tag).
-
-    ``best`` enters as the seeded incumbent and leaves as the optimum over
-    the explored space and the seed. outcome_tag: "exhausted", "bound-met",
-    or "budget".
-    """
-    n, m = g.n, g.m
-    eu = [u for u, _ in g.edges]
-    ev = [v for _, v in g.edges]
-    deg = list(g.degrees)
-    full = (1 << t) - 1
-    used = [0] * n
-    cnt = [0] * n
-    colors = [0] * m
-    ccnt = [0] * (t + 1)
-    declared_order = cfg.edge_order is EdgeOrder.DECLARED
-    use_sym = cfg.use_reflection_symmetry
-    sym_mask = (1 << ((t + 1) // 2)) - 1
-    deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
-                if cfg.time_limit_ms is not None else None)
-
-    witness: list[int] | None = None
-    nodes = 0
-    aborted: str | None = None
-
-    def rec(remaining: int, ci: int, cn: int, unused: int, depth: int) -> None:
-        nonlocal best, witness, nodes, aborted
-        if aborted:
-            return
-        if remaining == 0:
-            # proper by construction; surjective because unused hit 0
-            if maximize:
-                if ci > best:
-                    best, witness = ci, colors[:]
-                    if best >= cap:
-                        aborted = "bound-met"
-            else:
-                if ci < best:
-                    best, witness = ci, colors[:]
-                    if best <= floor:
-                        aborted = "bound-met"
-            return
-        openv = n - ci - cn
-        if maximize:
-            if ci + openv <= best:
-                return
-        elif ci >= best:
-            return
-        if declared_order:
-            bi = colors.index(0)
-        else:
-            bi, score = -1, -1
-            for i in range(m):
-                if colors[i] == 0:
-                    s = cnt[eu[i]] + cnt[ev[i]]
-                    if s > score:
-                        score, bi = s, i
-        u, v = eu[bi], ev[bi]
-        avail = full & ~(used[u] | used[v])
-        if unused == remaining:
-            unused_mask = 0
-            for c in range(1, t + 1):
-                if ccnt[c] == 0:
-                    unused_mask |= 1 << (c - 1)
-            avail &= unused_mask
-        if use_sym and depth == 0:
-            avail &= sym_mask
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length()
-            nodes += 1
-            if nodes >= node_limit or (
-                    deadline is not None and nodes % 2048 == 0
-                    and time.monotonic() > deadline):
-                aborted = "budget"
-                return
-            colors[bi] = c
-            used[u] |= bit
-            used[v] |= bit
-            cnt[u] += 1
-            cnt[v] += 1
-            nci, ncn = ci, cn
-            if cnt[u] == deg[u]:
-                if _interval_mask(used[u]):
-                    nci += 1
-                else:
-                    ncn += 1
-            if cnt[v] == deg[v]:
-                if _interval_mask(used[v]):
-                    nci += 1
-                else:
-                    ncn += 1
-            was_new = ccnt[c] == 0
-            ccnt[c] += 1
-            nu = unused - 1 if was_new else unused
-            if nu <= remaining - 1:
-                rec(remaining - 1, nci, ncn, nu, depth + 1)
-            ccnt[c] -= 1
-            cnt[u] -= 1
-            cnt[v] -= 1
-            used[u] ^= bit
-            used[v] ^= bit
-            colors[bi] = 0
-            if aborted:
-                return
-
-    rec(m, 0, 0, t, 0)
-    return best, witness, nodes, aborted or "exhausted"
 
 
 def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, EdgeColoring, int]]:
@@ -333,36 +201,28 @@ def solve(g: Graph, t: int, objective: Objective,
             f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}; "
             f"is the initial_bound achievable?")
 
-    if lo == hi:
-        outcome = SearchOutcome(
-            objective=objective, t=t, status=SolveStatus.EXACT,
-            lo=lo, hi=hi, witness=witness, nodes_visited=0,
-            closed_by="bounds-closed", evidence=tuple(evidence))
-        return _checked(g, outcome)
-
-    best, wcolors, nodes, tag = _branch_and_bound(
-        g, t, maximize, best, floor, cap, cfg, cfg.node_limit)
-    if wcolors is not None:
-        witness = EdgeColoring(t=t, colors=tuple(wcolors))
-
-    if tag == "budget":
-        if maximize:
+    nodes, closed_by = 0, "bounds-closed"
+    if lo < hi:
+        order = range(g.m) if cfg.edge_order is EdgeOrder.DECLARED else None
+        deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
+                    if cfg.time_limit_ms is not None else None)
+        best, wcolors, nodes, closed_by = _search(
+            g, t, maximize, best, floor, cap, order=order,
+            reflect=cfg.use_reflection_symmetry, node_limit=cfg.node_limit,
+            deadline=deadline)
+        if wcolors is not None:
+            witness = EdgeColoring(t=t, colors=tuple(wcolors))
+        if closed_by != "budget":  # exhausted or bound-met: best is the optimum
+            lo = hi = best
+        elif maximize:  # a budget stop leaves best short of cap, so lo < hi
             lo = max(best, 0)
         else:
             hi = min(best, n)
-        status = SolveStatus.BOUNDS_ONLY if lo < hi else SolveStatus.EXACT
-        outcome = SearchOutcome(
-            objective=objective, t=t, status=status, lo=lo, hi=hi,
-            witness=witness, nodes_visited=nodes,
-            closed_by="budget" if lo < hi else "bounds-closed",
-            evidence=tuple(evidence))
-    else:
-        # exhausted or bound-met: best is the optimum
-        outcome = SearchOutcome(
-            objective=objective, t=t, status=SolveStatus.EXACT,
-            lo=best, hi=best, witness=witness, nodes_visited=nodes,
-            closed_by=tag, evidence=tuple(evidence))
-    return _checked(g, outcome)
+    status = SolveStatus.EXACT if lo == hi else SolveStatus.BOUNDS_ONLY
+    return _checked(g, SearchOutcome(
+        objective=objective, t=t, status=status, lo=lo, hi=hi,
+        witness=witness, nodes_visited=nodes, closed_by=closed_by,
+        evidence=tuple(evidence)))
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
@@ -478,94 +338,30 @@ def profile(g: Graph, cfg: SearchConfig = SearchConfig()) -> MuProfile:
     return MuProfile(graph=g, rows=tuple(rows))
 
 
-def _random_coloring(g: Graph, t: int, rng: random.Random,
-                     node_cap: int) -> EdgeColoring | None:
-    """One randomized-order backtracking attempt; None when capped out."""
-    n, m = g.n, g.m
-    eu = [u for u, _ in g.edges]
-    ev = [v for _, v in g.edges]
-    full = (1 << t) - 1
-    used = [0] * n
-    colors = [0] * m
-    ccnt = [0] * (t + 1)
-    order = list(range(m))
-    rng.shuffle(order)
-    nodes = 0
-
-    def rec(pos: int, unused: int) -> bool:
-        nonlocal nodes
-        if pos == m:
-            return unused == 0
-        ei = order[pos]
-        u, v = eu[ei], ev[ei]
-        avail = full & ~(used[u] | used[v])
-        if unused == m - pos:
-            unused_mask = 0
-            for c in range(1, t + 1):
-                if ccnt[c] == 0:
-                    unused_mask |= 1 << (c - 1)
-            avail &= unused_mask
-        bits = []
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            bits.append(bit)
-        rng.shuffle(bits)
-        for bit in bits:
-            nodes += 1
-            if nodes > node_cap:
-                return False
-            c = bit.bit_length()
-            colors[ei] = c
-            used[u] |= bit
-            used[v] |= bit
-            was_new = ccnt[c] == 0
-            ccnt[c] += 1
-            nu = unused - 1 if was_new else unused
-            if nu <= m - pos - 1 and rec(pos + 1, nu):
-                return True
-            ccnt[c] -= 1
-            used[u] ^= bit
-            used[v] ^= bit
-            colors[ei] = 0
-            if nodes > node_cap:
-                return False
-        return False
-
-    if rec(0, t):
-        return EdgeColoring(t=t, colors=tuple(colors))
-    return None
-
-
-class _Unshuffler(random.Random):
-    """Random that leaves sequences alone: reuses the attempt machinery
-    for a deterministic, exhaustive fallback pass."""
-
-    def shuffle(self, x):
-        pass
-
-
 def sample(g: Graph, t: int, seed: int = 0, count: int = 1) -> list[EdgeColoring]:
     """Pseudo-random valid t-colorings, deterministic per seed.
 
-    Randomized-order backtracking with restarts; falls back to a plain
-    deterministic first-solution search if every randomized attempt caps
-    out (possible only on adversarial instances, never observed on the
-    test corpus).
+    Each draw runs up to 32 first-solution searches of 100,000 nodes with a
+    shuffled edge order and random color order. If all of them cap out
+    (possible only on adversarial instances, never observed on the test
+    corpus), one deterministic first-solution search without a budget
+    decides; a legal t always has a coloring, so it finds one.
     """
     _require_legal_t(g, t)
     rng = random.Random(seed)
     out: list[EdgeColoring] = []
     for _ in range(count):
-        c: EdgeColoring | None = None
+        colors = None
         for _attempt in range(32):
-            c = _random_coloring(g, t, rng, node_cap=100_000)
-            if c is not None:
+            order = list(range(g.m))
+            rng.shuffle(order)
+            _, colors, _, _ = _search(g, t, True, -1, 0, 0, order=order, rng=rng,
+                                      reflect=False, node_limit=100_000)
+            if colors is not None:
                 break
-        if c is None:
-            c = _random_coloring(g, t, _Unshuffler(), node_cap=2**63)
-            if c is None:
-                raise RuntimeError(f"no valid coloring found for t={t}")
+        if colors is None:
+            _, colors, _, _ = _search(g, t, True, -1, 0, 0)
+        c = EdgeColoring(t=t, colors=tuple(colors))
         require_valid(g, c)
         out.append(c)
     return out

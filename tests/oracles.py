@@ -60,6 +60,19 @@ def naive_mu(g: Graph, t: int) -> tuple[int, int]:
     return lo, hi
 
 
+def naive_chromatic_index(g: Graph) -> int:
+    """Least t admitting a valid t-coloring, by enumerating every assignment.
+
+    At the least t with a proper coloring in [1,t] that coloring uses every
+    color (otherwise relabeling would need fewer), so naive_valid applies.
+    """
+    t = 1
+    while not any(naive_valid(g, EdgeColoring(t=t, colors=assign))
+                  for assign in itertools.product(range(1, t + 1), repeat=g.m)):
+        t += 1
+    return t
+
+
 def random_connected_graph(seed: int, max_edges: int = 7) -> Graph:
     """Small random connected graph with at most max_edges edges.
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from mu_spectra import cli, cycle, graph_to_dict
+from mu_spectra import GraphError, cli, cycle, graph_to_dict
 from mu_spectra.fixtures import fixture_dir
 
 
@@ -206,6 +206,16 @@ class TestLemmas:
             "subsets": 176, "obstructed": 176}
         assert by_name["max-path-forest"]["max_subset"] == 6
 
+    def test_failed_premise_is_a_failed_check(self, capsys, monkeypatch):
+        def refuted(g):
+            raise GraphError("deleting x1 leaves chromatic index 3, not 4")
+
+        monkeypatch.setattr(cli, "mu22_cap_cubic", refuted)
+        code, doc, _ = run_json(capsys, "lemmas")
+        assert code == 1
+        assert doc["ok"] is False
+        assert "chromatic index 3" in doc["checks"][0]["detail"]
+
     def test_other_graphs_are_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lemmas", "--graph", "cycle:5")
         assert code == 2
@@ -220,6 +230,11 @@ class TestParser:
     def test_solve_requires_objective(self):
         with pytest.raises(SystemExit):
             cli.main(["solve", "--t", "4"])
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            cli.main(["profile", flag, "2"])
 
 
 def test_installed_entry_point():

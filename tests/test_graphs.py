@@ -1,12 +1,15 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mu_spectra import (
+    EdgeColoring,
     Graph,
     GraphError,
     all_perfect_matchings,
+    analyze,
     chromatic_index,
     complete,
     contains_induced_c6,
@@ -27,6 +30,13 @@ from mu_spectra import (
     set_labels,
     vertex_set,
 )
+from mu_spectra.graphs import _search
+
+from oracles import naive_chromatic_index, naive_valid, random_connected_graph
+
+ORACLE_GRAPHS = ([path(n) for n in range(2, 7)]
+                 + [cycle(n) for n in range(3, 8)]
+                 + [random_connected_graph(seed) for seed in range(20)])
 
 
 class TestConstruction:
@@ -216,6 +226,25 @@ class TestChromaticIndex:
     def test_all_petersen_deletions_stay_class_two(self, P):
         for label in P.vertices:
             assert chromatic_index(delete_vertex(P, label)) == 4
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.name)
+    def test_agrees_with_enumeration(self, g):
+        assert chromatic_index(g) == naive_chromatic_index(g)
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: g.name)
+    def test_first_solution_at_every_legal_t(self, g):
+        rng = random.Random(g.name)
+        for t in range(naive_chromatic_index(g), g.m + 1):
+            order = list(range(g.m))
+            rng.shuffle(order)
+            for kwargs in ({}, {"order": order, "rng": rng, "reflect": False}):
+                best, colors, _, tag = _search(g, t, True, -1, 0, 0, **kwargs)
+                assert tag == "bound-met"
+                c = EdgeColoring(t=t, colors=tuple(colors))
+                assert naive_valid(g, c), (t, kwargs, colors)
+                assert best == analyze(g, c).f
 
 
 class TestDeleteVertex:
