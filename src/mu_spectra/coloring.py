@@ -146,6 +146,19 @@ def _edge_key(a: str, b: str) -> str:
     return f"{a}-{b}"
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of a document; bools, floats and null are rejected."""
+    if type(value) is not int:
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise GraphError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _parse_edge_key(key: str, g: Graph) -> int:
     """Resolve 'a-b' to an edge index, accepting either endpoint order."""
     for pos in range(1, len(key)):
@@ -210,10 +223,8 @@ class Certificate:
         else:
             graph = graph_from_dict(gfield)
             source = None
-        t = int(doc["t"])
-        raw = doc["colors"]
-        if not isinstance(raw, Mapping):
-            raise GraphError("certificate colors must be an object")
+        t = _json_int(doc["t"], "certificate t")
+        raw = _json_object(doc["colors"], "certificate colors")
         colors = [0] * graph.m
         seen = [False] * graph.m
         for key, value in raw.items():
@@ -221,19 +232,27 @@ class Certificate:
             if seen[ei]:
                 raise GraphError(f"edge {key!r} colored twice")
             seen[ei] = True
-            colors[ei] = int(value)
+            if type(value) is not int:  # inline: this loop is the hot path of verify
+                raise GraphError(f"color of edge {key!r} must be an integer, "
+                                 f"got {value!r}")
+            colors[ei] = value
         if not all(seen):
             missing = [f"{a}-{b}" for i, (a, b) in enumerate(graph.edge_labels)
                        if not seen[i]]
             raise GraphError(f"certificate misses edges: {', '.join(missing)}")
-        claims = doc.get("claims", {}) or {}
-        claim_f = claims.get("f")
+        claims = _json_object(doc.get("claims", {}), "certificate claims")
+        claim_f = None
+        if "f" in claims:
+            claim_f = _json_int(claims["f"], "claimed f")
         claim_intervals = None
         if "interval" in claims:
-            claim_intervals = tuple(sorted(
-                (str(k), bool(v)) for k, v in claims["interval"].items()))
-        return cls(graph=graph, t=t, colors=tuple(colors),
-                   claim_f=None if claim_f is None else int(claim_f),
+            flags = _json_object(claims["interval"], "claimed interval flags")
+            for k, v in flags.items():
+                if not isinstance(v, bool):
+                    raise GraphError(f"interval flag of {k!r} must be a boolean, "
+                                     f"got {v!r}")
+            claim_intervals = tuple(sorted((str(k), v) for k, v in flags.items()))
+        return cls(graph=graph, t=t, colors=tuple(colors), claim_f=claim_f,
                    claim_intervals=claim_intervals, source=source)
 
 

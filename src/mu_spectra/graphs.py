@@ -421,17 +421,31 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 # the search kernel and chromatic index
 
-def _interval_mask(mask: int) -> bool:
-    """Whether the set bits of a nonzero mask are consecutive."""
-    m = mask >> ((mask & -mask).bit_length() - 1)
-    return (m & (m + 1)) == 0
-
-
 def _random_bit(mask: int, rng: random.Random) -> int:
     """A uniformly chosen set bit of a nonzero mask."""
     for _ in range(rng.randrange(mask.bit_count())):
         mask &= mask - 1
     return mask & -mask
+
+
+def _most_constrained_order(g: Graph) -> list[int]:
+    """Edges in the kernel's default order: most constrained first.
+
+    Each step takes the edge, among those not yet taken, with the most
+    taken edges at its endpoints; ``max`` keeps the first maximum, so ties
+    go to the lowest index.
+    """
+    cnt = [0] * g.n
+    left = list(range(g.m))
+    order = []
+    for _ in range(g.m):
+        bi = max(left, key=lambda i: cnt[g.edges[i][0]] + cnt[g.edges[i][1]])
+        left.remove(bi)
+        order.append(bi)
+        u, v = g.edges[bi]
+        cnt[u] += 1
+        cnt[v] += 1
+    return order
 
 
 def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
@@ -441,21 +455,34 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     """Depth-first search over the proper edge t-colorings of g.
 
     The one search kernel behind ``chromatic_index``, ``search.solve`` and
-    ``search.sample``. The next edge is ``order[depth]``, or without an
-    order the uncolored edge with the most colored edges at its endpoints
-    (lowest index on ties). Colors free at both endpoints are tried lowest
-    first, or in random order when ``rng`` is given. Returns ``(best,
-    witness_colors, nodes, tag)``, tag "exhausted", "bound-met" or "budget".
+    ``search.sample``. Depth d colors edge ``order[d]``. Without an order it
+    colors the uncolored edge with the most colored edges at its endpoints,
+    lowest index on ties. That score counts colored edges, not their
+    colors, and every node at depth d has colored the same d edges, so the
+    choice depends on d alone: ``_most_constrained_order`` makes each
+    choice once, before the search, with the same tie-break. Colors free at
+    both endpoints are tried lowest first, or in random order when ``rng``
+    is given. Returns ``(best, witness_colors, nodes, tag)``, tag
+    "exhausted", "bound-met" or "budget".
 
     Leaves are valid colorings: proper since only free colors are tried,
-    surjective since a branch dies when fewer uncolored edges remain than
-    unused colors (at equality only unused colors are tried). A vertex
-    with all edges colored is committed interval (ci) or not (cn); a
-    maximizing search prunes when ci plus the open vertices cannot beat
-    ``best``, a minimizing one when ci already matches it. ``best`` leaves
-    as the optimum over the explored space and the entering incumbent; a
-    leaf reaching ``cap`` (maximizing) or ``floor`` ends the search. So
-    ``maximize=True, best=-1, cap=0`` is a first-solution search.
+    surjective since once as many colors are unused as edges are uncolored
+    only unused colors are tried (``unused_bits`` holds them).
+
+    A vertex is doomed once the span of its colors, highest minus lowest
+    plus one, exceeds its degree. Spans only grow, and the deg colors of an
+    interval vertex span exactly deg, so a doomed vertex is interval in no
+    leaf below. A vertex with all edges colored that is not doomed has deg
+    distinct colors within a span of deg, so it is interval. Hence f = n -
+    lost at a leaf, where lost counts doomed vertices, complete or open,
+    and ci, the complete vertices that are not doomed, never exceeds f. A
+    maximizing search prunes when n - lost cannot beat ``best``, a
+    minimizing one when ci already matches it. The doomed count thus only
+    prunes maximizing searches that carry an incumbent: a first-solution
+    search has ``best=-1``, and minimizing searches read ci alone. ``best``
+    leaves as the optimum over the explored space and the entering
+    incumbent; a leaf reaching ``cap`` (maximizing) or ``floor`` ends the
+    search. So ``maximize=True, best=-1, cap=0`` is a first-solution search.
 
     ``reflect`` restricts the first edge to colors <= ceil(t/2): k -> t+1-k
     maps valid colorings to valid colorings with the same f, and one of k,
@@ -467,101 +494,87 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     colorings proper.
     """
     n, m = g.n, g.m
-    eu = [u for u, _ in g.edges]
-    ev = [v for _, v in g.edges]
-    deg = list(g.degrees)
+    if t > m:  # no coloring of m edges uses all t colors
+        return best, None, 0, "exhausted"
+    if order is None:
+        order = _most_constrained_order(g)
+    deg = g.degrees
     full = (1 << t) - 1
+    last_at = [0] * n  # depth at which each vertex gets its last edge
+    for d, bi in enumerate(order):
+        u, v = g.edges[bi]
+        last_at[u] = last_at[v] = d
+    steps = []
+    for d, bi in enumerate(order):
+        u, v = g.edges[bi]
+        steps.append((bi, u, v, deg[u], deg[v], last_at[u] == d,
+                      last_at[v] == d, m - d))
+    first_mask = (1 << ((t + 1) // 2)) - 1 if reflect else full
     used = [0] * n
-    cnt = [0] * n
     colors = [0] * m
-    ccnt = [0] * (t + 1)
-    sym_mask = (1 << ((t + 1) // 2)) - 1 if reflect else full
+    leaf = m - 1
 
     witness: list[int] | None = None
     nodes = 0
     aborted: str | None = None
 
-    def rec(remaining: int, ci: int, cn: int, unused: int, depth: int) -> None:
+    def rec(depth: int, ci: int, lost: int, unused: int, unused_bits: int) -> None:
         nonlocal best, witness, nodes, aborted
-        if remaining == 0:
-            # proper by construction; surjective because unused hit 0
-            if maximize:
-                if ci > best:
-                    best, witness = ci, colors[:]
-                    if best >= cap:
-                        aborted = "bound-met"
-            else:
-                if ci < best:
-                    best, witness = ci, colors[:]
-                    if best <= floor:
-                        aborted = "bound-met"
-            return
-        openv = n - ci - cn
-        if maximize:
-            if ci + openv <= best:
-                return
-        elif ci >= best:
-            return
-        if order is not None:
-            bi = order[depth]
-        else:  # most-constrained edge first keeps the tree small
-            bi, score = -1, -1
-            for i in range(m):
-                if colors[i] == 0:
-                    s = cnt[eu[i]] + cnt[ev[i]]
-                    if s > score:
-                        score, bi = s, i
-        u, v = eu[bi], ev[bi]
-        avail = full & ~(used[u] | used[v])
+        bi, u, v, du, dv, fu, fv, remaining = steps[depth]
+        uu, uv = used[u], used[v]
+        avail = (first_mask if depth == 0 else full) & ~(uu | uv)
         if unused == remaining:
-            unused_mask = 0
-            for c in range(1, t + 1):
-                if ccnt[c] == 0:
-                    unused_mask |= 1 << (c - 1)
-            avail &= unused_mask
-        if depth == 0:
-            avail &= sym_mask
+            avail &= unused_bits
+        ou = uu and uu >= (uu & -uu) << du  # doomed before this edge
+        ov = uv and uv >= (uv & -uv) << dv
         while avail:
             bit = avail & -avail if rng is None else _random_bit(avail, rng)
             avail ^= bit
-            c = bit.bit_length()
             nodes += 1
             if nodes >= node_limit or (
                     deadline is not None and nodes % 2048 == 0
                     and time.monotonic() > deadline):
                 aborted = "budget"
                 return
-            colors[bi] = c
-            used[u] |= bit
-            used[v] |= bit
-            cnt[u] += 1
-            cnt[v] += 1
-            nci, ncn = ci, cn
-            if cnt[u] == deg[u]:
-                if _interval_mask(used[u]):
+            colors[bi] = bit.bit_length()
+            nci, nlost = ci, lost
+            a = uu | bit
+            if not ou:
+                if a >= (a & -a) << du:
+                    nlost += 1
+                elif fu:
                     nci += 1
-                else:
-                    ncn += 1
-            if cnt[v] == deg[v]:
-                if _interval_mask(used[v]):
+            b = uv | bit
+            if not ov:
+                if b >= (b & -b) << dv:
+                    nlost += 1
+                elif fv:
                     nci += 1
-                else:
-                    ncn += 1
-            was_new = ccnt[c] == 0
-            ccnt[c] += 1
-            nu = unused - 1 if was_new else unused
-            if nu <= remaining - 1:
-                rec(remaining - 1, nci, ncn, nu, depth + 1)
-            ccnt[c] -= 1
-            cnt[u] -= 1
-            cnt[v] -= 1
-            used[u] ^= bit
-            used[v] ^= bit
-            colors[bi] = 0
+            if depth == leaf:  # proper, and surjective as unused hit 0
+                if maximize:
+                    if nci > best:
+                        best, witness = nci, colors[:]
+                        if best >= cap:
+                            aborted = "bound-met"
+                            return
+                elif nci < best:
+                    best, witness = nci, colors[:]
+                    if best <= floor:
+                        aborted = "bound-met"
+                        return
+                continue
+            if n - nlost <= best if maximize else nci >= best:
+                continue
+            used[u], used[v] = a, b
+            if unused_bits & bit:
+                rec(depth + 1, nci, nlost, unused - 1, unused_bits ^ bit)
+            else:
+                rec(depth + 1, nci, nlost, unused, unused_bits)
             if aborted:
                 return
+        used[u], used[v] = uu, uv
 
-    rec(m, 0, 0, t, 0)
+    rec(0, 0, 0, t, full)
     return best, witness, nodes, aborted or "exhausted"
 
 
@@ -635,6 +648,9 @@ def graph_from_dict(d: dict) -> Graph:
     for key in ("name", "vertices", "edges"):
         if key not in d:
             raise GraphError(f"graph document missing {key!r}")
+    for key in ("vertices", "edges"):
+        if not isinstance(d[key], list):
+            raise GraphError(f"graph {key} must be a list, got {d[key]!r}")
     edges = []
     for e in d["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):

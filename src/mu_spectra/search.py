@@ -4,9 +4,10 @@
 t-colorings of G. ``sample`` draws seeded random members of that space.
 Both walk it with the one search kernel, ``graphs._search``, which also
 decides ``chromatic_index``: a depth-first search over edges with color
-bitmasks, pruned by properness, surjectivity feasibility, a commitment
-bound on f and the reflection k -> t+1-k (its docstring states each rule
-and why it is sound).
+bitmasks, pruned by properness, surjectivity feasibility, the reflection
+k -> t+1-k and bounds on f. The mu2 bound is the doomed-vertex bound: a
+vertex whose colors already span more than its degree is interval in no
+completion. The kernel's docstring states each rule and why it is sound.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from mu_spectra import EdgeColoring, Graph
 
@@ -43,8 +44,12 @@ def naive_f(g: Graph, c: EdgeColoring) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def naive_mu(g: Graph, t: int) -> tuple[int, int]:
-    """(min f, max f) by enumerating all t^|E| color assignments."""
+    """(min f, max f) by enumerating all t^|E| color assignments.
+
+    Cached, since several sweeps enumerate the same small corpus.
+    """
     lo = hi = None
     for assign in itertools.product(range(1, t + 1), repeat=g.m):
         if len(set(assign)) != t:

@@ -77,6 +77,31 @@ class TestVerify:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda d: d.update(t=15.7), id="float-t"),
+        pytest.param(lambda d: d["colors"].update({"x1-x2": 3.5}), id="float-color"),
+        pytest.param(lambda d: d.update(t=True), id="bool-t"),
+        pytest.param(lambda d: d.update(claims=[1]), id="list-claims"),
+        pytest.param(lambda d: d.update(t=None), id="null-t"),
+        pytest.param(lambda d: d["colors"].update({"x1-x2": None}), id="null-color"),
+        pytest.param(lambda d: d["claims"].update(f=True), id="bool-claimed-f"),
+        pytest.param(lambda d: d["claims"].update(interval=[1]), id="list-interval"),
+        # a valid certificate once "abc" is read as the vertices a, b, c
+        pytest.param(lambda d: d.update(
+            graph={"name": "g", "vertices": "abc", "edges": [["a", "b"], ["b", "c"]]},
+            t=2, colors={"a-b": 1, "b-c": 2}, claims={"f": 3}),
+            id="string-vertices"),
+    ])
+    def test_mistyped_fields_are_input_errors(self, capsys, tmp_path, mutate):
+        doc = json.loads((fixture_dir() / "psi.json").read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "no-such-cert")
         assert code == 2

@@ -30,7 +30,7 @@ from mu_spectra import (
     set_labels,
     vertex_set,
 )
-from mu_spectra.graphs import _search
+from mu_spectra.graphs import _most_constrained_order, _search
 
 from oracles import naive_chromatic_index, naive_valid, random_connected_graph
 
@@ -246,6 +246,23 @@ class TestSearchKernel:
                 assert naive_valid(g, c), (t, kwargs, colors)
                 assert best == analyze(g, c).f
 
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS + [petersen(), complete(5)],
+                             ids=lambda g: g.name)
+    def test_default_order_is_the_per_node_scan(self, g):
+        # what a scan at every node picks: among uncolored edges, the most
+        # colored edges at the endpoints, lowest index on ties
+        cnt = [0] * g.n
+        uncolored = set(range(g.m))
+        scan = []
+        while uncolored:
+            bi = min(uncolored, key=lambda i: (
+                -cnt[g.edges[i][0]] - cnt[g.edges[i][1]], i))
+            uncolored.remove(bi)
+            scan.append(bi)
+            for w in g.edges[bi]:
+                cnt[w] += 1
+        assert _most_constrained_order(g) == scan
+
 
 class TestDeleteVertex:
     def test_shape_after_deletion(self, P):
@@ -297,6 +314,14 @@ class TestJsonInterchange:
         with pytest.raises(GraphError, match="bad edge"):
             graph_from_dict({"name": "g", "vertices": ["a", "b"],
                              "edges": [["a"]]})
+
+    @pytest.mark.parametrize("key,value", [("vertices", "abc"),
+                                           ("edges", {"a": "b"})])
+    def test_non_list_fields_rejected(self, key, value):
+        doc = {"name": "g", "vertices": ["a", "b", "c"],
+               "edges": [["a", "b"], ["b", "c"]], key: value}
+        with pytest.raises(GraphError, match=f"{key} must be a list"):
+            graph_from_dict(doc)
 
     def test_invalid_json_file_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from mu_spectra import (
     solve,
 )
 
-from oracles import naive_valid
+from oracles import naive_mu, naive_valid, random_connected_graph
 
 search_module = importlib.import_module("mu_spectra.search")
 
@@ -37,6 +37,12 @@ KNOWN = [
     (path(4), 3, 3, 4),
     (complete(4), 4, 0, 4), (complete(4), 6, 0, 2),
 ]
+
+# every graph here has at most 7 edges, small enough to enumerate
+ORACLE_CORPUS = ([path(n) for n in range(2, 9)]
+                 + [cycle(n) for n in range(3, 8)]
+                 + [complete(4)]
+                 + [random_connected_graph(seed) for seed in range(20)])
 
 
 class TestLegalRange:
@@ -106,7 +112,12 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        assert (o1.nodes_visited, o2.nodes_visited) == (13_449, 12_828)
+        assert (o1.nodes_visited, o2.nodes_visited) == (13_449, 10_700)
+
+    def test_bare_complete_graph_search_is_pinned(self):
+        out = solve(complete(5), 8, Objective.MU2, BARE)
+        assert (out.value, out.closed_by) == (3, "exhausted")
+        assert out.nodes_visited == 57_232
 
     def test_middle_t_budget_run_reports_bounds(self, P):
         cfg = SearchConfig(node_limit=50, seed_fixtures=False)
@@ -149,6 +160,23 @@ class TestConfig:
                     use_reflection_symmetry=False))
                 assert on.value == off.value
                 assert on.nodes_visited <= off.nodes_visited
+
+    @pytest.mark.parametrize("reflect", [True, False],
+                             ids=["reflection", "no-reflection"])
+    def test_bare_search_matches_enumeration(self, reflect):
+        # no catalog seeds and no structural bounds, so the kernel alone
+        # decides every cell
+        cfg = SearchConfig(seed_fixtures=False, use_structural_bounds=False,
+                           use_reflection_symmetry=reflect)
+        mismatches = []
+        for g in ORACLE_CORPUS:
+            for t in legal_t_range(g):
+                o1 = solve(g, t, Objective.MU1, cfg)
+                o2 = solve(g, t, Objective.MU2, cfg)
+                if not (o1.is_exact and o2.is_exact
+                        and (o1.value, o2.value) == naive_mu(g, t)):
+                    mismatches.append(f"{g.name} t={t}")
+        assert mismatches == []
 
     def test_edge_orders_agree(self):
         for g in (cycle(6), complete(4)):
@@ -249,10 +277,10 @@ class TestProfile:
                 prof.mu21.value, prof.mu22.value) == (1, 4, 3, 4)
 
     def test_node_total_is_pinned(self, petersen_profile):
-        # mu2 only: 29 + 345 + 866 at t=5..7, 144,993 at t=8, and the
+        # mu2 only: 27 + 225 + 456 at t=5..7, 55,132 at t=8, and the
         # 200,000-node budget at each t=9..14
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 1_346_233
+                   for r in petersen_profile.rows) == 1_255_840
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4
