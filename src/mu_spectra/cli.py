@@ -10,7 +10,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -22,8 +21,6 @@ from .fixtures import fixture_dir
 from .graphs import (
     Graph,
     GraphError,
-    contains_induced_c6,
-    contains_induced_claw,
     from_spec,
     is_petersen_labeled,
     load_graph,
@@ -34,6 +31,7 @@ from .structural import (
     mu22_cap_cubic,
     mu22_cap_from_noninterval,
     mu2_top_cap,
+    mu2_top_cap_from_obstructions,
 )
 
 
@@ -219,15 +217,8 @@ def _petersen_checks(g: Graph) -> list[dict]:
                    "intersecting_pairs": pairs},
     })
 
-    total = obstructed = 0
-    for size in range(7, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            total += 1
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if contains_induced_claw(g, mask) or contains_induced_c6(g, mask):
-                obstructed += 1
+    obstructions = mu2_top_cap_from_obstructions(g, 7).payload
+    total, obstructed = obstructions["subsets"], obstructions["obstructed"]
     checks.append({
         "name": "large-subsets-obstructed",
         "ok": total == 176 and obstructed == total,
@@ -295,7 +286,8 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit-ms", type=int, default=None,
                    help="search time budget in milliseconds")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable the reflection symmetry reduction")
+                   help="disable both symmetry rules at the first edge (the "
+                        "root orbit rule and the reflection cut)")
 
 
 def build_parser() -> argparse.ArgumentParser:

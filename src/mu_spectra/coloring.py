@@ -160,16 +160,29 @@ def _json_object(value, what: str) -> Mapping:
 
 
 def _parse_edge_key(key: str, g: Graph) -> int:
-    """Resolve 'a-b' to an edge index, accepting either endpoint order."""
-    for pos in range(1, len(key)):
-        if key[pos] != "-":
-            continue
+    """Resolve 'a-b' to an edge index, accepting either endpoint order.
+
+    Labels may contain '-', so every split is tried; a key that names two
+    edges (labels a, a-b, b-c, c and key 'a-b-c') is refused.
+    """
+    found = None
+    labels = False
+    pos = key.find("-", 1)
+    while pos != -1:
         a, b = key[:pos], key[pos + 1:]
         if a in g.index and b in g.index:
-            pair = frozenset((a, b))
-            if pair in g.edge_index:
-                return g.edge_index[pair]
-            raise GraphError(f"{key!r} is not an edge of {g.name}")
+            labels = True
+            ei = g.edge_index.get(frozenset((a, b)))
+            if ei is not None:
+                if found is not None:
+                    raise GraphError(
+                        f"edge key {key!r} names more than one edge of {g.name}")
+                found = ei
+        pos = key.find("-", pos + 1)
+    if found is not None:
+        return found
+    if labels:
+        raise GraphError(f"{key!r} is not an edge of {g.name}")
     raise GraphError(f"edge key {key!r} does not name two vertices of {g.name}")
 
 

@@ -419,6 +419,80 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 # ---------------------------------------------------------------------------
+# automorphisms
+
+#: Candidate placements ``_edge_transitive`` tries per graph before it
+#: gives up; Petersen needs 116 and complete:11 needs 486.
+_AUTOMORPHISM_BUDGET = 1_000_000
+
+
+@lru_cache(maxsize=None)
+def _edge_transitive(g: Graph) -> bool:
+    """Whether the automorphisms of g act transitively on its edges.
+
+    Searches, for each edge, for one automorphism that maps edge 0 onto
+    it; those lie in one group, so every edge is then in edge 0's orbit.
+    The group itself is never listed (Aut(K_11) has 11! elements).
+
+    Vertices are placed breadth-first from edge 0, so each vertex after
+    the first two has an earlier neighbor (``back[i]`` lists them), and its
+    image is a free neighbor of that neighbor's image. A candidate is taken
+    when its degree matches and its neighbors among the images placed so
+    far are exactly the images of ``back[i]``; adjacency is then preserved
+    both ways between every pair of placed vertices. At most
+    ``_AUTOMORPHISM_BUDGET`` candidates are tried over all edges; when they
+    run out the answer is False, which only keeps the search kernel from
+    its root rule.
+    """
+    deg = g.degrees
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    order = list(g.edges[0])
+    pos = {x: i for i, x in enumerate(order)}
+    for x in order:
+        for y, _ in g.adjacency[x]:
+            if y not in pos:
+                pos[y] = len(order)
+                order.append(y)
+    back = [[w for w, _ in g.adjacency[x] if pos[w] < i]
+            for i, x in enumerate(order)]
+    img = [0] * g.n
+    left = _AUTOMORPHISM_BUDGET
+
+    def extend(i: int, taken: int) -> bool:
+        nonlocal left
+        if i == g.n:
+            return True
+        x = order[i]
+        want = 0
+        for w in back[i]:
+            want |= 1 << img[w]
+        cands = nb[img[back[i][0]]] & ~taken
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            left -= 1
+            if left < 0:
+                return False
+            y = bit.bit_length() - 1
+            if deg[y] == deg[x] and nb[y] & taken == want:
+                img[x] = y
+                if extend(i + 1, taken | bit):
+                    return True
+        return False
+
+    def maps_onto(a: int, b: int) -> bool:
+        """Whether some automorphism sends order[0], order[1] to a, b."""
+        img[order[0]], img[order[1]] = a, b
+        return (deg[a] == deg[order[0]] and deg[b] == deg[order[1]]
+                and extend(2, 1 << a | 1 << b))
+
+    return all(maps_onto(a, b) or maps_onto(b, a) for a, b in g.edges[1:])
+
+
+# ---------------------------------------------------------------------------
 # the search kernel and chromatic index
 
 def _random_bit(mask: int, rng: random.Random) -> int:
@@ -484,13 +558,31 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     incumbent; a leaf reaching ``cap`` (maximizing) or ``floor`` ends the
     search. So ``maximize=True, best=-1, cap=0`` is a first-solution search.
 
-    ``reflect`` restricts the first edge to colors <= ceil(t/2): k -> t+1-k
-    maps valid colorings to valid colorings with the same f, and one of k,
-    t+1-k is <= ceil(t/2). No other color permutation preserves f.
+    ``reflect`` turns on two rules for the first edge e = ``order[0]``;
+    each keeps, for every valid coloring, one with the same f.
+
+    * Root rule, when ``_edge_transitive(g)``: e gets color 1 alone. A
+      valid c is surjective, so c(f) = 1 on some edge f, and some
+      automorphism s of g maps e onto f. Then c' = c o s is valid (s maps
+      edges sharing a vertex to edges sharing a vertex, and all edges onto
+      all edges), c'(e) = 1, and the spectrum of v under c' is that of
+      s(v) under c, so f(c') = f(c). Every f value of a valid coloring is
+      thus reached below color 1, which holds for minimizing, maximizing
+      and first-solution searches alike, and for any edge order.
+    * Otherwise the reflection cut: e gets colors <= ceil(t/2). k ->
+      t+1-k maps valid colorings to valid colorings with the same f, and
+      one of k, t+1-k is <= ceil(t/2). No other color permutation
+      preserves f.
+
+    Color 1 is <= ceil(t/2), so where the root rule applies the reflection
+    cut would remove nothing more. Both rules only drop root subtrees
+    after the color-1 one, and without ``rng`` colors are tried lowest
+    first, so a search that ends inside that subtree, or finds its optimum
+    there, runs and returns exactly as it would under the other rule.
 
     ``chromatic_index`` asks for any proper coloring in [1,t] at t = max
     degree. Surjectivity pruning loses none there, since a max-degree
-    vertex sees all t colors, and reflection loses none, since it keeps
+    vertex sees all t colors, and neither rule loses one, since both keep
     colorings proper.
     """
     n, m = g.n, g.m
@@ -509,7 +601,12 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
         u, v = g.edges[bi]
         steps.append((bi, u, v, deg[u], deg[v], last_at[u] == d,
                       last_at[v] == d, m - d))
-    first_mask = (1 << ((t + 1) // 2)) - 1 if reflect else full
+    if not reflect:
+        first_mask = full
+    elif _edge_transitive(g):
+        first_mask = 1
+    else:
+        first_mask = (1 << ((t + 1) // 2)) - 1
     used = [0] * n
     colors = [0] * m
     leaf = m - 1

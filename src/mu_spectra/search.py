@@ -4,10 +4,13 @@
 t-colorings of G. ``sample`` draws seeded random members of that space.
 Both walk it with the one search kernel, ``graphs._search``, which also
 decides ``chromatic_index``: a depth-first search over edges with color
-bitmasks, pruned by properness, surjectivity feasibility, the reflection
-k -> t+1-k and bounds on f. The mu2 bound is the doomed-vertex bound: a
-vertex whose colors already span more than its degree is interval in no
-completion. The kernel's docstring states each rule and why it is sound.
+bitmasks, pruned by properness, surjectivity feasibility, a symmetry rule
+at the first edge and bounds on f. The symmetry rule gives the first edge
+color 1 alone when the graph's automorphisms act transitively on its
+edges, and colors <= ceil(t/2) (the reflection k -> t+1-k) otherwise. The
+mu2 bound is the doomed-vertex bound: a vertex whose colors already span
+more than its degree is interval in no completion. The kernel's docstring
+states each rule and why it is sound.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -51,6 +54,9 @@ class SearchConfig:
     ``node_limit`` applies to a single solve; ``profile_node_limit`` is the
     per-(t, objective) budget used inside profile, kept separate so a full
     sweep stays fast while individual solves default to a deep budget.
+    ``use_reflection_symmetry`` switches both first-edge symmetry rules of
+    the search kernel: the root orbit rule on edge-transitive graphs and
+    the reflection cut elsewhere.
     """
 
     node_limit: int = 10**8

@@ -7,7 +7,9 @@ The arguments mechanized here:
 * a regular graph admits a coloring with every spectrum an interval iff
   its chromatic index equals its degree; failing that, f <= |V|-1 always;
 * at t = |E| all edge colors are distinct, so interval vertices induce a
-  disjoint union of paths, capping f by the largest path-forest subset;
+  disjoint union of paths, capping f by the largest path-forest subset
+  (or below any size at which every subset holds an induced claw or
+  6-cycle);
 * on a cubic graph whose every vertex deletion has chromatic index 4,
   f = |V|-1 is impossible at any t: the spectra at |V|-1 interval vertices
   would reduce mod 3 to a proper 3-edge-coloring of a deleted subgraph;
@@ -29,6 +31,8 @@ from .graphs import (
     InducedSubgraph,
     all_perfect_matchings,
     chromatic_index,
+    contains_induced_c6,
+    contains_induced_claw,
     delete_vertex,
     induced_subgraph,
     is_path_forest,
@@ -141,6 +145,43 @@ def mu2_top_cap(g: Graph) -> BoundEvidence:
         detail=(f"at t={g.m} interval vertices induce a path forest; the "
                 f"largest path-forest subset of {g.name} has {size} vertices"),
         payload={"witness_subset": list(witness)},
+    )
+
+
+def mu2_top_cap_from_obstructions(g: Graph, size: int) -> BoundEvidence:
+    """Cap f at t = |E| by size - 1 from local obstructions.
+
+    An induced claw or chordless 6-cycle is not a path forest, and every
+    induced subgraph of a path forest is one. So when each subset of at
+    least ``size`` vertices contains either, no such subset induces a path
+    forest, and the path-forest argument of ``mu2_top_cap`` caps f at
+    size - 1. Raises GraphError on the first subset with neither.
+    """
+    if g.min_degree() < 2:
+        raise GraphError(f"{g.name} has a vertex of degree < 2")
+    if g.n > _SUBSET_SCAN_LIMIT:
+        raise GraphError(
+            f"subset scan limited to {_SUBSET_SCAN_LIMIT} vertices, "
+            f"{g.name} has {g.n}")
+    subsets = 0
+    for k in range(size, g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            if not (contains_induced_claw(g, mask) or contains_induced_c6(g, mask)):
+                raise GraphError(
+                    f"{{{', '.join(g.vertices[v] for v in combo)}}} contains "
+                    f"no induced claw or 6-cycle")
+            subsets += 1
+    return BoundEvidence(
+        kind=EvidenceKind.PATH_FOREST_CAP,
+        value=size - 1,
+        applies_t=g.m,
+        detail=(f"all {subsets} subsets of {g.name} with >= {size} vertices "
+                f"contain an induced claw or 6-cycle, so none induces a path "
+                f"forest and f <= {size - 1} at t={g.m}"),
+        payload={"subsets": subsets, "obstructed": subsets},
     )
 
 

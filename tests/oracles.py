@@ -30,18 +30,23 @@ def naive_valid(g: Graph, c: EdgeColoring) -> bool:
     return set(c.colors) == set(range(1, c.t + 1))
 
 
-def naive_f(g: Graph, c: EdgeColoring) -> int:
-    """Interval-vertex count straight from the definition."""
+def naive_interval_labels(g: Graph, c: EdgeColoring) -> set[str]:
+    """Labels of the interval vertices, straight from the definition."""
     incident: dict[str, list[int]] = {label: [] for label in g.vertices}
     for (a, b), col in zip(g.edge_labels, c.colors):
         incident[a].append(col)
         incident[b].append(col)
-    count = 0
-    for cols in incident.values():
+    out = set()
+    for label, cols in incident.items():
         distinct = sorted(set(cols))
         if distinct == list(range(distinct[0], distinct[0] + len(distinct))):
-            count += 1
-    return count
+            out.add(label)
+    return out
+
+
+def naive_f(g: Graph, c: EdgeColoring) -> int:
+    """Interval-vertex count straight from the definition."""
+    return len(naive_interval_labels(g, c))
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +81,30 @@ def naive_chromatic_index(g: Graph) -> int:
                   for assign in itertools.product(range(1, t + 1), repeat=g.m)):
         t += 1
     return t
+
+
+def naive_edge_transitive(g: Graph) -> bool:
+    """Edge-transitivity from the definition, over every vertex permutation.
+
+    A permutation that maps each edge to an edge is an automorphism; the
+    images of edge 0 under all of them must be every edge. Meant for graphs
+    with at most 7 vertices.
+    """
+    edges = {frozenset(e) for e in g.edges}
+    u0, v0 = g.edges[0]
+    images = set()
+    for perm in itertools.permutations(range(g.n)):
+        if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges):
+            images.add(frozenset((perm[u0], perm[v0])))
+    return images == edges
+
+
+#: K_{2,3} is edge-transitive without being vertex-transitive; the paw (a
+#: triangle with a pendant edge) is neither.
+K23 = Graph.from_labels("K2,3", ["a", "b", "c", "d", "e"],
+                        [(x, y) for x in "ab" for y in "cde"])
+PAW = Graph.from_labels("paw", ["a", "b", "c", "d"],
+                        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
 
 
 def random_connected_graph(seed: int, max_edges: int = 7) -> Graph:

@@ -1,12 +1,27 @@
+import copy
+import io
 import json
 import shutil
 import subprocess
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mu_spectra import GraphError, cli, cycle, graph_to_dict
+from mu_spectra import (
+    Certificate,
+    EdgeColoring,
+    GraphError,
+    analyze,
+    cli,
+    cycle,
+    graph_to_dict,
+    sample,
+)
 from mu_spectra.fixtures import fixture_dir
+
+from oracles import naive_f, naive_interval_labels, naive_valid
 
 
 def run_cli(capsys, *argv):
@@ -102,10 +117,109 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_edge_key_naming_two_edges_is_an_input_error(self, capsys, tmp_path):
+        # with labels a, a-b, b-c, c the key "a-b-c" names both a~(b-c)
+        # and (a-b)~c; "b-c-a" and "c-a-b" name one edge each
+        doc = {"graph": {"name": "dashes", "vertices": ["a", "a-b", "b-c", "c"],
+                         "edges": [["a", "b-c"], ["a-b", "c"], ["a", "c"]]},
+               "t": 3, "colors": {"b-c-a": 1, "c-a-b": 2, "a-c": 3}}
+        cert = tmp_path / "dashes.json"
+        cert.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", str(cert))[0] == 0
+        doc["colors"] = {"a-b-c": 1, "c-a-b": 2, "a-c": 3}
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(cert))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than one edge" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "no-such-cert")
         assert code == 2
         assert "not found" in err
+
+
+def _fuzz_bases() -> list[dict]:
+    """A catalog certificate and an inline-graph one with interval claims."""
+    g = cycle(5)
+    (c,) = sample(g, 3, seed=0)
+    rep = analyze(g, c)
+    inline = Certificate(graph=g, t=3, colors=c.colors, claim_f=rep.f,
+                         claim_intervals=tuple(zip(g.vertices, rep.interval_flags)))
+    return [json.loads((fixture_dir() / "psi.json").read_text()), inline.to_dict()]
+
+
+FUZZ_BASES = _fuzz_bases()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(data, doc: dict) -> None:
+    """Set, delete, add, swap or rename one slot of some object or list."""
+    boxes = [doc]
+    for box in boxes:  # grows while it is walked: every nested container
+        boxes.extend(v for v in (box.values() if isinstance(box, dict) else box)
+                     if isinstance(v, (dict, list)))
+    box = data.draw(st.sampled_from(boxes))
+    slots = list(box) if isinstance(box, dict) else list(range(len(box)))
+    action = data.draw(st.sampled_from(["set", "delete", "add", "swap", "rename"]))
+    # in-range integers often, so that validation rather than parsing decides
+    value = st.integers(1, 15) | JSON_VALUES
+    if action == "add" or not slots:
+        if isinstance(box, dict):
+            box[data.draw(st.text(max_size=6))] = data.draw(value)
+        else:
+            box.append(data.draw(value))
+        return
+    slot = data.draw(st.sampled_from(slots))
+    if action == "set":
+        box[slot] = data.draw(value)
+    elif action == "delete":
+        del box[slot]
+    elif action == "swap":
+        other = data.draw(st.sampled_from(slots))
+        box[slot], box[other] = box[other], box[slot]
+    elif isinstance(box, dict):  # rename: reversed endpoints or any text
+        flipped = "-".join(reversed(slot.split("-")))
+        box[data.draw(st.sampled_from([flipped]) | st.text(max_size=6))] = box.pop(slot)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_survives_mutated_documents(data, fuzz_file):
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    fuzz_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", str(fuzz_file)])  # an exception fails here
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    if code == 0:
+        cert = Certificate.from_dict(doc)
+        c = EdgeColoring(t=cert.t, colors=cert.colors)
+        assert naive_valid(cert.graph, c)
+        claims = doc.get("claims", {})
+        if "f" in claims:
+            assert claims["f"] == naive_f(cert.graph, c)
+        interval = naive_interval_labels(cert.graph, c)
+        for label, flag in claims.get("interval", {}).items():
+            assert flag == (label in interval)
 
 
 class TestSolve:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,9 +31,17 @@ from mu_spectra import (
     set_labels,
     vertex_set,
 )
-from mu_spectra.graphs import _most_constrained_order, _search
+from mu_spectra import graphs as graphs_module
+from mu_spectra.graphs import _edge_transitive, _most_constrained_order, _search
 
-from oracles import naive_chromatic_index, naive_valid, random_connected_graph
+from oracles import (
+    K23,
+    PAW,
+    naive_chromatic_index,
+    naive_edge_transitive,
+    naive_valid,
+    random_connected_graph,
+)
 
 ORACLE_GRAPHS = ([path(n) for n in range(2, 7)]
                  + [cycle(n) for n in range(3, 8)]
@@ -262,6 +271,41 @@ class TestSearchKernel:
             for w in g.edges[bi]:
                 cnt[w] += 1
         assert _most_constrained_order(g) == scan
+
+
+# cubic on 6 vertices: the prism's triangle edges and rungs lie in two
+# orbits, while K_{3,3} is edge-transitive
+PRISM = Graph.from_labels("prism", list("abcdef"), [
+    ("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f"),
+    ("a", "d"), ("b", "e"), ("c", "f")])
+K33 = Graph.from_labels("K3,3", list("abcdef"),
+                        [(x, y) for x in "abc" for y in "def"])
+
+
+class TestEdgeTransitivity:
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS + [complete(4), K23, PAW,
+                                                   PRISM, K33],
+                             ids=lambda g: g.name)
+    def test_agrees_with_permutation_oracle(self, g):
+        assert _edge_transitive(g) == naive_edge_transitive(g)
+
+    def test_pinned_cases(self, P):
+        assert _edge_transitive(P)
+        for label in P.vertices:
+            assert not _edge_transitive(delete_vertex(P, label))
+        assert _edge_transitive(K23)
+        assert not _edge_transitive(PAW)
+
+    def test_complete_11_without_listing_the_group(self):
+        # Aut(K_11) has 39,916,800 elements; one automorphism per edge is
+        # enough
+        start = time.perf_counter()
+        assert _edge_transitive.__wrapped__(complete(11))
+        assert time.perf_counter() - start < 2.0
+
+    def test_exhausted_budget_answers_false(self, P, monkeypatch):
+        monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
+        assert not _edge_transitive.__wrapped__(P)
 
 
 class TestDeleteVertex:

@@ -21,7 +21,7 @@ from mu_spectra import (
     solve,
 )
 
-from oracles import naive_mu, naive_valid, random_connected_graph
+from oracles import K23, PAW, naive_mu, naive_valid, random_connected_graph
 
 search_module = importlib.import_module("mu_spectra.search")
 
@@ -41,7 +41,7 @@ KNOWN = [
 # every graph here has at most 7 edges, small enough to enumerate
 ORACLE_CORPUS = ([path(n) for n in range(2, 9)]
                  + [cycle(n) for n in range(3, 8)]
-                 + [complete(4)]
+                 + [complete(4), K23, PAW]
                  + [random_connected_graph(seed) for seed in range(20)])
 
 
@@ -112,12 +112,12 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        assert (o1.nodes_visited, o2.nodes_visited) == (13_449, 10_700)
+        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 3_998)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
-        assert out.nodes_visited == 57_232
+        assert out.nodes_visited == 7_576
 
     def test_middle_t_budget_run_reports_bounds(self, P):
         cfg = SearchConfig(node_limit=50, seed_fixtures=False)

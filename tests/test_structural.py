@@ -22,6 +22,7 @@ from mu_spectra import (
     mu1_floors,
     mu2_caps,
     mu2_top_cap,
+    mu2_top_cap_from_obstructions,
     mu22_cap_cubic,
     mu22_cap_from_noninterval,
     path,
@@ -250,3 +251,23 @@ class TestLargeSubsetObstruction:
                     obstructed += 1
         assert total == 176
         assert obstructed == 176
+
+    def test_evidence_caps_the_top_t(self, P):
+        ev = mu2_top_cap_from_obstructions(P, 7)
+        assert ev.kind is EvidenceKind.PATH_FOREST_CAP
+        assert (ev.value, ev.applies_t) == (6, 15)
+        assert ev.payload == {"subsets": 176, "obstructed": 176}
+        assert ev.value == mu2_top_cap(P).value
+
+    def test_hexagon_caps_itself(self):
+        assert mu2_top_cap_from_obstructions(cycle(6), 6).value \
+            == mu2_top_cap(cycle(6)).value == 5
+
+    def test_failed_premises_raise(self, P):
+        # three vertices of complete:4 induce a triangle
+        with pytest.raises(GraphError, match="no induced claw"):
+            mu2_top_cap_from_obstructions(complete(4), 3)
+        with pytest.raises(GraphError, match="no induced claw"):
+            mu2_top_cap_from_obstructions(P, 6)
+        with pytest.raises(GraphError, match="degree"):
+            mu2_top_cap_from_obstructions(path(3), 2)
