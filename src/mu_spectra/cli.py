@@ -286,8 +286,9 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit-ms", type=int, default=None,
                    help="search time budget in milliseconds")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable both symmetry rules at the first edge (the "
-                        "root orbit rule and the reflection cut)")
+                   help="disable every use of symmetry: both rules at the "
+                        "first edge (the root orbit rule and the reflection "
+                        "cut) and the split of mu2 by interval-set orbits")
 
 
 def build_parser() -> argparse.ArgumentParser:

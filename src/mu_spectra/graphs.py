@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -217,7 +218,10 @@ def complete(n: int) -> Graph:
 
 
 def from_spec(spec: str) -> Graph:
-    """Resolve a catalog graph name: petersen, path:<n>, cycle:<n>, complete:<n>."""
+    """Resolve a catalog graph name: petersen, path:<n>, cycle:<n>, complete:<n>.
+
+    A size past the vertex or edge cap is refused before the graph is built.
+    """
     if spec == "petersen":
         return petersen()
     kind, sep, arg = spec.partition(":")
@@ -227,6 +231,11 @@ def from_spec(spec: str) -> Graph:
             n = int(arg)
         except ValueError:
             raise GraphError(f"bad size in graph spec {spec!r}") from None
+        m = {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2}[kind]
+        if n > MAX_VERTICES:
+            raise GraphError(f"at most {MAX_VERTICES} vertices supported")
+        if m > MAX_EDGES:
+            raise GraphError(f"at most {MAX_EDGES} edges supported")
         return makers[kind](n)
     raise GraphError(f"unknown graph spec {spec!r}")
 
@@ -421,18 +430,22 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-#: Candidate placements ``_edge_transitive`` tries per graph before it
+#: Candidate placements ``_edge_automorphisms`` tries per graph before it
 #: gives up; Petersen needs 116 and complete:11 needs 486.
 _AUTOMORPHISM_BUDGET = 1_000_000
 
+#: Largest C(n,k) for which ``_subset_orbit_reps`` walks the k-subsets.
+_SUBSET_ORBIT_BUDGET = 10_000
+
 
 @lru_cache(maxsize=None)
-def _edge_transitive(g: Graph) -> bool:
-    """Whether the automorphisms of g act transitively on its edges.
+def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """One automorphism of g per edge after the first, or None.
 
-    Searches, for each edge, for one automorphism that maps edge 0 onto
-    it; those lie in one group, so every edge is then in edge 0's orbit.
-    The group itself is never listed (Aut(K_11) has 11! elements).
+    Map i sends edge 0 onto edge i+1, as a tuple of vertex images. They
+    lie in one group, so when every edge has one, every edge is in edge
+    0's orbit and the automorphisms act transitively on the edges. The
+    group itself is never listed (Aut(K_11) has 11! elements).
 
     Vertices are placed breadth-first from edge 0, so each vertex after
     the first two has an earlier neighbor (``back[i]`` lists them), and its
@@ -441,8 +454,9 @@ def _edge_transitive(g: Graph) -> bool:
     far are exactly the images of ``back[i]``; adjacency is then preserved
     both ways between every pair of placed vertices. At most
     ``_AUTOMORPHISM_BUDGET`` candidates are tried over all edges; when they
-    run out the answer is False, which only keeps the search kernel from
-    its root rule.
+    run out the answer is None, as for an edge with no map, which only
+    keeps the search kernel from its root rule and ``search.solve`` from
+    its interval-set split.
     """
     deg = g.degrees
     nb = [0] * g.n
@@ -489,7 +503,52 @@ def _edge_transitive(g: Graph) -> bool:
         return (deg[a] == deg[order[0]] and deg[b] == deg[order[1]]
                 and extend(2, 1 << a | 1 << b))
 
-    return all(maps_onto(a, b) or maps_onto(b, a) for a, b in g.edges[1:])
+    maps = []
+    for a, b in g.edges[1:]:
+        if not (maps_onto(a, b) or maps_onto(b, a)):
+            return None
+        maps.append(tuple(img))
+    return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _subset_orbit_reps(g: Graph, k: int) -> tuple[int, ...] | None:
+    """One k-subset mask per orbit under the maps of ``_edge_automorphisms``.
+
+    A walk from each subset not yet reached applies every map to every
+    subset it reaches, which closes its orbit; the group is never listed.
+    Subsets are tried in ``itertools.combinations`` order, so each
+    representative is the lexicographically least index set of its
+    orbit. The maps may
+    generate only a subgroup of Aut(g), whose orbits can be finer: more
+    representatives, each still one per orbit of that subgroup, so every
+    k-subset is an automorphic image of one of them. None when g has no
+    maps or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
+    """
+    maps = _edge_automorphisms(g)
+    if maps is None or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
+        return None
+    seen: set[int] = set()
+    reps = []
+    for combo in itertools.combinations(range(g.n), k):
+        mask = sum(1 << i for i in combo)
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            s = stack.pop()
+            for img in maps:
+                image, rest = 0, s
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << img[low.bit_length() - 1]
+                    rest ^= low
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +584,8 @@ def _most_constrained_order(g: Graph) -> list[int]:
 def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
             order: Sequence[int] | None = None,
             rng: random.Random | None = None, reflect: bool = True,
-            node_limit: int = 2**63, deadline: float | None = None):
+            req: int = 0, node_limit: int = 2**63,
+            deadline: float | None = None):
     """Depth-first search over the proper edge t-colorings of g.
 
     The one search kernel behind ``chromatic_index``, ``search.solve`` and
@@ -558,21 +618,33 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     incumbent; a leaf reaching ``cap`` (maximizing) or ``floor`` ends the
     search. So ``maximize=True, best=-1, cap=0`` is a first-solution search.
 
+    ``req`` is a vertex mask that must be interval: a child in which a
+    vertex of ``req`` becomes doomed is pruned. The test sits in the
+    doomed branch, so it costs nothing while no vertex dooms, and
+    ``req=0`` leaves the search as it was. Every leaf below then makes all
+    of ``req`` interval. ``search.solve`` runs it as ``best=k-1, cap=k``
+    with a k-set ``req``, which finds a coloring with f >= k that makes
+    ``req`` interval or shows there is none.
+
     ``reflect`` turns on two rules for the first edge e = ``order[0]``;
     each keeps, for every valid coloring, one with the same f.
 
-    * Root rule, when ``_edge_transitive(g)``: e gets color 1 alone. A
-      valid c is surjective, so c(f) = 1 on some edge f, and some
+    * Root rule, when ``_edge_automorphisms(g)`` finds a map for every
+      edge and ``req`` is 0: e gets color 1 alone. A valid c is
+      surjective, so c(f) = 1 on some edge f, and some
       automorphism s of g maps e onto f. Then c' = c o s is valid (s maps
       edges sharing a vertex to edges sharing a vertex, and all edges onto
       all edges), c'(e) = 1, and the spectrum of v under c' is that of
       s(v) under c, so f(c') = f(c). Every f value of a valid coloring is
       thus reached below color 1, which holds for minimizing, maximizing
-      and first-solution searches alike, and for any edge order.
-    * Otherwise the reflection cut: e gets colors <= ceil(t/2). k ->
-      t+1-k maps valid colorings to valid colorings with the same f, and
-      one of k, t+1-k is <= ceil(t/2). No other color permutation
-      preserves f.
+      and first-solution searches alike, and for any edge order. It is
+      off under ``req``: c' makes s^-1(T) interval where c makes T
+      interval, so it keeps f but moves the interval set off ``req``.
+    * Otherwise, and always under ``req``, the reflection cut: e gets
+      colors <= ceil(t/2). k -> t+1-k maps valid colorings to valid
+      colorings and each spectrum to its mirror image, an interval exactly
+      when the spectrum is one, so the interval set stays, and one of k,
+      t+1-k is <= ceil(t/2). No other color permutation preserves f.
 
     Color 1 is <= ceil(t/2), so where the root rule applies the reflection
     cut would remove nothing more. Both rules only drop root subtrees
@@ -603,7 +675,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
                       last_at[v] == d, m - d))
     if not reflect:
         first_mask = full
-    elif _edge_transitive(g):
+    elif not req and _edge_automorphisms(g) is not None:
         first_mask = 1
     else:
         first_mask = (1 << ((t + 1) // 2)) - 1
@@ -638,12 +710,16 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
             a = uu | bit
             if not ou:
                 if a >= (a & -a) << du:
+                    if req >> u & 1:
+                        continue
                     nlost += 1
                 elif fu:
                     nci += 1
             b = uv | bit
             if not ov:
                 if b >= (b & -b) << dv:
+                    if req >> v & 1:
+                        continue
                     nlost += 1
                 elif fv:
                     nci += 1

@@ -12,6 +12,13 @@ mu2 bound is the doomed-vertex bound: a vertex whose colors already span
 more than its degree is interval in no completion. The kernel's docstring
 states each rule and why it is sound.
 
+On an edge-transitive graph ``solve`` decides mu2 from the top down
+instead of raising an incumbent: "f >= k" holds exactly when some k-set
+of vertices is interval under some valid coloring, automorphisms carry
+interval sets onto interval sets, so one k-set per orbit decides it, each
+by a first-solution kernel run that prunes once a vertex of the set is
+doomed. Each refuted k is recorded as interval-set-orbits evidence.
+
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
 search. ``profile`` sweeps every legal t, then aggregates the four
@@ -27,8 +34,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .coloring import EdgeColoring, analyze, require_valid, rebind
-from .graphs import Graph, GraphError, chromatic_index, is_petersen_labeled
-from .graphs import _search
+from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
+                     set_labels)
+from .graphs import _search, _subset_orbit_reps
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
 
@@ -54,9 +62,10 @@ class SearchConfig:
     ``node_limit`` applies to a single solve; ``profile_node_limit`` is the
     per-(t, objective) budget used inside profile, kept separate so a full
     sweep stays fast while individual solves default to a deep budget.
-    ``use_reflection_symmetry`` switches both first-edge symmetry rules of
-    the search kernel: the root orbit rule on edge-transitive graphs and
-    the reflection cut elsewhere.
+    ``use_reflection_symmetry`` switches every use of symmetry: both
+    first-edge rules of the search kernel (the root orbit rule on
+    edge-transitive graphs and the reflection cut elsewhere) and the
+    interval-set split of mu2 on edge-transitive graphs.
     """
 
     node_limit: int = 10**8
@@ -85,8 +94,10 @@ class SearchOutcome:
     witness (when present) attains hi, for mu2 it attains lo; either way a
     witness is a valid coloring whose f equals the bound it certifies.
     ``closed_by`` records how the run ended: bounds-closed (no search
-    needed), bound-met (a witness hit a structural bound), exhausted
-    (search space emptied), or budget.
+    needed), bound-met (a witness reached the bound the search started
+    from), exhausted (every better value was refuted: the kernel emptied
+    its space, or the interval-set split refuted the entering hi and
+    went on down), or budget.
     """
 
     objective: Objective
@@ -162,6 +173,15 @@ def solve(g: Graph, t: int, objective: Objective,
     first; if they already meet, no search runs. Otherwise branch-and-bound
     refines the open side until it closes or the budget runs out, in which
     case the outcome carries the tightest (lo, hi) established.
+
+    mu2 on a graph with edge automorphisms, with symmetry on and the
+    k-sets at hi few enough to walk, is split instead (``_descend``): k
+    runs from hi down, each "f >= k" decided on one k-set per orbit, each
+    refuted k a new hi with its evidence. The first witness closes the
+    cell, with ``closed_by`` bound-met if it reaches the entering hi and
+    exhausted if a higher k was refuted first. The budget counts every
+    kernel run of the solve; a budget or time stop leaves the refuted hi
+    and the incumbent witness.
     """
     _require_legal_t(g, t)
     maximize = objective is Objective.MU2
@@ -213,23 +233,98 @@ def solve(g: Graph, t: int, objective: Objective,
         order = range(g.m) if cfg.edge_order is EdgeOrder.DECLARED else None
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
-        best, wcolors, nodes, closed_by = _search(
-            g, t, maximize, best, floor, cap, order=order,
-            reflect=cfg.use_reflection_symmetry, node_limit=cfg.node_limit,
-            deadline=deadline)
-        if wcolors is not None:
-            witness = EdgeColoring(t=t, colors=tuple(wcolors))
-        if closed_by != "budget":  # exhausted or bound-met: best is the optimum
-            lo = hi = best
-        elif maximize:  # a budget stop leaves best short of cap, so lo < hi
-            lo = max(best, 0)
+        if (maximize and cfg.use_reflection_symmetry
+                and _subset_orbit_reps(g, hi) is not None):
+            lo, hi, witness, nodes, closed_by = _descend(
+                g, t, best, witness, hi, order, cfg.node_limit, deadline,
+                evidence)
         else:
-            hi = min(best, n)
+            best, wcolors, nodes, closed_by = _search(
+                g, t, maximize, best, floor, cap, order=order,
+                reflect=cfg.use_reflection_symmetry,
+                node_limit=cfg.node_limit, deadline=deadline)
+            if wcolors is not None:
+                witness = EdgeColoring(t=t, colors=tuple(wcolors))
+            if closed_by != "budget":  # exhausted or bound-met: best is the optimum
+                lo = hi = best
+            elif maximize:  # a budget stop leaves best short of cap, so lo < hi
+                lo = max(best, 0)
+            else:
+                hi = min(best, n)
     status = SolveStatus.EXACT if lo == hi else SolveStatus.BOUNDS_ONLY
     return _checked(g, SearchOutcome(
         objective=objective, t=t, status=status, lo=lo, hi=hi,
         witness=witness, nodes_visited=nodes, closed_by=closed_by,
         evidence=tuple(evidence)))
+
+
+def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
+             hi: int, order, node_limit: int, deadline: float | None,
+             evidence: list[BoundEvidence]):
+    """mu2 by deciding "f >= k" one interval-set orbit at a time, k = hi down.
+
+    f >= k holds exactly when some k-set S is interval under some valid
+    coloring, and an automorphism s turns a coloring with interval set T
+    into one with interval set s(T), so one S per orbit of k-sets
+    (``_subset_orbit_reps``) decides it: a kernel run with ``req=S`` and
+    ``best=k-1, cap=k``. The first coloring found has f = k, since hi is a
+    cap, and closes the cell; when every representative fails, hi drops
+    to k-1 and an interval-set-orbits record lists them with their
+    nodes. Without an incumbent, a first-solution run supplies one.
+    Where C(n,k) is too large to walk, the plain kernel decides the rest.
+    Returns ``(lo, hi, witness, nodes, closed_by)``.
+    """
+    top, nodes = hi, 0
+
+    def found(colors) -> EdgeColoring:
+        return EdgeColoring(t=t, colors=tuple(colors))
+
+    def closed(k: int) -> str:
+        return "bound-met" if k == top else "exhausted"
+
+    if best < 0:
+        best, colors, nodes, tag = _search(g, t, True, -1, 0, 0, order=order,
+                                           node_limit=node_limit,
+                                           deadline=deadline)
+        if tag == "budget":
+            return 0, hi, witness, nodes, tag
+        witness = found(colors)
+    for k in range(hi, best, -1):
+        reps = _subset_orbit_reps(g, k)
+        if reps is None:
+            f, colors, used, tag = _search(g, t, True, best, 0, k, order=order,
+                                           node_limit=node_limit - nodes,
+                                           deadline=deadline)
+            nodes += used
+            if colors is not None:
+                best, witness = f, found(colors)
+            if tag == "budget":
+                return best, k, witness, nodes, tag
+            return best, best, witness, nodes, closed(best)
+        spent = []
+        for req in reps:
+            if deadline is not None and time.monotonic() > deadline:
+                return best, k, witness, nodes, "budget"
+            _, colors, used, tag = _search(g, t, True, k - 1, 0, k, order=order,
+                                           req=req, node_limit=node_limit - nodes,
+                                           deadline=deadline)
+            nodes += used
+            if tag == "budget":
+                return best, k, witness, nodes, tag
+            if colors is not None:
+                return k, k, found(colors), nodes, closed(k)
+            spent.append(used)
+        evidence.append(BoundEvidence(
+            kind=EvidenceKind.INTERVAL_SET_ORBITS,
+            value=k - 1,
+            applies_t=t,
+            detail=(f"no valid {t}-coloring makes a whole {k}-set of "
+                    f"vertices interval ({len(reps)} sets tried, one per "
+                    f"orbit under automorphisms), so f <= {k - 1} at t={t}"),
+            payload={"k": k,
+                     "representatives": [list(set_labels(g, s)) for s in reps],
+                     "nodes": spent}))
+    return best, best, witness, nodes, closed(best)
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:

@@ -49,6 +49,7 @@ class EvidenceKind(Enum):
     MOD_REDUCTION = "mod-reduction"
     MATCHING_INTERSECTION = "matching-intersection"
     CERTIFICATE_LOWER_BOUND = "certificate-lower-bound"
+    INTERVAL_SET_ORBITS = "interval-set-orbits"
 
 
 @dataclass(frozen=True)

@@ -83,20 +83,22 @@ def naive_chromatic_index(g: Graph) -> int:
     return t
 
 
-def naive_edge_transitive(g: Graph) -> bool:
-    """Edge-transitivity from the definition, over every vertex permutation.
+def naive_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation mapping each edge to an edge.
 
-    A permutation that maps each edge to an edge is an automorphism; the
-    images of edge 0 under all of them must be every edge. Meant for graphs
-    with at most 7 vertices.
+    Tries all n! permutations; meant for graphs with at most 7 vertices.
     """
     edges = {frozenset(e) for e in g.edges}
+    return [perm for perm in itertools.permutations(range(g.n))
+            if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges)]
+
+
+def naive_edge_transitive(g: Graph) -> bool:
+    """Edge-transitivity from the definition: the images of edge 0 under
+    every automorphism must be every edge."""
     u0, v0 = g.edges[0]
-    images = set()
-    for perm in itertools.permutations(range(g.n)):
-        if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges):
-            images.add(frozenset((perm[u0], perm[v0])))
-    return images == edges
+    images = {frozenset((perm[u0], perm[v0])) for perm in naive_automorphisms(g)}
+    return images == {frozenset(e) for e in g.edges}
 
 
 #: K_{2,3} is edge-transitive without being vertex-transitive; the paw (a

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -32,11 +33,17 @@ from mu_spectra import (
     vertex_set,
 )
 from mu_spectra import graphs as graphs_module
-from mu_spectra.graphs import _edge_transitive, _most_constrained_order, _search
+from mu_spectra.graphs import (
+    _edge_automorphisms,
+    _most_constrained_order,
+    _search,
+    _subset_orbit_reps,
+)
 
 from oracles import (
     K23,
     PAW,
+    naive_automorphisms,
     naive_chromatic_index,
     naive_edge_transitive,
     naive_valid,
@@ -122,6 +129,25 @@ class TestGenerators:
     def test_from_spec_rejects_garbage(self, spec):
         with pytest.raises(GraphError):
             from_spec(spec)
+
+
+    @pytest.mark.parametrize("spec", ["path:65", "cycle:65", "complete:12",
+                                      "complete:600", "path:200000"])
+    def test_oversized_spec_refused_before_building(self, spec, monkeypatch):
+        built = []
+        for kind in ("path", "cycle", "complete"):
+            monkeypatch.setattr(graphs_module, kind,
+                                lambda n, kind=kind: built.append(kind))
+        with pytest.raises(GraphError, match="at most 64"):
+            from_spec(spec)
+        assert built == []
+
+    @pytest.mark.parametrize("spec,shape", [("path:64", (64, 63)),
+                                            ("cycle:64", (64, 64)),
+                                            ("complete:11", (11, 55))])
+    def test_specs_at_the_caps_build(self, spec, shape):
+        g = from_spec(spec)
+        assert (g.n, g.m) == shape
 
 
 class TestVertexSets:
@@ -282,12 +308,33 @@ K33 = Graph.from_labels("K3,3", list("abcdef"),
                         [(x, y) for x in "abc" for y in "def"])
 
 
+TRANSITIVITY_GRAPHS = ORACLE_GRAPHS + [complete(4), K23, PAW, PRISM, K33]
+
+
+def _edge_transitive(g):
+    return _edge_automorphisms(g) is not None
+
+
+def _apply(perm, mask):
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
 class TestEdgeTransitivity:
-    @pytest.mark.parametrize("g", ORACLE_GRAPHS + [complete(4), K23, PAW,
-                                                   PRISM, K33],
-                             ids=lambda g: g.name)
+    @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_agrees_with_permutation_oracle(self, g):
         assert _edge_transitive(g) == naive_edge_transitive(g)
+
+    @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
+    def test_maps_are_automorphisms_onto_each_edge(self, g):
+        maps = _edge_automorphisms(g)
+        if maps is None:
+            return
+        assert len(maps) == g.m - 1
+        autos = set(naive_automorphisms(g))
+        u0, v0 = g.edges[0]
+        for (a, b), img in zip(g.edges[1:], maps):
+            assert img in autos
+            assert {img[u0], img[v0]} == {a, b}
 
     def test_pinned_cases(self, P):
         assert _edge_transitive(P)
@@ -300,12 +347,51 @@ class TestEdgeTransitivity:
         # Aut(K_11) has 39,916,800 elements; one automorphism per edge is
         # enough
         start = time.perf_counter()
-        assert _edge_transitive.__wrapped__(complete(11))
+        assert _edge_automorphisms.__wrapped__(complete(11)) is not None
         assert time.perf_counter() - start < 2.0
 
     def test_exhausted_budget_answers_false(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
-        assert not _edge_transitive.__wrapped__(P)
+        assert _edge_automorphisms.__wrapped__(P) is None
+
+
+class TestSubsetOrbits:
+    @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
+    def test_representatives_against_the_full_group(self, g):
+        maps = _edge_automorphisms(g)
+        autos = naive_automorphisms(g)
+        for k in range(1, g.n + 1):
+            reps = _subset_orbit_reps(g, k)
+            if maps is None:
+                assert reps is None
+                continue
+            covered = set()
+            for rep in reps:
+                # the rep's orbit under the maps, walked independently
+                orbit, frontier = {rep}, [rep]
+                while frontier:
+                    frontier = [s for s in {_apply(img, x) for x in frontier
+                                            for img in maps} if s not in orbit]
+                    orbit.update(frontier)
+                assert orbit <= {_apply(p, rep) for p in autos}
+                assert not orbit & covered
+                # lexicographically least index set of its orbit
+                assert min(orbit, key=lambda s: [
+                    i for i in range(g.n) if s >> i & 1]) == rep
+                covered |= orbit
+            assert len(covered) == math.comb(g.n, k)
+
+    def test_petersen_orbit_counts(self, P):
+        # as under the full group of order 120: Petersen is distance-
+        # transitive of diameter 2, so 8-sets (complements of vertex
+        # pairs) fall into 2 orbits and 9-sets into 1
+        assert [len(_subset_orbit_reps(P, k)) for k in (7, 8, 9)] == [4, 2, 1]
+        assert _subset_orbit_reps(P, 9) == (full_set(P) ^ 1 << 9,)
+
+    def test_over_budget_is_none(self, P, monkeypatch):
+        monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)
+        assert _subset_orbit_reps.__wrapped__(P, 5) is None  # C(10,5) = 252
+        assert len(_subset_orbit_reps.__wrapped__(P, 8)) == 2  # C(10,8) = 45
 
 
 class TestDeleteVertex:

@@ -19,11 +19,14 @@ from mu_spectra import (
     profile,
     sample,
     solve,
+    vertex_set,
 )
+from mu_spectra.graphs import _search
 
 from oracles import K23, PAW, naive_mu, naive_valid, random_connected_graph
 
 search_module = importlib.import_module("mu_spectra.search")
+graphs_module = importlib.import_module("mu_spectra.graphs")
 
 BARE = SearchConfig(seed_fixtures=False, use_structural_bounds=False)
 
@@ -112,12 +115,53 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 3_998)
+        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 3_437)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
-        assert out.nodes_visited == 7_576
+        assert out.nodes_visited == 8_882
+
+    def test_orbit_evidence_replays(self, P):
+        # bare, mu2(P,4) starts from the trivial cap 10: the split refutes
+        # f >= 10 and f >= 9, one representative each, then meets 8
+        out = solve(P, 4, Objective.MU2, BARE)
+        orbits = [e for e in out.evidence
+                  if e.kind is EvidenceKind.INTERVAL_SET_ORBITS]
+        assert [(e.payload["k"], e.value, len(e.payload["representatives"]))
+                for e in orbits] == [(10, 9, 1), (9, 8, 1)]
+        for e in orbits:
+            k = e.payload["k"]
+            assert e.applies_t == 4
+            for labels, spent in zip(e.payload["representatives"],
+                                     e.payload["nodes"], strict=True):
+                assert len(labels) == k
+                _, colors, nodes, tag = _search(
+                    P, 4, True, k - 1, 0, k, req=vertex_set(P, labels))
+                assert (colors, tag, nodes) == (None, "exhausted", spent)
+
+    def test_split_honors_a_witness_free_initial_bound(self):
+        # cycle(5) at t=3 has mu2 = 4; the one 5-set is refuted and the
+        # entering bound 4 is met without a coloring to show for it
+        out = solve(cycle(5), 3, Objective.MU2, SearchConfig(
+            seed_fixtures=False, use_structural_bounds=False, initial_bound=4))
+        (e,) = out.evidence
+        assert (e.kind, e.value, e.payload["k"]) == (
+            EvidenceKind.INTERVAL_SET_ORBITS, 4, 5)
+
+    def test_split_leaves_oversized_k_to_the_plain_kernel(self, P, monkeypatch):
+        # with room for 10 k-sets, k = 10 and 9 are split and refuted, and
+        # the plain kernel decides f >= 8 over the 45 8-sets
+        reps = graphs_module._subset_orbit_reps
+        monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 10)
+        reps.cache_clear()
+        try:
+            out = solve(P, 4, Objective.MU2, BARE)
+        finally:
+            reps.cache_clear()
+        assert (out.value, out.closed_by) == (8, "exhausted")
+        assert [e.payload["k"] for e in out.evidence] == [10, 9]
+        assert analyze(P, out.witness).f == 8
 
     def test_middle_t_budget_run_reports_bounds(self, P):
         cfg = SearchConfig(node_limit=50, seed_fixtures=False)
@@ -129,7 +173,10 @@ class TestPetersenSeededRuns:
         assert out.nodes_visited <= 50
 
     def test_budget_witness_attains_the_lower_bound(self, P):
-        cfg = SearchConfig(node_limit=200_000, seed_fixtures=False)
+        # unseeded, the incumbent is the first coloring found; the cell
+        # closes at 38,039 nodes, so this budget stops it while deciding
+        # f >= 8
+        cfg = SearchConfig(node_limit=20_000, seed_fixtures=False)
         out = solve(P, 9, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert out.witness is not None
@@ -257,6 +304,27 @@ class TestProfile:
                 assert row.mu2.lo >= 6
             assert row.mu2.hi <= 8 or row.t == 4
 
+    def test_interval_set_split_closes_the_middle_rows(self, petersen_profile):
+        prof = petersen_profile
+        assert sum(r.mu1.is_exact + r.mu2.is_exact for r in prof.rows) == 21
+        closed = {t: (prof.row(t).mu2.value, prof.row(t).mu2.closed_by)
+                  for t in (9, 10, 14)}
+        assert closed == {9: (8, "bound-met"), 10: (7, "exhausted"),
+                          14: (6, "exhausted")}
+        for t in (11, 12, 13):
+            assert (prof.row(t).mu2.lo, prof.row(t).mu2.hi) == (6, 7)
+        for row in prof.rows:
+            out = row.mu2
+            assert out.witness is not None and analyze(
+                prof.graph, out.witness).f == out.lo
+            refuted = [e.value for e in out.evidence
+                       if e.kind is EvidenceKind.INTERVAL_SET_ORBITS]
+            # the split refutes a cell's top k only from t=10 on; every
+            # refuted k leaves a record, the last one at hi
+            assert bool(refuted) == (row.t in range(10, 15))
+            if refuted:
+                assert refuted[-1] == out.hi
+
     def test_rows_keep_objectives_ordered(self, petersen_profile):
         for row in petersen_profile.rows:
             assert row.mu1.lo <= row.mu2.hi
@@ -277,10 +345,11 @@ class TestProfile:
                 prof.mu21.value, prof.mu22.value) == (1, 4, 3, 4)
 
     def test_node_total_is_pinned(self, petersen_profile):
-        # mu2 only: 27 + 225 + 456 at t=5..7, 55,132 at t=8, and the
-        # 200,000-node budget at each t=9..14
+        # mu2 only: 47 + 650 + 6,291 + 22,963 at t=5..8, 38,024 at t=9,
+        # 136,546 at t=10, the 200,000-node budget at each t=11..13 and
+        # 87,180 at t=14
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 1_255_840
+                   for r in petersen_profile.rows) == 891_701
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4
