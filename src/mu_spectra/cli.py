@@ -85,9 +85,13 @@ def cmd_verify(args) -> int:
     path = _resolve_certificate_path(args.certificate)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise GraphError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise GraphError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise GraphError(f"{path}: JSON nested too deeply") from None
     cert = Certificate.from_dict(doc)
     result = check_certificate(cert)
     report = {

@@ -561,18 +561,28 @@ def _random_bit(mask: int, rng: random.Random) -> int:
     return mask & -mask
 
 
-def _most_constrained_order(g: Graph) -> list[int]:
+def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
     """Edges in the kernel's default order: most constrained first.
 
     Each step takes the edge, among those not yet taken, with the most
-    taken edges at its endpoints; ``max`` keeps the first maximum, so ties
-    go to the lowest index.
+    taken edges at its endpoints in the vertex mask ``req``, then with the
+    most taken edges at its endpoints; ``max`` keeps the first maximum, so
+    ties go to the lowest index. With ``req=0`` the first count is always
+    0 and the second decides alone. A nonzero ``req`` thus goes on at the
+    ``req`` vertices already reached, whose colors the window mask of
+    ``_search`` cuts down.
     """
     cnt = [0] * g.n
+
+    def score(i: int) -> tuple[int, int]:
+        u, v = g.edges[i]
+        return ((req >> u & 1) * cnt[u] + (req >> v & 1) * cnt[v],
+                cnt[u] + cnt[v])
+
     left = list(range(g.m))
     order = []
     for _ in range(g.m):
-        bi = max(left, key=lambda i: cnt[g.edges[i][0]] + cnt[g.edges[i][1]])
+        bi = max(left, key=score)
         left.remove(bi)
         order.append(bi)
         u, v = g.edges[bi]
@@ -590,11 +600,13 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
 
     The one search kernel behind ``chromatic_index``, ``search.solve`` and
     ``search.sample``. Depth d colors edge ``order[d]``. Without an order it
-    colors the uncolored edge with the most colored edges at its endpoints,
-    lowest index on ties. That score counts colored edges, not their
-    colors, and every node at depth d has colored the same d edges, so the
-    choice depends on d alone: ``_most_constrained_order`` makes each
-    choice once, before the search, with the same tie-break. Colors free at
+    colors the uncolored edge with the most colored edges at its endpoints
+    in ``req``, then with the most colored edges at its endpoints, lowest
+    index on ties; with ``req=0`` only the second count differs between
+    edges. Those scores count colored edges, not their colors, and every
+    node at depth d has colored the same d edges, so the choice depends on
+    d alone: ``_most_constrained_order(g, req)`` makes each choice once,
+    before the search, with the same tie-break. Colors free at
     both endpoints are tried lowest first, or in random order when ``rng``
     is given. Returns ``(best, witness_colors, nodes, tag)``, tag
     "exhausted", "bound-met" or "budget".
@@ -618,13 +630,21 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     incumbent; a leaf reaching ``cap`` (maximizing) or ``floor`` ends the
     search. So ``maximize=True, best=-1, cap=0`` is a first-solution search.
 
-    ``req`` is a vertex mask that must be interval: a child in which a
-    vertex of ``req`` becomes doomed is pruned. The test sits in the
-    doomed branch, so it costs nothing while no vertex dooms, and
-    ``req=0`` leaves the search as it was. Every leaf below then makes all
-    of ``req`` interval. ``search.solve`` runs it as ``best=k-1, cap=k``
-    with a k-set ``req``, which finds a coloring with f >= k that makes
-    ``req`` interval or shows there is none.
+    ``req`` is a vertex mask that must be interval: no child may doom a
+    vertex of ``req``. The window mask enforces it before any child is
+    made. At an edge whose endpoint x is in ``req`` and already has a
+    colored edge, with lowest color bit ``low`` and highest ``high`` on x,
+    the colors tried are cut to ``((low << d) - 1) & -((high >> (d - 1))
+    or 1)`` for d = deg(x): exactly the colors that keep x's span within
+    d. The colors it removes are the children that would doom x, each a
+    dead end, so the search explores, in the same order, the tree that
+    pruning each such child would leave, finds the same witnesses, and
+    does not count those children in ``nodes``. A vertex of ``req`` is
+    thus never doomed, every leaf makes all of ``req`` interval, and
+    ``req=0`` leaves the search as it was.
+    ``search.solve`` runs it as ``best=k-1, cap=k`` with a k-set ``req``,
+    which finds a coloring with f >= k that makes ``req`` interval or shows
+    there is none.
 
     ``reflect`` turns on two rules for the first edge e = ``order[0]``;
     each keeps, for every valid coloring, one with the same f.
@@ -661,7 +681,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     if t > m:  # no coloring of m edges uses all t colors
         return best, None, 0, "exhausted"
     if order is None:
-        order = _most_constrained_order(g)
+        order = _most_constrained_order(g, req)
     deg = g.degrees
     full = (1 << t) - 1
     last_at = [0] * n  # depth at which each vertex gets its last edge
@@ -672,7 +692,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         steps.append((bi, u, v, deg[u], deg[v], last_at[u] == d,
-                      last_at[v] == d, m - d))
+                      last_at[v] == d, m - d, req >> u & 1, req >> v & 1))
     if not reflect:
         first_mask = full
     elif not req and _edge_automorphisms(g) is not None:
@@ -689,11 +709,17 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
 
     def rec(depth: int, ci: int, lost: int, unused: int, unused_bits: int) -> None:
         nonlocal best, witness, nodes, aborted
-        bi, u, v, du, dv, fu, fv, remaining = steps[depth]
+        bi, u, v, du, dv, fu, fv, remaining, ru, rv = steps[depth]
         uu, uv = used[u], used[v]
         avail = (first_mask if depth == 0 else full) & ~(uu | uv)
         if unused == remaining:
             avail &= unused_bits
+        if ru and uu:  # the window mask: keep u's span within du
+            avail &= (((uu & -uu) << du) - 1) & -(
+                (1 << uu.bit_length() - 1 >> du - 1) or 1)
+        if rv and uv:
+            avail &= (((uv & -uv) << dv) - 1) & -(
+                (1 << uv.bit_length() - 1 >> dv - 1) or 1)
         ou = uu and uu >= (uu & -uu) << du  # doomed before this edge
         ov = uv and uv >= (uv & -uv) << dv
         while avail:
@@ -710,16 +736,12 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
             a = uu | bit
             if not ou:
                 if a >= (a & -a) << du:
-                    if req >> u & 1:
-                        continue
                     nlost += 1
                 elif fu:
                     nci += 1
             b = uv | bit
             if not ov:
                 if b >= (b & -b) << dv:
-                    if req >> v & 1:
-                        continue
                     nlost += 1
                 elif fv:
                     nci += 1
@@ -833,9 +855,13 @@ def graph_from_dict(d: dict) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise GraphError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise GraphError(f"{path}: invalid JSON (nested too deeply)") from None
     return graph_from_dict(doc)

@@ -16,8 +16,11 @@ On an edge-transitive graph ``solve`` decides mu2 from the top down
 instead of raising an incumbent: "f >= k" holds exactly when some k-set
 of vertices is interval under some valid coloring, automorphisms carry
 interval sets onto interval sets, so one k-set per orbit decides it, each
-by a first-solution kernel run that prunes once a vertex of the set is
-doomed. Each refuted k is recorded as interval-set-orbits evidence.
+by a first-solution kernel run that never dooms a vertex of the set: it
+colors the edges at the set's vertices first and, at each of them, tries
+only the colors that keep the vertex's span within its degree (the window
+mask), so those runs neither make nor count a child that would doom one.
+Each refuted k is recorded as interval-set-orbits evidence.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any

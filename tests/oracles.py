@@ -50,24 +50,28 @@ def naive_f(g: Graph, c: EdgeColoring) -> int:
 
 
 @lru_cache(maxsize=None)
-def naive_mu(g: Graph, t: int) -> tuple[int, int]:
-    """(min f, max f) by enumerating all t^|E| color assignments.
+def naive_interval_sets(g: Graph, t: int) -> frozenset[frozenset[str]]:
+    """The interval-vertex label sets of all valid t-colorings of g, by
+    enumerating all t^|E| color assignments.
 
     Cached, since several sweeps enumerate the same small corpus.
     """
-    lo = hi = None
+    out = set()
     for assign in itertools.product(range(1, t + 1), repeat=g.m):
         if len(set(assign)) != t:
             continue
         c = EdgeColoring(t=t, colors=assign)
-        if not naive_valid(g, c):
-            continue
-        f = naive_f(g, c)
-        lo = f if lo is None else min(lo, f)
-        hi = f if hi is None else max(hi, f)
-    if lo is None:
+        if naive_valid(g, c):
+            out.add(frozenset(naive_interval_labels(g, c)))
+    return frozenset(out)
+
+
+def naive_mu(g: Graph, t: int) -> tuple[int, int]:
+    """(min f, max f) over the interval sets of ``naive_interval_sets``."""
+    sizes = [len(s) for s in naive_interval_sets(g, t)]
+    if not sizes:
         raise AssertionError(f"no valid {t}-coloring of {g.name}")
-    return lo, hi
+    return min(sizes), max(sizes)
 
 
 def naive_chromatic_index(g: Graph) -> int:

@@ -134,6 +134,15 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than one edge" in err
 
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
+        # the JSON parser gives up with RecursionError, not JSONDecodeError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "verify", str(deep))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "no-such-cert")
         assert code == 2
@@ -267,6 +276,20 @@ class TestSolve:
         assert doc["outcome"]["value"] == 2
         # inline provenance so the certificate is self-contained
         assert isinstance(doc["witness_certificate"]["graph"], dict)
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--t", "3", "--objective", "mu1"], ["profile"]])
+    def test_unreadable_graph_files_are_input_errors(self, capsys, tmp_path,
+                                                     command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for arg, message in ((f"@{tmp_path}", "Is a directory"),
+                             (f"@{tmp_path / 'absent.json'}", "No such file"),
+                             (f"@{deep}", "nested too deeply")):
+            code, out, err = run_cli(capsys, *command, "--graph", arg)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
 
     def test_budget_flags_reach_the_search(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--graph", "petersen",

@@ -1,8 +1,11 @@
+import hashlib
 import importlib
+from types import SimpleNamespace
 
 import pytest
 
 from mu_spectra import (
+    EdgeColoring,
     EdgeOrder,
     EvidenceKind,
     GraphError,
@@ -18,17 +21,58 @@ from mu_spectra import (
     petersen,
     profile,
     sample,
+    set_labels,
     solve,
     vertex_set,
 )
 from mu_spectra.graphs import _search
 
-from oracles import K23, PAW, naive_mu, naive_valid, random_connected_graph
+from oracles import (K23, PAW, naive_interval_labels, naive_interval_sets,
+                     naive_mu, naive_valid, random_connected_graph)
 
 search_module = importlib.import_module("mu_spectra.search")
 graphs_module = importlib.import_module("mu_spectra.graphs")
 
 BARE = SearchConfig(seed_fixtures=False, use_structural_bounds=False)
+
+
+def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
+    """Replay each interval-set-orbits record of a mu2 outcome.
+
+    Each listed representative's default-order req search must find no
+    witness and spend the recorded nodes. Returns (k, representatives)
+    per record.
+    """
+    replayed = []
+    for e in out.evidence:
+        if e.kind is not EvidenceKind.INTERVAL_SET_ORBITS:
+            continue
+        k = e.payload["k"]
+        assert (e.applies_t, e.value) == (out.t, k - 1)
+        for labels, spent in zip(e.payload["representatives"],
+                                 e.payload["nodes"], strict=True):
+            assert len(labels) == k
+            _, colors, nodes, tag = _search(g, out.t, True, k - 1, 0, k,
+                                            req=vertex_set(g, labels))
+            assert (colors, tag, nodes) == (None, "exhausted", spent)
+        replayed.append((k, len(e.payload["representatives"])))
+    return replayed
+
+
+def expire_clock_after(monkeypatch, reads: int) -> None:
+    """Give the search a clock that reads 0.0 for its first `reads` reads
+    and 1.0 after, past any deadline under one second."""
+    count = 0
+
+    def monotonic() -> float:
+        nonlocal count
+        count += 1
+        return 0.0 if count <= reads else 1.0
+
+    clock = SimpleNamespace(monotonic=monotonic)
+    monkeypatch.setattr(search_module, "time", clock)
+    monkeypatch.setattr(graphs_module, "time", clock)
+
 
 # spot values frozen from full enumeration (oracle sweep lives in the
 # acceptance suite)
@@ -115,30 +159,18 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 3_437)
+        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 1_959)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
-        assert out.nodes_visited == 8_882
+        assert out.nodes_visited == 2_251
 
     def test_orbit_evidence_replays(self, P):
         # bare, mu2(P,4) starts from the trivial cap 10: the split refutes
         # f >= 10 and f >= 9, one representative each, then meets 8
         out = solve(P, 4, Objective.MU2, BARE)
-        orbits = [e for e in out.evidence
-                  if e.kind is EvidenceKind.INTERVAL_SET_ORBITS]
-        assert [(e.payload["k"], e.value, len(e.payload["representatives"]))
-                for e in orbits] == [(10, 9, 1), (9, 8, 1)]
-        for e in orbits:
-            k = e.payload["k"]
-            assert e.applies_t == 4
-            for labels, spent in zip(e.payload["representatives"],
-                                     e.payload["nodes"], strict=True):
-                assert len(labels) == k
-                _, colors, nodes, tag = _search(
-                    P, 4, True, k - 1, 0, k, req=vertex_set(P, labels))
-                assert (colors, tag, nodes) == (None, "exhausted", spent)
+        assert replay_orbit_evidence(P, out) == [(10, 1), (9, 1)]
 
     def test_split_honors_a_witness_free_initial_bound(self):
         # cycle(5) at t=3 has mu2 = 4; the one 5-set is refuted and the
@@ -174,9 +206,9 @@ class TestPetersenSeededRuns:
 
     def test_budget_witness_attains_the_lower_bound(self, P):
         # unseeded, the incumbent is the first coloring found; the cell
-        # closes at 38,039 nodes, so this budget stops it while deciding
+        # closes at 6,562 nodes, so this budget stops it while deciding
         # f >= 8
-        cfg = SearchConfig(node_limit=20_000, seed_fixtures=False)
+        cfg = SearchConfig(node_limit=2_000, seed_fixtures=False)
         out = solve(P, 9, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert out.witness is not None
@@ -225,6 +257,27 @@ class TestConfig:
                     mismatches.append(f"{g.name} t={t}")
         assert mismatches == []
 
+    def test_req_search_matches_enumeration(self):
+        # a req=S search finds a coloring exactly when some valid coloring
+        # makes every vertex of S interval, and the one it finds does
+        mismatches = []
+        for g in ORACLE_CORPUS:
+            for t in legal_t_range(g):
+                sets = naive_interval_sets(g, t)
+                for s in range(1, 1 << g.n):
+                    k = s.bit_count()
+                    _, colors, _, _ = _search(g, t, True, k - 1, 0, k, req=s)
+                    want = set(set_labels(g, s))
+                    if colors is None:
+                        ok = not any(want <= found for found in sets)
+                    else:
+                        c = EdgeColoring(t=t, colors=tuple(colors))
+                        ok = (naive_valid(g, c)
+                              and want <= naive_interval_labels(g, c))
+                    if not ok:
+                        mismatches.append(f"{g.name} t={t} S={sorted(want)}")
+        assert mismatches == []
+
     def test_edge_orders_agree(self):
         for g in (cycle(6), complete(4)):
             for t in legal_t_range(g):
@@ -267,10 +320,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="outside"):
             solve(P, 4, Objective.MU2, SearchConfig(initial_bound=11))
 
-    def test_time_limit_stops_a_deep_search(self, P):
+    def test_time_limit_stops_a_deep_search(self, P, monkeypatch):
+        # the clock passes the deadline right after solve reads it; the
+        # interval-set split stops before its first representative, after
+        # the 15 nodes of its first-solution run
+        expire_clock_after(monkeypatch, 1)
         cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False)
         out = solve(P, 10, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
+        assert (out.closed_by, out.nodes_visited, out.hi) == ("budget", 15, 8)
+
+    @pytest.mark.parametrize("symmetry, reads, nodes", [
+        (True, 2, 15 + 2_048),  # inside the first req run of the split
+        (False, 1, 2_048),  # inside the plain kernel
+    ])
+    def test_time_limit_stops_the_kernel(self, P, monkeypatch, symmetry,
+                                         reads, nodes):
+        # the kernel reads the clock every 2,048 nodes
+        expire_clock_after(monkeypatch, reads)
+        cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False,
+                           use_reflection_symmetry=symmetry)
+        out = solve(P, 10, Objective.MU2, cfg)
+        assert out.status is SolveStatus.BOUNDS_ONLY
+        assert (out.closed_by, out.nodes_visited) == ("budget", nodes)
 
 
 @pytest.fixture(scope="module")
@@ -306,13 +378,12 @@ class TestProfile:
 
     def test_interval_set_split_closes_the_middle_rows(self, petersen_profile):
         prof = petersen_profile
-        assert sum(r.mu1.is_exact + r.mu2.is_exact for r in prof.rows) == 21
+        assert sum(r.mu1.is_exact + r.mu2.is_exact for r in prof.rows) == 24
         closed = {t: (prof.row(t).mu2.value, prof.row(t).mu2.closed_by)
-                  for t in (9, 10, 14)}
+                  for t in range(9, 15)}
         assert closed == {9: (8, "bound-met"), 10: (7, "exhausted"),
-                          14: (6, "exhausted")}
-        for t in (11, 12, 13):
-            assert (prof.row(t).mu2.lo, prof.row(t).mu2.hi) == (6, 7)
+                          11: (7, "exhausted"), 12: (6, "exhausted"),
+                          13: (6, "exhausted"), 14: (6, "exhausted")}
         for row in prof.rows:
             out = row.mu2
             assert out.witness is not None and analyze(
@@ -345,11 +416,19 @@ class TestProfile:
                 prof.mu21.value, prof.mu22.value) == (1, 4, 3, 4)
 
     def test_node_total_is_pinned(self, petersen_profile):
-        # mu2 only: 47 + 650 + 6,291 + 22,963 at t=5..8, 38,024 at t=9,
-        # 136,546 at t=10, the 200,000-node budget at each t=11..13 and
-        # 87,180 at t=14
+        # mu2 only: 26 + 171 + 1,494 + 4,630 at t=5..8, 6,547 at t=9,
+        # 19,454 at t=10, 38,739 at t=11, 29,818 at t=12, 16,336 at t=13
+        # and 5,680 at t=14
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 891_701
+                   for r in petersen_profile.rows) == 122_895
+
+    def test_refuted_rows_replay(self, petersen_profile):
+        prof = petersen_profile
+        replayed = {t: replay_orbit_evidence(prof.graph, prof.row(t).mu2)
+                    for t in range(10, 15)}
+        assert replayed == {10: [(8, 2)], 11: [(8, 2)],
+                            12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
+                            14: [(8, 2), (7, 4)]}
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4
@@ -382,6 +461,19 @@ class TestSample:
         for t in (4, 15):
             (c,) = sample(P, t, seed=5, count=1)
             assert is_valid(P, c)
+
+    def test_stream_is_pinned(self, P):
+        # every draw of two per seed 0-2 at every legal t of three graphs,
+        # hashed; the digest was taken before the window mask entered the
+        # kernel loop that sample shares
+        h = hashlib.sha256()
+        for g in (P, complete(5), cycle(7)):
+            for t in legal_t_range(g):
+                for seed in range(3):
+                    for c in sample(g, t, seed=seed, count=2):
+                        h.update(f"{g.name}:{t}:{seed}:{c.colors}\n".encode())
+        assert h.hexdigest() == (
+            "acb016ccf3a33bb971f4842d4a15779c31d6f8a384444970ce3b1858d53273cb")
 
     def test_single_edge_graph(self):
         g = path(2)
