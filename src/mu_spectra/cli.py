@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .coloring import Certificate, analyze, check_certificate
-from .fixtures import fixture_dir
+from .fixtures import fixtures
 from .graphs import (
     Graph,
     GraphError,
@@ -42,21 +42,33 @@ def resolve_graph(spec: str) -> Graph:
     return from_spec(spec)
 
 
-def _resolve_certificate_path(arg: str) -> Path:
-    """Literal path, then $MU_SPECTRA_FIXTURES, then the packaged catalog."""
+def _load_certificate(arg: str) -> tuple[str, dict]:
+    """(source, document): literal path, then $MU_SPECTRA_FIXTURES, then
+    the catalog by name; the source is the file found or the catalog name."""
     p = Path(arg)
     candidates = [p]
     names = [p.name] if p.name.endswith(".json") else [p.name + ".json", p.name]
     env = os.environ.get("MU_SPECTRA_FIXTURES")
     if env:
         candidates += [Path(env) / nm for nm in names]
-    candidates += [fixture_dir() / nm for nm in names]
     for c in candidates:
-        if c.is_file():
-            return c
+        if not c.is_file():
+            continue
+        try:
+            return str(c), json.loads(c.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise GraphError(str(exc)) from None
+        except json.JSONDecodeError as exc:
+            raise GraphError(
+                f"{c}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise GraphError(f"{c}: JSON nested too deeply") from None
+    name, catalog = p.name.removesuffix(".json"), fixtures()
+    if name in catalog:
+        return name, catalog[name].to_dict()
     raise FileNotFoundError(
         f"certificate not found: {arg} (searched the literal path, "
-        f"$MU_SPECTRA_FIXTURES, and the packaged catalog)")
+        f"$MU_SPECTRA_FIXTURES, and the catalog)")
 
 
 def _emit(report: dict, args, human_lines: list[str]) -> None:
@@ -82,21 +94,12 @@ def _search_config(args, for_profile: bool = False) -> SearchConfig:
 
 
 def cmd_verify(args) -> int:
-    path = _resolve_certificate_path(args.certificate)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise GraphError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise GraphError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise GraphError(f"{path}: JSON nested too deeply") from None
+    source, doc = _load_certificate(args.certificate)
     cert = Certificate.from_dict(doc)
     result = check_certificate(cert)
     report = {
         "command": "verify",
-        "file": str(path),
+        "file": source,
         "graph": cert.graph.summary(),
         "t": cert.t,
         "claims": doc.get("claims", {}),
@@ -106,7 +109,7 @@ def cmd_verify(args) -> int:
                        for v in result.violations],
         "mismatches": list(result.mismatches),
     }
-    lines = [f"verify {path}",
+    lines = [f"verify {source}",
              f"graph: {cert.graph.name} ({cert.graph.n} vertices, "
              f"{cert.graph.m} edges), t={cert.t}"]
     if result.violations:

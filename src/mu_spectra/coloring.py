@@ -10,7 +10,7 @@ is an interval of consecutive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import Graph, GraphError, from_spec, graph_from_dict, graph_to_dict
 
@@ -29,10 +29,6 @@ class EdgeColoring:
 
     t: int
     colors: tuple[int, ...]
-
-    @classmethod
-    def of(cls, t: int, colors: Iterable[int]) -> "EdgeColoring":
-        return cls(t=t, colors=tuple(int(c) for c in colors))
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,6 @@ def fixtures() -> dict[str, Certificate]:
     return cat
 
 
-def fixture_dir() -> Path:
-    """Directory holding the packaged certificate JSON files."""
-    return Path(__file__).resolve().parent / "data"
-
-
 def dump(outdir: Path) -> list[Path]:
     """Write every catalog entry as <name>.json under outdir."""
     outdir = Path(outdir)

@@ -107,9 +107,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, label: str) -> int:
-        return self.degrees[self.vertex_index(label)]
-
     def vertex_index(self, label: str) -> int:
         try:
             return self.index[label]
@@ -279,15 +276,8 @@ class InducedSubgraph:
     def m(self) -> int:
         return len(self.edge_ids)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.parent.vertices[i] for i in self.vertex_ids)
-
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.parent.edges[i] for i in self.edge_ids)
-
-    def degree_of(self, vid: int) -> int:
-        m = self.mask
-        return sum(1 for w, _ in self.parent.adjacency[vid] if m >> w & 1)
 
 
 def induced_subgraph(g: Graph, s) -> InducedSubgraph:

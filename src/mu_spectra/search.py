@@ -48,11 +48,6 @@ class Objective(Enum):
     MU2 = "mu2"
 
 
-class EdgeOrder(Enum):
-    DECLARED = "declared"
-    MOST_CONSTRAINED = "most-constrained"
-
-
 class SolveStatus(Enum):
     EXACT = "exact"
     BOUNDS_ONLY = "bounds-only"
@@ -60,22 +55,26 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and strategy knobs for solve/profile/sample.
+    """Budget and strategy knobs for solve and profile.
 
     ``node_limit`` applies to a single solve; ``profile_node_limit`` is the
     per-(t, objective) budget used inside profile, kept separate so a full
     sweep stays fast while individual solves default to a deep budget.
+    ``time_limit_ms`` stops a solve's searches at a deadline.
     ``use_reflection_symmetry`` switches every use of symmetry: both
     first-edge rules of the search kernel (the root orbit rule on
     edge-transitive graphs and the reflection cut elsewhere) and the
     interval-set split of mu2 on edge-transitive graphs.
+    ``seed_fixtures`` and ``use_structural_bounds`` install the entering
+    bounds: catalog colorings (Petersen only) as incumbent witnesses, and
+    the structural caps on mu2 and floors on mu1. Both are sound, so every
+    entering bound rests on a witness or on an argument that can be
+    replayed.
     """
 
     node_limit: int = 10**8
     time_limit_ms: int | None = None
-    edge_order: EdgeOrder = EdgeOrder.MOST_CONSTRAINED
     use_reflection_symmetry: bool = True
-    initial_bound: int | None = None
     seed_fixtures: bool = True
     use_structural_bounds: bool = True
     profile_node_limit: int = 200_000
@@ -94,8 +93,9 @@ class SearchOutcome:
     """Result of one solve: exact value or certified bounds.
 
     ``lo <= mu <= hi`` always; status exact means lo == hi. For mu1 the
-    witness (when present) attains hi, for mu2 it attains lo; either way a
-    witness is a valid coloring whose f equals the bound it certifies.
+    witness (always present when exact) attains hi, for mu2 it attains lo;
+    either way a witness is a valid coloring whose f equals the bound it
+    certifies.
     ``closed_by`` records how the run ended: bounds-closed (no search
     needed), bound-met (a witness reached the bound the search started
     from), exhausted (every better value was refuted: the kernel emptied
@@ -203,12 +203,6 @@ def solve(g: Graph, t: int, objective: Objective,
                     value=f,
                     applies_t=t,
                     detail=f"catalog coloring {name} achieves f={f} at t={t}"))
-    if cfg.initial_bound is not None:
-        b = cfg.initial_bound
-        if not 0 <= b <= n:
-            raise ValueError(f"initial_bound {b} outside [0, {n}]")
-        if (maximize and b > best) or (not maximize and b < best):
-            best, witness = b, None
 
     floor, cap = 0, n
     if cfg.use_structural_bounds:
@@ -226,24 +220,21 @@ def solve(g: Graph, t: int, objective: Objective,
         lo, hi = max(best, 0), cap
     else:
         lo, hi = floor, min(best, n)
-    if lo > hi:
-        raise ValueError(
-            f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}; "
-            f"is the initial_bound achievable?")
+    if lo > hi:  # catalog colorings and structural caps are both sound
+        raise RuntimeError(
+            f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}")
 
     nodes, closed_by = 0, "bounds-closed"
     if lo < hi:
-        order = range(g.m) if cfg.edge_order is EdgeOrder.DECLARED else None
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
         if (maximize and cfg.use_reflection_symmetry
                 and _subset_orbit_reps(g, hi) is not None):
             lo, hi, witness, nodes, closed_by = _descend(
-                g, t, best, witness, hi, order, cfg.node_limit, deadline,
-                evidence)
+                g, t, best, witness, hi, cfg.node_limit, deadline, evidence)
         else:
             best, wcolors, nodes, closed_by = _search(
-                g, t, maximize, best, floor, cap, order=order,
+                g, t, maximize, best, floor, cap,
                 reflect=cfg.use_reflection_symmetry,
                 node_limit=cfg.node_limit, deadline=deadline)
             if wcolors is not None:
@@ -262,7 +253,7 @@ def solve(g: Graph, t: int, objective: Objective,
 
 
 def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
-             hi: int, order, node_limit: int, deadline: float | None,
+             hi: int, node_limit: int, deadline: float | None,
              evidence: list[BoundEvidence]):
     """mu2 by deciding "f >= k" one interval-set orbit at a time, k = hi down.
 
@@ -286,7 +277,7 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
         return "bound-met" if k == top else "exhausted"
 
     if best < 0:
-        best, colors, nodes, tag = _search(g, t, True, -1, 0, 0, order=order,
+        best, colors, nodes, tag = _search(g, t, True, -1, 0, 0,
                                            node_limit=node_limit,
                                            deadline=deadline)
         if tag == "budget":
@@ -295,7 +286,7 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
     for k in range(hi, best, -1):
         reps = _subset_orbit_reps(g, k)
         if reps is None:
-            f, colors, used, tag = _search(g, t, True, best, 0, k, order=order,
+            f, colors, used, tag = _search(g, t, True, best, 0, k,
                                            node_limit=node_limit - nodes,
                                            deadline=deadline)
             nodes += used
@@ -308,8 +299,8 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
         for req in reps:
             if deadline is not None and time.monotonic() > deadline:
                 return best, k, witness, nodes, "budget"
-            _, colors, used, tag = _search(g, t, True, k - 1, 0, k, order=order,
-                                           req=req, node_limit=node_limit - nodes,
+            _, colors, used, tag = _search(g, t, True, k - 1, 0, k, req=req,
+                                           node_limit=node_limit - nodes,
                                            deadline=deadline)
             nodes += used
             if tag == "budget":
@@ -331,8 +322,13 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
-    """Final guard: any witness must validate and attain its bound."""
+    """Final guard: an exact outcome has a witness, and any witness must
+    validate and attain its bound."""
     w = outcome.witness
+    if outcome.is_exact and w is None:
+        raise RuntimeError(
+            f"exact {outcome.objective.value}={outcome.value} at t={outcome.t} "
+            f"has no witness")
     if w is not None:
         require_valid(g, w)
         f = analyze(g, w).f

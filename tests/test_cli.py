@@ -16,10 +16,10 @@ from mu_spectra import (
     analyze,
     cli,
     cycle,
+    fixtures,
     graph_to_dict,
     sample,
 )
-from mu_spectra.fixtures import fixture_dir
 
 from oracles import naive_f, naive_interval_labels, naive_valid
 
@@ -42,9 +42,20 @@ class TestVerify:
         assert "PASS" in out
         assert "f=6" in out
 
-    def test_literal_path(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", str(fixture_dir() / "sigma.json"))
+    @pytest.mark.parametrize("name", sorted(fixtures()))
+    def test_every_catalog_name(self, capsys, name):
+        code, doc, _ = run_json(capsys, "verify", name)
         assert code == 0
+        assert doc["ok"] is True
+        assert doc["f"] == doc["claims"]["f"] == fixtures()[name].claim_f
+        assert doc["file"] == name
+
+    def test_literal_path(self, capsys, tmp_path):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(fixtures()["sigma"].to_dict()))
+        code, doc, _ = run_json(capsys, "verify", str(path))
+        assert code == 0
+        assert doc["file"] == str(path)
         assert doc["ok"] is True
         assert doc["f"] == 8
         assert doc["claims"] == {"f": 8}
@@ -55,15 +66,17 @@ class TestVerify:
         assert code == 0
 
     def test_env_directory_wins_over_catalog(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "mycert.json"
-        shutil.copy(fixture_dir() / "phi.json", target)
+        # phi's document under the catalog name psi
+        target = tmp_path / "psi.json"
+        target.write_text(json.dumps(fixtures()["phi"].to_dict()))
         monkeypatch.setenv("MU_SPECTRA_FIXTURES", str(tmp_path))
-        code, doc, _ = run_json(capsys, "verify", "mycert")
+        code, doc, _ = run_json(capsys, "verify", "psi")
         assert code == 0
         assert doc["f"] == 0
+        assert doc["file"] == str(target)
 
     def test_invalid_coloring_fails(self, capsys, tmp_path):
-        doc = json.loads((fixture_dir() / "psi.json").read_text())
+        doc = fixtures()["psi"].to_dict()
         counts = Counter(doc["colors"].values())
         color = next(c for c, k in counts.items() if k == 1)
         victim = next(e for e, c in doc["colors"].items() if c == color)
@@ -76,7 +89,7 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_claim_mismatch_fails_without_violations(self, capsys, tmp_path):
-        doc = json.loads((fixture_dir() / "psi.json").read_text())
+        doc = fixtures()["psi"].to_dict()
         doc["claims"]["f"] = 3
         bad = tmp_path / "wrong_claim.json"
         bad.write_text(json.dumps(doc))
@@ -108,7 +121,7 @@ class TestVerify:
             id="string-vertices"),
     ])
     def test_mistyped_fields_are_input_errors(self, capsys, tmp_path, mutate):
-        doc = json.loads((fixture_dir() / "psi.json").read_text())
+        doc = fixtures()["psi"].to_dict()
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -156,7 +169,7 @@ def _fuzz_bases() -> list[dict]:
     rep = analyze(g, c)
     inline = Certificate(graph=g, t=3, colors=c.colors, claim_f=rep.f,
                          claim_intervals=tuple(zip(g.vertices, rep.interval_flags)))
-    return [json.loads((fixture_dir() / "psi.json").read_text()), inline.to_dict()]
+    return [fixtures()["psi"].to_dict(), inline.to_dict()]
 
 
 FUZZ_BASES = _fuzz_bases()

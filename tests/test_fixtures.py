@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mu_spectra import analyze, check_certificate, fixture_dir, fixtures
+import mu_spectra
+from mu_spectra import Certificate, analyze, check_certificate, fixtures
 from mu_spectra.fixtures import dump
 
 from oracles import naive_f
@@ -84,20 +89,36 @@ def test_fixtures_is_cached(catalog):
     assert fixtures() is catalog
 
 
-def test_packaged_data_matches_catalog(catalog):
-    d = fixture_dir()
-    files = sorted(p.stem for p in d.glob("*.json"))
-    assert files == sorted(EXPECTED)
-    for name in EXPECTED:
-        doc = json.loads((d / f"{name}.json").read_text())
-        assert doc["t"] == catalog[name].t
-        assert doc["claims"]["f"] == catalog[name].claim_f
+def run_fixtures_module(*args):
+    """``python -m mu_spectra.fixtures ARGS`` against this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(mu_spectra.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mu_spectra.fixtures", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_dump_round_trips(tmp_path, catalog):
+    proc = run_fixtures_module(str(tmp_path))
+    assert proc.returncode == 0
+    paths = proc.stdout.splitlines()
+    assert sorted(Path(p).stem for p in paths) == sorted(EXPECTED)
+    for p in paths:
+        doc = json.loads(Path(p).read_text())
+        cert = catalog[Path(p).stem]
+        back = Certificate.from_dict(doc)
+        assert (back.t, back.colors, back.claim_f) == (cert.t, cert.colors, cert.claim_f)
+
+
+def test_module_without_outdir_prints_usage():
+    proc = run_fixtures_module()
+    assert proc.returncode != 0
+    assert "usage: python -m mu_spectra.fixtures OUTDIR" in proc.stderr
 
 
 def test_dump_writes_one_verified_file_per_entry(tmp_path, catalog):
     written = dump(tmp_path)
     assert len(written) == 26
     for p in written:
-        from mu_spectra import Certificate
         cert = Certificate.from_dict(json.loads(p.read_text()))
         assert check_certificate(cert).ok

@@ -1,16 +1,18 @@
 import hashlib
 import importlib
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from mu_spectra import (
+    BoundEvidence,
     EdgeColoring,
-    EdgeOrder,
     EvidenceKind,
     GraphError,
     Objective,
     SearchConfig,
+    SearchOutcome,
     SolveStatus,
     analyze,
     complete,
@@ -27,8 +29,10 @@ from mu_spectra import (
 )
 from mu_spectra.graphs import _search
 
-from oracles import (K23, PAW, naive_interval_labels, naive_interval_sets,
-                     naive_mu, naive_valid, random_connected_graph)
+from oracles import (K23, PAW, naive_f, naive_interval_labels,
+                     naive_interval_sets, naive_mu, naive_valid,
+                     random_connected_graph)
+from test_theorems import FAMILIES
 
 search_module = importlib.import_module("mu_spectra.search")
 graphs_module = importlib.import_module("mu_spectra.graphs")
@@ -172,14 +176,21 @@ class TestPetersenSeededRuns:
         out = solve(P, 4, Objective.MU2, BARE)
         assert replay_orbit_evidence(P, out) == [(10, 1), (9, 1)]
 
-    def test_split_honors_a_witness_free_initial_bound(self):
-        # cycle(5) at t=3 has mu2 = 4; the one 5-set is refuted and the
-        # entering bound 4 is met without a coloring to show for it
-        out = solve(cycle(5), 3, Objective.MU2, SearchConfig(
-            seed_fixtures=False, use_structural_bounds=False, initial_bound=4))
-        (e,) = out.evidence
-        assert (e.kind, e.value, e.payload["k"]) == (
-            EvidenceKind.INTERVAL_SET_ORBITS, 4, 5)
+    def test_crossed_entering_bounds_are_a_bug(self, P, monkeypatch):
+        # catalog colorings and structural caps are both sound, so a cap
+        # below sigma's f=8 at t=4 can only come from a broken argument
+        bogus = BoundEvidence(kind=EvidenceKind.MOD_REDUCTION, value=7,
+                              detail="unsound cap")
+        monkeypatch.setattr(search_module, "mu2_caps", lambda g, t: [bogus])
+        with pytest.raises(RuntimeError, match=r"inconsistent bounds \[8, 7\]"):
+            solve(P, 4, Objective.MU2)
+
+    def test_exact_outcome_without_a_witness_is_refused(self, P):
+        out = SearchOutcome(objective=Objective.MU2, t=4,
+                            status=SolveStatus.EXACT, lo=8, hi=8, witness=None,
+                            nodes_visited=0, closed_by="bounds-closed")
+        with pytest.raises(RuntimeError, match="no witness"):
+            search_module._checked(P, out)
 
     def test_split_leaves_oversized_k_to_the_plain_kernel(self, P, monkeypatch):
         # with room for 10 k-sets, k = 10 and 9 are split and refuted, and
@@ -278,47 +289,23 @@ class TestConfig:
                         mismatches.append(f"{g.name} t={t} S={sorted(want)}")
         assert mismatches == []
 
-    def test_edge_orders_agree(self):
-        for g in (cycle(6), complete(4)):
+    def test_kernel_edge_orders_agree(self):
+        # the default most-constrained order, the declared order and a
+        # seeded shuffle walk different trees to the enumerated optimum
+        rng = random.Random(0)
+        mismatches = []
+        for g in ORACLE_CORPUS + [cycle(6), complete(4)]:
+            shuffled = list(range(g.m))
+            rng.shuffle(shuffled)
             for t in legal_t_range(g):
-                for obj in Objective:
-                    a = solve(g, t, obj, SearchConfig(
-                        seed_fixtures=False, use_structural_bounds=False))
-                    b = solve(g, t, obj, SearchConfig(
-                        seed_fixtures=False, use_structural_bounds=False,
-                        edge_order=EdgeOrder.DECLARED))
-                    assert a.value == b.value
-
-    def test_valid_initial_bound_does_not_change_the_value(self, P):
-        base = solve(P, 4, Objective.MU2, BARE)
-        seeded = solve(P, 4, Objective.MU2, SearchConfig(
-            seed_fixtures=False, use_structural_bounds=False, initial_bound=5))
-        assert seeded.value == base.value == 8
-
-    def test_initial_bound_matching_the_optimum_leaves_no_witness(self):
-        # mu2(cycle(5), 3) = 4: the search can only prune, never improve
-        out = solve(cycle(5), 3, Objective.MU2, SearchConfig(
-            seed_fixtures=False, use_structural_bounds=False, initial_bound=4))
-        assert out.value == 4
-        assert out.closed_by == "exhausted"
-        assert out.witness is None
-
-    def test_initial_bound_meeting_the_trivial_cap_skips_the_search(self):
-        out = solve(cycle(4), 3, Objective.MU2, SearchConfig(
-            seed_fixtures=False, use_structural_bounds=False, initial_bound=4))
-        assert out.value == 4
-        assert (out.closed_by, out.nodes_visited) == ("bounds-closed", 0)
-        assert out.witness is None
-
-    def test_unachievable_initial_bound_is_detected_by_caps(self):
-        # claimed lower bound 4 contradicts the path-forest cap of 3
-        with pytest.raises(ValueError, match="inconsistent"):
-            solve(cycle(4), 4, Objective.MU2,
-                  SearchConfig(initial_bound=4))
-
-    def test_initial_bound_outside_vertex_range_rejected(self, P):
-        with pytest.raises(ValueError, match="outside"):
-            solve(P, 4, Objective.MU2, SearchConfig(initial_bound=11))
+                for maximize in (False, True):
+                    best = -1 if maximize else g.n + 1
+                    got = [_search(g, t, maximize, best, 0, g.n, order=order)[0]
+                           for order in (None, range(g.m), shuffled)]
+                    want = naive_mu(g, t)[maximize]
+                    if got != [want] * 3:
+                        mismatches.append(f"{g.name} t={t} {maximize}: {got}")
+        assert mismatches == []
 
     def test_time_limit_stops_a_deep_search(self, P, monkeypatch):
         # the clock passes the deadline right after solve reads it; the
@@ -395,6 +382,21 @@ class TestProfile:
             assert bool(refuted) == (row.t in range(10, 15))
             if refuted:
                 assert refuted[-1] == out.hi
+
+    def test_every_exact_cell_has_a_witness(self, petersen_profile):
+        # off the catalog graph every witness comes from a search
+        others = [complete(4), cycle(5), cycle(6)] + [g for g, _ in FAMILIES]
+        missing = []
+        for prof in [petersen_profile] + [profile(g) for g in others]:
+            for row in prof.rows:
+                for out in (row.mu1, row.mu2):
+                    if out.is_exact and not (
+                            out.witness is not None
+                            and naive_valid(prof.graph, out.witness)
+                            and naive_f(prof.graph, out.witness) == out.value):
+                        missing.append(f"{prof.graph.name} t={row.t} "
+                                       f"{out.objective.value}")
+        assert missing == []
 
     def test_rows_keep_objectives_ordered(self, petersen_profile):
         for row in petersen_profile.rows:
