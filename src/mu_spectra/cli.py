@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,7 +24,8 @@ from .graphs import (
     is_petersen_labeled,
     load_graph,
 )
-from .search import Objective, SearchConfig, legal_t_range, profile, solve
+from .search import (PROFILE_NODE_LIMIT, Objective, SearchConfig, legal_t_range,
+                     profile, solve)
 from .structural import (
     mu1_floor_from_matchings,
     mu22_cap_cubic,
@@ -43,32 +43,26 @@ def resolve_graph(spec: str) -> Graph:
 
 
 def _load_certificate(arg: str) -> tuple[str, dict]:
-    """(source, document): literal path, then $MU_SPECTRA_FIXTURES, then
-    the catalog by name; the source is the file found or the catalog name."""
+    """(source, document): the file at the literal path if there is one,
+    else, for a bare name with no directory part, the catalog entry of that
+    name with or without ``.json``; the source is the path or the name."""
     p = Path(arg)
-    candidates = [p]
-    names = [p.name] if p.name.endswith(".json") else [p.name + ".json", p.name]
-    env = os.environ.get("MU_SPECTRA_FIXTURES")
-    if env:
-        candidates += [Path(env) / nm for nm in names]
-    for c in candidates:
-        if not c.is_file():
-            continue
+    if p.is_file():
         try:
-            return str(c), json.loads(c.read_text(encoding="utf-8"))
+            return str(p), json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:
             raise GraphError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise GraphError(
-                f"{c}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+                f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         except RecursionError:
-            raise GraphError(f"{c}: JSON nested too deeply") from None
-    name, catalog = p.name.removesuffix(".json"), fixtures()
-    if name in catalog:
+            raise GraphError(f"{p}: JSON nested too deeply") from None
+    name, catalog = arg.removesuffix(".json"), fixtures()
+    if p.name == arg and name in catalog:
         return name, catalog[name].to_dict()
     raise FileNotFoundError(
-        f"certificate not found: {arg} (searched the literal path, "
-        f"$MU_SPECTRA_FIXTURES, and the catalog)")
+        f"certificate not found: {arg} (no such file, and only a bare name "
+        f"is looked up in the catalog)")
 
 
 def _emit(report: dict, args, human_lines: list[str]) -> None:
@@ -84,10 +78,10 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
             print(f"elapsed: {report['elapsed_ms']} ms")
 
 
-def _search_config(args, for_profile: bool = False) -> SearchConfig:
+def _search_config(args) -> SearchConfig:
     kwargs: dict = {"use_reflection_symmetry": not args.no_symmetry}
     if args.node_limit is not None:
-        kwargs["profile_node_limit" if for_profile else "node_limit"] = args.node_limit
+        kwargs["node_limit"] = args.node_limit
     if args.time_limit_ms is not None:
         kwargs["time_limit_ms"] = args.time_limit_ms
     return SearchConfig(**kwargs)
@@ -164,7 +158,7 @@ def cmd_solve(args) -> int:
 
 def cmd_profile(args) -> int:
     g = resolve_graph(args.graph)
-    cfg = _search_config(args, for_profile=True)
+    cfg = _search_config(args)
     prof = profile(g, cfg)
     report = {
         "command": "profile",
@@ -285,11 +279,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="attach wall-clock stats (breaks byte-identical output)")
 
 
-def _add_budget(p: argparse.ArgumentParser) -> None:
+def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
     p.add_argument("--graph", default="petersen",
                    help="petersen | cycle:<n> | path:<n> | complete:<n> | @file.json")
-    p.add_argument("--node-limit", type=int, default=None,
-                   help="search node budget")
+    p.add_argument("--node-limit", type=int, default=node_limit,
+                   help="search node budget of each solve (profile runs "
+                        "one per t and objective)")
     p.add_argument("--time-limit-ms", type=int, default=None,
                    help="search time budget in milliseconds")
     p.add_argument("--no-symmetry", action="store_true",
@@ -312,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="compute mu1 or mu2 at one t")
-    _add_budget(p)
+    _add_budget(p, node_limit=None)
     p.add_argument("--t", type=int, required=True, help="number of colors")
     p.add_argument("--objective", choices=["mu1", "mu2"], required=True)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="sweep all legal t and aggregate")
-    _add_budget(p)
+    _add_budget(p, node_limit=PROFILE_NODE_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_profile)
 

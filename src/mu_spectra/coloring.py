@@ -98,32 +98,28 @@ def require_valid(g: Graph, c: EdgeColoring) -> None:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Per-vertex spectra and interval flags for one valid coloring."""
+    """The interval vertices of one valid coloring."""
 
-    spectra: tuple[frozenset[int], ...]
-    interval_flags: tuple[bool, ...]
-    f: int
     v_int: int  # bitmask over vertex indices
 
-    def interval_vertices(self, g: Graph) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(g.vertices) if self.v_int >> i & 1)
+    @property
+    def f(self) -> int:
+        return self.v_int.bit_count()
 
 
 def analyze(g: Graph, c: EdgeColoring) -> SpectrumReport:
-    """Spectra, interval flags, and f for a valid coloring."""
+    """Interval vertices and f for a valid coloring; raises on an invalid one."""
     require_valid(g, c)
-    spectra = []
-    flags = []
+    return _report(g, c)
+
+
+def _report(g: Graph, c: EdgeColoring) -> SpectrumReport:
+    """``analyze`` for a coloring already known to be valid."""
     v_int = 0
-    for vi in range(g.n):
-        s = frozenset(c.colors[ei] for _, ei in g.adjacency[vi])
-        spectra.append(s)
-        flag = is_interval(s)
-        flags.append(flag)
-        if flag:
+    for vi, around in enumerate(g.adjacency):
+        if is_interval([c.colors[ei] for _, ei in around]):
             v_int |= 1 << vi
-    return SpectrumReport(spectra=tuple(spectra), interval_flags=tuple(flags),
-                          f=sum(flags), v_int=v_int)
+    return SpectrumReport(v_int=v_int)
 
 
 def reflect(c: EdgeColoring) -> EdgeColoring:
@@ -284,13 +280,13 @@ def check_certificate(cert: Certificate) -> CertificateCheck:
     violations = validate(cert.graph, c)
     if violations:
         return CertificateCheck(violations=violations, f=None)
-    report = analyze(cert.graph, c)
+    report = _report(cert.graph, c)
     mismatches: list[str] = []
     if cert.claim_f is not None and report.f != cert.claim_f:
         mismatches.append(f"claimed f={cert.claim_f}, recomputed f={report.f}")
     if cert.claim_intervals is not None:
         for label, expected in cert.claim_intervals:
-            actual = report.interval_flags[cert.graph.vertex_index(label)]
+            actual = bool(report.v_int >> cert.graph.vertex_index(label) & 1)
             if actual != expected:
                 mismatches.append(
                     f"claimed interval[{label}]={expected}, recomputed {actual}")

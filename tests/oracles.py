@@ -2,7 +2,8 @@
 
 Everything here recomputes from definitions with deliberately different
 code paths than the package: full product enumeration instead of search,
-sorted-list interval checks instead of bitmasks.
+sorted-list interval checks instead of bitmasks, edge-list scans instead
+of neighbor masks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from mu_spectra import EdgeColoring, Graph
+from mu_spectra import EdgeColoring, Graph, complete, cycle, path
 
 
 def naive_valid(g: Graph, c: EdgeColoring) -> bool:
@@ -87,6 +88,57 @@ def naive_chromatic_index(g: Graph) -> int:
     return t
 
 
+def _induced(g: Graph, s) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """Edges and degrees of the subgraph induced by the vertex indices s."""
+    edges = [(u, v) for u, v in g.edges if u in s and v in s]
+    deg = {v: 0 for v in s}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return edges, deg
+
+
+def _component_count(s, edges) -> int:
+    """Components of the graph (s, edges): relabel each edge's ends with
+    the lower label until nothing changes, then count labels."""
+    label = {v: v for v in s}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    return len(set(label.values()))
+
+
+def naive_path_forest(g: Graph, s) -> bool:
+    """s induces paths only: max degree <= 2 and edges = vertices - components."""
+    edges, deg = _induced(g, s)
+    return (max(deg.values(), default=0) <= 2
+            and len(edges) == len(s) - _component_count(s, edges))
+
+
+def naive_claw(g: Graph, s) -> bool:
+    """Some 4-subset of s induces 3 edges with degrees 1, 1, 1, 3."""
+    for quad in itertools.combinations(sorted(s), 4):
+        edges, deg = _induced(g, set(quad))
+        if len(edges) == 3 and sorted(deg.values()) == [1, 1, 1, 3]:
+            return True
+    return False
+
+
+def naive_c6(g: Graph, s) -> bool:
+    """Some connected 6-subset of s induces 6 edges, every degree 2."""
+    for six in itertools.combinations(sorted(s), 6):
+        edges, deg = _induced(g, set(six))
+        if (len(edges) == 6 and all(d == 2 for d in deg.values())
+                and _component_count(six, edges) == 1):
+            return True
+    return False
+
+
 def naive_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every vertex permutation mapping each edge to an edge.
 
@@ -131,3 +183,10 @@ def random_connected_graph(seed: int, max_edges: int = 7) -> Graph:
         a, b = sorted(pair)
         edges.append((a, b))
     return Graph.from_labels(f"random:{seed}", labels, edges)
+
+
+# every graph here has at most 7 edges, small enough to enumerate
+ORACLE_CORPUS = ([path(n) for n in range(2, 9)]
+                 + [cycle(n) for n in range(3, 8)]
+                 + [complete(4), K23, PAW]
+                 + [random_connected_graph(seed) for seed in range(20)])

@@ -18,7 +18,6 @@ from mu_spectra import (
     cli,
     complete,
     cycle,
-    induced_subgraph,
     is_path_forest,
     legal_t_range,
     path,
@@ -154,8 +153,7 @@ def test_6_sampling_invariants(capsys):
         if rep.f > 6:
             bad.append(f"t=15 f={rep.f}")
             break
-        vint = rep.interval_vertices(P)
-        if vint and not is_path_forest(induced_subgraph(P, vint)):
+        if not is_path_forest(P, rep.v_int):
             bad.append("t=15 interval vertices not a path forest")
             break
     low = sample(P, 4, seed=2026, count=1000)

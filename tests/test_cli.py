@@ -20,6 +20,7 @@ from mu_spectra import (
     graph_to_dict,
     sample,
 )
+from mu_spectra.search import PROFILE_NODE_LIMIT
 
 from oracles import naive_f, naive_interval_labels, naive_valid
 
@@ -65,15 +66,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "epsilon.json")
         assert code == 0
 
-    def test_env_directory_wins_over_catalog(self, capsys, tmp_path, monkeypatch):
-        # phi's document under the catalog name psi
-        target = tmp_path / "psi.json"
-        target.write_text(json.dumps(fixtures()["phi"].to_dict()))
-        monkeypatch.setenv("MU_SPECTRA_FIXTURES", str(tmp_path))
-        code, doc, _ = run_json(capsys, "verify", "psi")
-        assert code == 0
-        assert doc["f"] == 0
-        assert doc["file"] == str(target)
+    @pytest.mark.parametrize("arg", ["/nonexistent/dir/psi.json", "nope/sigma"])
+    def test_missing_path_is_not_a_catalog_name(self, capsys, arg):
+        # a path whose last component is a catalog name
+        code, out, err = run_cli(capsys, "verify", arg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not found" in err
 
     def test_invalid_coloring_fails(self, capsys, tmp_path):
         doc = fixtures()["psi"].to_dict()
@@ -167,8 +166,10 @@ def _fuzz_bases() -> list[dict]:
     g = cycle(5)
     (c,) = sample(g, 3, seed=0)
     rep = analyze(g, c)
+    flags = tuple((lab, bool(rep.v_int >> i & 1))
+                  for i, lab in enumerate(g.vertices))
     inline = Certificate(graph=g, t=3, colors=c.colors, claim_f=rep.f,
-                         claim_intervals=tuple(zip(g.vertices, rep.interval_flags)))
+                         claim_intervals=flags)
     return [fixtures()["psi"].to_dict(), inline.to_dict()]
 
 
@@ -405,6 +406,12 @@ class TestParser:
     def test_solve_requires_objective(self):
         with pytest.raises(SystemExit):
             cli.main(["solve", "--t", "4"])
+
+    def test_profile_budget_defaults_to_the_per_cell_limit(self):
+        assert cli.build_parser().parse_args(["profile"]).node_limit \
+            == PROFILE_NODE_LIMIT
+        assert cli.build_parser().parse_args(
+            ["solve", "--t", "4", "--objective", "mu1"]).node_limit is None
 
     @pytest.mark.parametrize("flag", ["--threads", "--seed"])
     def test_removed_flags_are_rejected(self, flag):

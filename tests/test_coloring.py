@@ -17,9 +17,11 @@ from mu_spectra import (
     reflect,
     require_valid,
     sample,
+    set_labels,
     spectrum,
     validate,
 )
+from mu_spectra import coloring as coloring_module
 from mu_spectra.graphs import Graph
 
 from oracles import naive_f, naive_valid
@@ -97,8 +99,7 @@ class TestSpectra:
     def test_analyze_counts_and_flags(self, P, catalog):
         rep = analyze(P, catalog["psi"].coloring())
         assert rep.f == 6
-        assert rep.interval_vertices(P) == ("x1", "x3", "x4", "x5", "y2", "y3")
-        assert sum(rep.interval_flags) == rep.f
+        assert set_labels(P, rep.v_int) == ("x1", "x3", "x4", "x5", "y2", "y3")
         assert rep.v_int.bit_count() == rep.f
 
     def test_analyze_requires_validity(self, P):
@@ -198,7 +199,15 @@ class TestCertificates:
                           claim_intervals=(("x2", True),), source="petersen")
         result = check_certificate(bad)
         assert not result.ok
-        assert "x2" in result.mismatches[0]
+        assert result.mismatches == ("claimed interval[x2]=True, recomputed False",)
+
+    def test_check_validates_once(self, catalog, monkeypatch):
+        calls = []
+        real = coloring_module.validate
+        monkeypatch.setattr(coloring_module, "validate",
+                            lambda g, c: calls.append(c) or real(g, c))
+        assert check_certificate(catalog["psi"]).ok
+        assert len(calls) == 1
 
     def test_wrong_f_claim_is_a_mismatch_not_an_error(self, P, catalog):
         cert = Certificate(graph=P, t=15, colors=catalog["psi"].colors,

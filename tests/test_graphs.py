@@ -23,7 +23,6 @@ from mu_spectra import (
     girth,
     graph_from_dict,
     graph_to_dict,
-    induced_subgraph,
     is_path_forest,
     is_petersen_labeled,
     load_graph,
@@ -42,10 +41,14 @@ from mu_spectra.graphs import (
 
 from oracles import (
     K23,
+    ORACLE_CORPUS,
     PAW,
     naive_automorphisms,
+    naive_c6,
     naive_chromatic_index,
+    naive_claw,
     naive_edge_transitive,
+    naive_path_forest,
     naive_valid,
     random_connected_graph,
 )
@@ -161,6 +164,13 @@ class TestVertexSets:
         assert vertex_set(P, 0b11) == 3
         assert full_set(P) == (1 << 10) - 1
 
+    def test_neighbors_are_masks(self, P):
+        assert P.neighbors[0] == vertex_set(P, ["x2", "x5", "y1"])
+        for g in (P, complete(5), path(4)):
+            assert sum(nb.bit_count() for nb in g.neighbors) == 2 * g.m
+            assert all(g.neighbors[u] >> v & 1 and g.neighbors[v] >> u & 1
+                       for u, v in g.edges)
+
     def test_rejects_foreign_bits(self, P):
         with pytest.raises(GraphError):
             vertex_set(P, 1 << 10)
@@ -175,28 +185,16 @@ class TestVertexSets:
 
 
 class TestInducedSubgraphs:
-    def test_edges_inside_subset_only(self, P):
-        view = induced_subgraph(P, ["x1", "x2", "x3", "y1"])
-        got = {frozenset(P.edge_labels[i]) for i in view.edge_ids}
-        assert got == {frozenset(("x1", "x2")), frozenset(("x2", "x3")),
-                       frozenset(("x1", "y1"))}
-        assert view.n == 4 and view.m == 3
-
-    def test_empty_rejected(self, P):
-        with pytest.raises(GraphError):
-            induced_subgraph(P, [])
-
     def test_path_forest_recognition(self, P):
-        assert is_path_forest(path(5))
-        assert not is_path_forest(cycle(4))
-        assert not is_path_forest(complete(4))
+        for g, want in ((path(5), True), (cycle(4), False), (complete(4), False)):
+            assert is_path_forest(g, full_set(g)) is want
         # two disjoint segments of the outer cycle
-        assert is_path_forest(induced_subgraph(P, ["x1", "x2", "x4"]))
+        assert is_path_forest(P, ["x1", "x2", "x4"])
         # a spoke vertex with three neighbors induces a star
-        assert not is_path_forest(induced_subgraph(P, ["x1", "x2", "x5", "y1"]))
+        assert not is_path_forest(P, ["x1", "x2", "x5", "y1"])
 
     def test_single_vertex_is_a_path_forest(self, P):
-        assert is_path_forest(induced_subgraph(P, ["x1"]))
+        assert is_path_forest(P, ["x1"])
 
 
 class TestInducedPatterns:
@@ -219,6 +217,21 @@ class TestInducedPatterns:
     def test_no_c6_in_k4(self):
         g = complete(4)
         assert not contains_induced_c6(g, full_set(g))
+
+    def test_mask_tests_match_their_definitions(self):
+        # its six triangle vertices induce 6 edges, every degree 2, unconnected
+        triangles = Graph.from_labels("two-triangles", list("abcdefg"), [
+            ("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"),
+            ("d", "f"), ("c", "g"), ("g", "d")])
+        corpus = [petersen(), cycle(6), cycle(7), complete(4), complete(5), K33,
+                  PRISM, triangles] + ORACLE_CORPUS
+        for g in corpus:
+            for mask in range(1, 1 << g.n):
+                s = {i for i in range(g.n) if mask >> i & 1}
+                where = (g.name, set_labels(g, mask))
+                assert is_path_forest(g, mask) == naive_path_forest(g, s), where
+                assert contains_induced_claw(g, mask) == naive_claw(g, s), where
+                assert contains_induced_c6(g, mask) == naive_c6(g, s), where
 
     @given(st.integers(0, 1023), st.integers(0, 1023))
     def test_monotone_in_the_subset(self, a, b):

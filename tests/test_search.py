@@ -29,9 +29,8 @@ from mu_spectra import (
 )
 from mu_spectra.graphs import _search
 
-from oracles import (K23, PAW, naive_f, naive_interval_labels,
-                     naive_interval_sets, naive_mu, naive_valid,
-                     random_connected_graph)
+from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
+                     naive_interval_sets, naive_mu, naive_valid)
 from test_theorems import FAMILIES
 
 search_module = importlib.import_module("mu_spectra.search")
@@ -88,13 +87,6 @@ KNOWN = [
     (path(4), 3, 3, 4),
     (complete(4), 4, 0, 4), (complete(4), 6, 0, 2),
 ]
-
-# every graph here has at most 7 edges, small enough to enumerate
-ORACLE_CORPUS = ([path(n) for n in range(2, 9)]
-                 + [cycle(n) for n in range(3, 8)]
-                 + [complete(4), K23, PAW]
-                 + [random_connected_graph(seed) for seed in range(20)])
-
 
 class TestLegalRange:
     def test_petersen(self, P):
@@ -234,7 +226,7 @@ class TestPetersenSeededRuns:
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"node_limit": 0}, {"profile_node_limit": 0},
+        {"node_limit": 0},
         {"node_limit": -1}, {"time_limit_ms": 0}])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -405,7 +397,7 @@ class TestProfile:
                 assert row.mu1.value <= row.mu2.value
 
     def test_aggregates_stay_exact_under_a_tiny_budget(self, P):
-        prof = profile(P, SearchConfig(profile_node_limit=1000))
+        prof = profile(P, SearchConfig(node_limit=1000))
         assert [a.value for a in (prof.mu11, prof.mu12, prof.mu21, prof.mu22)] \
             == [0, 2, 6, 8]
         assert any(not r.mu2.is_exact for r in prof.rows)

@@ -13,7 +13,6 @@ from mu_spectra import (
     cycle,
     fixtures,
     full_set,
-    induced_subgraph,
     is_interval_colorable_regular,
     is_path_forest,
     max_path_forest_subset,
@@ -121,9 +120,7 @@ class TestPathForestCap:
         # empirical form of the structure argument behind the cap
         for c in sample(g, g.m, seed=31, count=50):
             rep = analyze(g, c)
-            vint = rep.interval_vertices(g)
-            if vint:
-                assert is_path_forest(induced_subgraph(g, vint))
+            assert is_path_forest(g, rep.v_int)
             assert rep.f <= max_path_forest_subset(g)
 
 
@@ -133,7 +130,9 @@ class TestModReduction:
         rep = analyze(P, c)
         red = mod_reduction(P, c, rep.v_int)
         assert red.ok
-        assert set(red.colors) == set(red.subgraph.edge_ids)
+        assert red.mask == rep.v_int
+        assert set(red.colors) == {i for i, (u, v) in enumerate(P.edges)
+                                   if red.mask >> u & 1 and red.mask >> v & 1}
         assert set(red.colors.values()) <= {1, 2, 3}
 
     def test_consecutive_triple_gives_all_three_residues(self, P):
