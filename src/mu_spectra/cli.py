@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .coloring import Certificate, analyze, check_certificate
+from .coloring import Certificate, check_certificate
 from .fixtures import fixtures
 from .graphs import (
     Graph,
@@ -118,9 +118,11 @@ def cmd_verify(args) -> int:
 
 
 def _witness_certificate(g: Graph, outcome, graph_arg: str) -> dict | None:
+    """The witness as a certificate; ``search.solve`` has already checked
+    that it is valid and attains ``lo`` (mu2) or ``hi`` (mu1)."""
     if outcome.witness is None:
         return None
-    f = analyze(g, outcome.witness).f
+    f = outcome.lo if outcome.objective is Objective.MU2 else outcome.hi
     source = None if graph_arg.startswith("@") else graph_arg
     cert = Certificate(graph=g, t=outcome.t, colors=outcome.witness.colors,
                        claim_f=f, source=source)

@@ -121,9 +121,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown vertex {label!r} in {self.name}") from None
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edge_index
-
     def min_degree(self) -> int:
         return min(self.degrees)
 
@@ -137,15 +134,7 @@ class Graph:
         return self.is_regular() and self.max_degree() == 3
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return _reach(self, 1, full_set(self)) == full_set(self)
 
     def summary(self) -> dict:
         return {"name": self.name, "vertices": self.n, "edges": self.m,
@@ -443,44 +432,79 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     return tuple(maps)
 
 
+def _image(img: Sequence[int], mask: int) -> int:
+    """The vertex set ``mask`` moved by the vertex map ``img``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << img[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @lru_cache(maxsize=None)
 def _subset_orbit_reps(g: Graph, k: int) -> tuple[int, ...] | None:
     """One k-subset mask per orbit under the maps of ``_edge_automorphisms``.
 
-    A walk from each subset not yet reached applies every map to every
-    subset it reaches, which closes its orbit; the group is never listed.
-    Subsets are tried in ``itertools.combinations`` order, so each
-    representative is the lexicographically least index set of its
-    orbit. The maps may
-    generate only a subgroup of Aut(g), whose orbits can be finer: more
-    representatives, each still one per orbit of that subgroup, so every
-    k-subset is an automorphic image of one of them. None when g has no
-    maps or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
+    The representatives of ``_subset_orbits(g, k)``, in the order its walk
+    met them, so each is the lexicographically least index set of its
+    orbit. The maps may generate only a subgroup of Aut(g), whose orbits
+    can be finer: more representatives, each still one per orbit of that
+    subgroup, so every k-subset is an automorphic image of one of them.
+    None when g has no maps or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
+    """
+    if (_edge_automorphisms(g) is None
+            or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET):
+        return None
+    return tuple(r for s, r in _subset_orbits(g, k).items() if s == r)
+
+
+@lru_cache(maxsize=None)
+def _subset_orbits(g: Graph, k: int) -> dict[int, int]:
+    """Every k-subset mask mapped to its orbit's representative.
+
+    Only for a k where ``_subset_orbit_reps`` is not None. A walk from each
+    subset not yet reached applies every map to every subset it reaches,
+    which closes its orbit; the group is never listed. Subsets are tried
+    in ``itertools.combinations`` order, and each walk starts at its
+    representative, so the map lists the representatives in that order.
     """
     maps = _edge_automorphisms(g)
-    if maps is None or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
-        return None
-    seen: set[int] = set()
-    reps = []
+    rep_of: dict[int, int] = {}
     for combo in itertools.combinations(range(g.n), k):
-        mask = sum(1 << i for i in combo)
-        if mask in seen:
+        rep = sum(1 << i for i in combo)
+        if rep in rep_of:
             continue
-        reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
+        rep_of[rep] = rep
+        stack = [rep]
         while stack:
             s = stack.pop()
             for img in maps:
-                image, rest = 0, s
+                image, rest = 0, s  # _image(img, s), inlined for speed
                 while rest:
                     low = rest & -rest
                     image |= 1 << img[low.bit_length() - 1]
                     rest ^= low
-                if image not in seen:
-                    seen.add(image)
+                if image not in rep_of:
+                    rep_of[image] = rep
                     stack.append(image)
-    return tuple(reps)
+    return rep_of
+
+
+def _carry(g: Graph, src: int, dst: int, sub: int) -> int:
+    """The image of ``sub`` under some product of the edge maps that sends
+    ``src`` onto ``dst``, two sets of one orbit."""
+    maps = _edge_automorphisms(g)
+    carried = {src: sub}
+    stack = [src]
+    while dst not in carried:
+        s = stack.pop()
+        for img in maps:
+            image = _image(img, s)
+            if image not in carried:
+                carried[image] = _image(img, carried[s])
+                stack.append(image)
+    return carried[dst]
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +564,8 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     d alone: ``_most_constrained_order(g, req)`` makes each choice once,
     before the search, with the same tie-break. Colors free at
     both endpoints are tried lowest first, or in random order when ``rng``
-    is given. Returns ``(best, witness_colors, nodes, tag)``, tag
-    "exhausted", "bound-met" or "budget".
+    is given. Returns ``(best, witness_colors, nodes, tag, core)``, tag
+    "exhausted", "bound-met" or "budget", core as below.
 
     Leaves are valid colorings: proper since only free colors are tried,
     surjective since once as many colors are unused as edges are uncolored
@@ -578,6 +602,29 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     which finds a coloring with f >= k that makes ``req`` interval or shows
     there is none.
 
+    ``core`` is the set of ``req`` vertices whose window mask removed at
+    least one color at some node of the run (0 without ``req``). When such
+    a run, ``req`` = S, ``best=k-1, cap=k``, ends "exhausted", no valid
+    t-coloring makes the core interval, nor any set that contains the core
+    or an automorphic image of it:
+
+    1. The run reached no leaf: a leaf makes S interval, so f >= k > best,
+       and the run would have stopped "bound-met".
+    2. A vertex of S whose window never cut a color never constrained the
+       run, and was never doomed (no child it was given would doom it).
+       So with the same edge order and ``req`` = core, the run makes the
+       same children, the same ``nlost`` and the same prunes: the bound
+       prune never fires in either, as the k vertices of S stay undoomed,
+       so ``n - nlost >= k``. It reaches no leaf either, and the window
+       mask and the reflection cut both keep every coloring that makes the
+       core interval. At a legal t a valid coloring exists, so the core
+       is not empty; ``req`` stays nonzero, and the root rule stays off in
+       both runs.
+    3. Automorphisms carry this to every image of the core, at every k.
+
+    Any later prune that depends on ``req`` must add the ``req`` vertices
+    it relied on to the core, or the core run would make other children.
+
     ``reflect`` turns on two rules for the first edge e = ``order[0]``;
     each keeps, for every valid coloring, one with the same f.
 
@@ -611,7 +658,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     """
     n, m = g.n, g.m
     if t > m:  # no coloring of m edges uses all t colors
-        return best, None, 0, "exhausted"
+        return best, None, 0, "exhausted", 0
     if order is None:
         order = _most_constrained_order(g, req)
     deg = g.degrees
@@ -624,7 +671,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         steps.append((bi, u, v, deg[u], deg[v], last_at[u] == d,
-                      last_at[v] == d, m - d, req >> u & 1, req >> v & 1))
+                      last_at[v] == d, m - d, req & 1 << u, req & 1 << v))
     if not reflect:
         first_mask = full
     elif not req and _edge_automorphisms(g) is not None:
@@ -636,22 +683,28 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     leaf = m - 1
 
     witness: list[int] | None = None
-    nodes = 0
+    nodes = core = 0
     aborted: str | None = None
 
     def rec(depth: int, ci: int, lost: int, unused: int, unused_bits: int) -> None:
-        nonlocal best, witness, nodes, aborted
+        nonlocal best, witness, nodes, core, aborted
         bi, u, v, du, dv, fu, fv, remaining, ru, rv = steps[depth]
         uu, uv = used[u], used[v]
         avail = (first_mask if depth == 0 else full) & ~(uu | uv)
         if unused == remaining:
             avail &= unused_bits
         if ru and uu:  # the window mask: keep u's span within du
-            avail &= (((uu & -uu) << du) - 1) & -(
+            window = (((uu & -uu) << du) - 1) & -(
                 (1 << uu.bit_length() - 1 >> du - 1) or 1)
+            if avail & ~window:
+                core |= ru
+            avail &= window
         if rv and uv:
-            avail &= (((uv & -uv) << dv) - 1) & -(
+            window = (((uv & -uv) << dv) - 1) & -(
                 (1 << uv.bit_length() - 1 >> dv - 1) or 1)
+            if avail & ~window:
+                core |= rv
+            avail &= window
         ou = uu and uu >= (uu & -uu) << du  # doomed before this edge
         ov = uv and uv >= (uv & -uv) << dv
         while avail:
@@ -702,7 +755,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
         used[u], used[v] = uu, uv
 
     rec(0, 0, 0, t, full)
-    return best, witness, nodes, aborted or "exhausted"
+    return best, witness, nodes, aborted or "exhausted", core
 
 
 @lru_cache(maxsize=None)
@@ -719,7 +772,7 @@ def chromatic_index(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vertex deletion / girth
+# vertex deletion
 
 def delete_vertex(g: Graph, label: str) -> Graph:
     """Remove a vertex and its incident edges; edge indices re-densify.
@@ -735,29 +788,6 @@ def delete_vertex(g: Graph, label: str) -> Graph:
         return Graph.from_labels(f"{g.name}-del-{label}", vertices, edges)
     except GraphError as exc:
         raise GraphError(f"deleting {label} from {g.name}: {exc}") from None
-
-
-def girth(g: Graph) -> int:
-    """Length of a shortest cycle, by BFS from every vertex; 0 if acyclic."""
-    best = 0
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v, _ in g.adjacency[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u]:
-                        cyc = dist[u] + dist[v] + 1
-                        if best == 0 or cyc < best:
-                            best = cyc
-            queue = nxt
-    return best
 
 
 # ---------------------------------------------------------------------------

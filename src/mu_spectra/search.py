@@ -20,7 +20,12 @@ by a first-solution kernel run that never dooms a vertex of the set: it
 colors the edges at the set's vertices first and, at each of them, tries
 only the colors that keep the vertex's span within its degree (the window
 mask), so those runs neither make nor count a child that would doom one.
-Each refuted k is recorded as interval-set-orbits evidence.
+A refuted run also returns its core, the vertices of the set whose window
+ever cut a color; no valid coloring makes the core interval, so a later
+set of the solve, at any k, whose orbit holds a superset of a learned core
+is skipped without a run. Each refuted k is recorded as
+interval-set-orbits evidence, which names each set's core and, for a
+skipped set, the run that learned it.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -31,6 +36,7 @@ can certify an aggregate exactly even when middle rows stay open.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,7 +45,7 @@ from enum import Enum
 from .coloring import EdgeColoring, analyze, require_valid, rebind
 from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
                      set_labels)
-from .graphs import _search, _subset_orbit_reps
+from .graphs import _carry, _search, _subset_orbit_reps, _subset_orbits
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
 
@@ -234,7 +240,7 @@ def solve(g: Graph, t: int, objective: Objective,
             lo, hi, witness, nodes, closed_by = _descend(
                 g, t, best, witness, hi, cfg.node_limit, deadline, evidence)
         else:
-            best, wcolors, nodes, closed_by = _search(
+            best, wcolors, nodes, closed_by, _ = _search(
                 g, t, maximize, best, floor, cap,
                 reflect=cfg.use_reflection_symmetry,
                 node_limit=cfg.node_limit, deadline=deadline)
@@ -267,9 +273,17 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
     to k-1 and an interval-set-orbits record lists them with their
     nodes. Without an incumbent, a first-solution run supplies one.
     Where C(n,k) is too large to walk, the plain kernel decides the rest.
+
+    Each exhausted run leaves a core, a subset of its S that no valid
+    coloring makes interval (see ``graphs._search``). A representative
+    whose orbit holds a k-superset of a core learned earlier in the solve,
+    at this k or above, cannot be interval either: it is skipped at 0
+    nodes, and the record names the image of the core it contains and the
+    representative and k whose run learned that core.
     Returns ``(lo, hi, witness, nodes, closed_by)``.
     """
     top, nodes = hi, 0
+    cores: list[tuple[int, int, int]] = []  # (core, its run's S, its k)
 
     def found(colors) -> EdgeColoring:
         return EdgeColoring(t=t, colors=tuple(colors))
@@ -278,37 +292,64 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
         return "bound-met" if k == top else "exhausted"
 
     if best < 0:
-        best, colors, nodes, tag = _search(g, t, True, -1, 0, 0,
-                                           node_limit=node_limit,
-                                           deadline=deadline)
+        best, colors, nodes, tag, _ = _search(g, t, True, -1, 0, 0,
+                                              node_limit=node_limit,
+                                              deadline=deadline)
         if tag == "budget":
             return 0, hi, witness, nodes, tag
         witness = found(colors)
     for k in range(hi, best, -1):
         reps = _subset_orbit_reps(g, k)
         if reps is None:
-            f, colors, used, tag = _search(g, t, True, best, 0, k,
-                                           node_limit=node_limit - nodes,
-                                           deadline=deadline)
+            f, colors, used, tag, _ = _search(g, t, True, best, 0, k,
+                                              node_limit=node_limit - nodes,
+                                              deadline=deadline)
             nodes += used
             if colors is not None:
                 best, witness = f, found(colors)
             if tag == "budget":
                 return best, k, witness, nodes, tag
             return best, best, witness, nodes, closed(best)
-        spent = []
+        orbit_of = _subset_orbits(g, k)
+        dead: dict[int, tuple[int, tuple[int, int, int]]] = {}
+
+        def learn(learned: tuple[int, int, int]) -> None:
+            """Mark the orbit of each k-superset of a core dead."""
+            core = learned[0]
+            if core.bit_count() > k:
+                return
+            rest = [i for i in range(g.n) if not core >> i & 1]
+            for extra in itertools.combinations(rest, k - core.bit_count()):
+                superset = core | sum(1 << i for i in extra)
+                dead.setdefault(orbit_of[superset], (superset, learned))
+
+        for learned in cores:
+            learn(learned)
+        spent, why = [], []
         for req in reps:
+            if req in dead:
+                superset, (core, source, at) = dead[req]
+                spent.append(0)
+                why.append({"core": list(set_labels(g, _carry(
+                                g, superset, req, core))),
+                            "learned_from": {
+                                "k": at,
+                                "representative": list(set_labels(g, source))}})
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 return best, k, witness, nodes, "budget"
-            _, colors, used, tag = _search(g, t, True, k - 1, 0, k, req=req,
-                                           node_limit=node_limit - nodes,
-                                           deadline=deadline)
+            _, colors, used, tag, core = _search(
+                g, t, True, k - 1, 0, k, req=req,
+                node_limit=node_limit - nodes, deadline=deadline)
             nodes += used
             if tag == "budget":
                 return best, k, witness, nodes, tag
             if colors is not None:
                 return k, k, found(colors), nodes, closed(k)
             spent.append(used)
+            why.append({"core": list(set_labels(g, core))})
+            cores.append((core, req, k))
+            learn(cores[-1])
         evidence.append(BoundEvidence(
             kind=EvidenceKind.INTERVAL_SET_ORBITS,
             value=k - 1,
@@ -318,7 +359,8 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
                     f"orbit under automorphisms), so f <= {k - 1} at t={t}"),
             payload={"k": k,
                      "representatives": [list(set_labels(g, s)) for s in reps],
-                     "nodes": spent}))
+                     "nodes": spent,
+                     "cores": why}))
     return best, best, witness, nodes, closed(best)
 
 
@@ -457,12 +499,12 @@ def sample(g: Graph, t: int, seed: int = 0, count: int = 1) -> list[EdgeColoring
         for _attempt in range(32):
             order = list(range(g.m))
             rng.shuffle(order)
-            _, colors, _, _ = _search(g, t, True, -1, 0, 0, order=order, rng=rng,
-                                      reflect=False, node_limit=100_000)
+            colors = _search(g, t, True, -1, 0, 0, order=order, rng=rng,
+                             reflect=False, node_limit=100_000)[1]
             if colors is not None:
                 break
         if colors is None:
-            _, colors, _, _ = _search(g, t, True, -1, 0, 0)
+            colors = _search(g, t, True, -1, 0, 0)[1]
         c = EdgeColoring(t=t, colors=tuple(colors))
         require_valid(g, c)
         out.append(c)

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coloring import EdgeColoring, Violation, analyze
 from .graphs import (
     Graph,
     GraphError,
@@ -34,8 +33,6 @@ from .graphs import (
     contains_induced_claw,
     delete_vertex,
     is_path_forest,
-    set_labels,
-    vertex_set,
 )
 
 # 2^|V| subset scans stay fast up to here
@@ -183,63 +180,6 @@ def mu2_top_cap_from_obstructions(g: Graph, size: int) -> BoundEvidence:
                 f"forest and f <= {size - 1} at t={g.m}"),
         payload={"subsets": subsets, "obstructed": subsets},
     )
-
-
-@dataclass(frozen=True)
-class ModReduction:
-    """Residue coloring of the subgraph induced by ``mask``, with properness report.
-
-    ``colors`` maps the edge ids with both ends in ``mask`` to ((color mod
-    3) or 3), i.e. values in {1,2,3}. At any interval vertex of degree 3 the
-    three incident colors are consecutive, so their residues are {1,2,3}
-    by construction; properness anywhere else is checked, not guaranteed.
-    """
-
-    mask: int
-    colors: dict[int, int]
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def mod_reduction(g: Graph, c: EdgeColoring, s) -> ModReduction:
-    """Reduce a coloring mod 3 on the subgraph induced by interval vertices.
-
-    ``s`` must consist of interval vertices of c (the reduction is only
-    meaningful there); g must be cubic. Used as a contradiction engine: if
-    the result were proper on a subgraph with chromatic index 4, no valid
-    coloring could make all of s interval.
-    """
-    if not g.is_cubic():
-        raise GraphError(f"{g.name} is not cubic")
-    report = analyze(g, c)
-    mask = vertex_set(g, s)
-    if mask & ~report.v_int:
-        bad = set_labels(g, mask & ~report.v_int)
-        raise GraphError(f"not interval vertices of the coloring: {', '.join(bad)}")
-    colors = {ei: (c.colors[ei] - 1) % 3 + 1 for ei, (u, v) in enumerate(g.edges)
-              if mask >> u & 1 and mask >> v & 1}
-    violations = []
-    for vi in range(g.n):
-        if not mask >> vi & 1:
-            continue
-        seen: dict[int, int] = {}
-        for _, ei in g.adjacency[vi]:
-            if ei not in colors:
-                continue
-            res = colors[ei]
-            if res in seen:
-                a1, b1 = g.edge_labels[seen[res]]
-                a2, b2 = g.edge_labels[ei]
-                violations.append(Violation(
-                    "properness", g.vertices[vi],
-                    f"residue {res} repeats at {g.vertices[vi]} on "
-                    f"({a1},{b1}) and ({a2},{b2})"))
-            else:
-                seen[res] = ei
-    return ModReduction(mask=mask, colors=colors, violations=tuple(violations))
 
 
 def mu22_cap_cubic(g: Graph) -> BoundEvidence:

@@ -20,7 +20,6 @@ from mu_spectra import (
     delete_vertex,
     from_spec,
     full_set,
-    girth,
     graph_from_dict,
     graph_to_dict,
     is_path_forest,
@@ -288,7 +287,7 @@ class TestSearchKernel:
             order = list(range(g.m))
             rng.shuffle(order)
             for kwargs in ({}, {"order": order, "rng": rng, "reflect": False}):
-                best, colors, _, tag = _search(g, t, True, -1, 0, 0, **kwargs)
+                best, colors, _, tag, _ = _search(g, t, True, -1, 0, 0, **kwargs)
                 assert tag == "bound-met"
                 c = EdgeColoring(t=t, colors=tuple(colors))
                 assert naive_valid(g, c), (t, kwargs, colors)
@@ -427,14 +426,6 @@ class TestDeleteVertex:
     def test_unknown_vertex_rejected(self, P):
         with pytest.raises(GraphError, match="unknown"):
             delete_vertex(P, "z9")
-
-
-class TestGirth:
-    @pytest.mark.parametrize("g,expect", [
-        (petersen(), 5), (cycle(4), 4), (cycle(7), 7),
-        (complete(4), 3), (path(6), 0)])
-    def test_known_values(self, g, expect):
-        assert girth(g) == expect
 
 
 class TestJsonInterchange:

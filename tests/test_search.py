@@ -27,7 +27,9 @@ from mu_spectra import (
     solve,
     vertex_set,
 )
-from mu_spectra.graphs import _search
+from mu_spectra.graphs import (_most_constrained_order, _search,
+                               _subset_orbit_reps)
+from mu_spectra.search import PROFILE_NODE_LIMIT
 
 from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
                      naive_interval_sets, naive_mu, naive_valid)
@@ -42,22 +44,40 @@ BARE = SearchConfig(seed_fixtures=False, use_structural_bounds=False)
 def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     """Replay each interval-set-orbits record of a mu2 outcome.
 
-    Each listed representative's default-order req search must find no
-    witness and spend the recorded nodes. Returns (k, representatives)
-    per record.
+    Every listed representative's default-order req search must find no
+    witness. One that ran must spend the recorded nodes and return the
+    recorded core, and that core, searched in the representative's edge
+    order, must exhaust in the same nodes. One that was skipped must have
+    spent 0 nodes and contain the core it names, whose size is that of
+    the core learned by the representative and k it names, listed earlier
+    in the outcome. Returns (k, representatives) per record.
     """
-    replayed = []
+    replayed, learned = [], {}
     for e in out.evidence:
         if e.kind is not EvidenceKind.INTERVAL_SET_ORBITS:
             continue
         k = e.payload["k"]
         assert (e.applies_t, e.value) == (out.t, k - 1)
-        for labels, spent in zip(e.payload["representatives"],
-                                 e.payload["nodes"], strict=True):
+        for labels, spent, why in zip(e.payload["representatives"],
+                                      e.payload["nodes"],
+                                      e.payload["cores"], strict=True):
             assert len(labels) == k
-            _, colors, nodes, tag = _search(g, out.t, True, k - 1, 0, k,
-                                            req=vertex_set(g, labels))
-            assert (colors, tag, nodes) == (None, "exhausted", spent)
+            s, core = vertex_set(g, labels), vertex_set(g, why["core"])
+            assert core and not core & ~s
+            _, colors, nodes, tag, got = _search(g, out.t, True, k - 1, 0, k,
+                                                 req=s)
+            assert (colors, tag) == (None, "exhausted")
+            source = why.get("learned_from")
+            if source is None:
+                assert (nodes, got) == (spent, core)
+                again = _search(g, out.t, True, k - 1, 0, k, req=core,
+                                order=_most_constrained_order(g, s))
+                assert again[1:4] == (None, spent, "exhausted")
+                learned[k, frozenset(labels)] = core.bit_count()
+            else:
+                assert spent == 0
+                assert learned[source["k"], frozenset(
+                    source["representative"])] == core.bit_count()
         replayed.append((k, len(e.payload["representatives"])))
     return replayed
 
@@ -155,7 +175,9 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 1_959)
+        # mu2: the 10-set is refuted in 959 nodes, and its core lies in
+        # the one 9-set orbit, which is skipped
+        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 1_000)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
@@ -269,7 +291,7 @@ class TestConfig:
                 sets = naive_interval_sets(g, t)
                 for s in range(1, 1 << g.n):
                     k = s.bit_count()
-                    _, colors, _, _ = _search(g, t, True, k - 1, 0, k, req=s)
+                    colors = _search(g, t, True, k - 1, 0, k, req=s)[1]
                     want = set(set_labels(g, s))
                     if colors is None:
                         ok = not any(want <= found for found in sets)
@@ -280,6 +302,30 @@ class TestConfig:
                     if not ok:
                         mismatches.append(f"{g.name} t={t} S={sorted(want)}")
         assert mismatches == []
+
+    def test_req_cores_are_refuted(self):
+        # every exhausted run of the split's kind on the edge-transitive
+        # corpus graphs: no valid coloring makes its core interval, and the
+        # core, searched in the run's edge order, exhausts in the same nodes
+        runs, mismatches = 0, []
+        for g in ORACLE_CORPUS:
+            for t in legal_t_range(g):
+                sets = naive_interval_sets(g, t)
+                for k in range(1, g.n + 1):
+                    for s in _subset_orbit_reps(g, k) or ():
+                        _, _, nodes, tag, core = _search(g, t, True, k - 1, 0,
+                                                         k, req=s)
+                        if tag != "exhausted":
+                            continue
+                        runs += 1
+                        want = set(set_labels(g, core))
+                        again = _search(g, t, True, k - 1, 0, k, req=core,
+                                        order=_most_constrained_order(g, s))
+                        if (not core or core & ~s
+                                or any(want <= found for found in sets)
+                                or again[1:4] != (None, nodes, "exhausted")):
+                            mismatches.append(f"{g.name} t={t} S={s:b}")
+        assert (runs, mismatches) == (31, [])
 
     def test_kernel_edge_orders_agree(self):
         # the default most-constrained order, the declared order and a
@@ -411,10 +457,10 @@ class TestProfile:
 
     def test_node_total_is_pinned(self, petersen_profile):
         # mu2 only: 26 + 171 + 1,494 + 4,630 at t=5..8, 6,547 at t=9,
-        # 19,454 at t=10, 38,739 at t=11, 29,818 at t=12, 16,336 at t=13
-        # and 5,680 at t=14
+        # 19,454 at t=10, 27,745 at t=11, 23,884 at t=12, 11,170 at t=13
+        # and 3,694 at t=14
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 122_895
+                   for r in petersen_profile.rows) == 98_815
 
     def test_refuted_rows_replay(self, petersen_profile):
         prof = petersen_profile
@@ -423,6 +469,38 @@ class TestProfile:
         assert replayed == {10: [(8, 2)], 11: [(8, 2)],
                             12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
                             14: [(8, 2), (7, 4)]}
+
+    def test_headline_follows_from_search_alone(self, petersen_profile):
+        # no catalog coloring and no structural bound: every cell comes out
+        # the same from search, each witness checked from the definition
+        bare = profile(petersen(), SearchConfig(
+            node_limit=PROFILE_NODE_LIMIT, seed_fixtures=False,
+            use_structural_bounds=False))
+        def cells(prof):
+            return [(o.lo, o.hi, o.status)
+                    for r in prof.rows for o in (r.mu1, r.mu2)]
+
+        assert cells(bare) == cells(petersen_profile)
+        for r in bare.rows:
+            for out in (r.mu1, r.mu2):
+                attained = out.lo if out.objective is Objective.MU2 else out.hi
+                assert naive_valid(bare.graph, out.witness)
+                assert naive_f(bare.graph, out.witness) == attained
+        assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
+                   for r in bare.rows) == 167_430
+
+    def test_theorem_family_skips_replay(self):
+        # the split skips representatives on these graphs; every record,
+        # skipped entries included, replays
+        skips = 0
+        for g, _ in FAMILIES:
+            for t in legal_t_range(g):
+                out = solve(g, t, Objective.MU2, BARE)
+                replay_orbit_evidence(g, out)
+                skips += sum("learned_from" in why for e in out.evidence
+                             if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
+                             for why in e.payload["cores"])
+        assert skips == 21
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4

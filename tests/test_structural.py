@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from mu_spectra import (
-    EdgeColoring,
     EvidenceKind,
     Graph,
     GraphError,
@@ -12,11 +11,9 @@ from mu_spectra import (
     complete,
     cycle,
     fixtures,
-    full_set,
     is_interval_colorable_regular,
     is_path_forest,
     max_path_forest_subset,
-    mod_reduction,
     mu1_floor_from_matchings,
     mu1_floors,
     mu2_caps,
@@ -124,18 +121,9 @@ class TestPathForestCap:
             assert rep.f <= max_path_forest_subset(g)
 
 
-class TestModReduction:
-    def test_reduces_interval_set_to_proper_residues(self, P):
-        c = fixtures()["psi"].coloring()
-        rep = analyze(P, c)
-        red = mod_reduction(P, c, rep.v_int)
-        assert red.ok
-        assert red.mask == rep.v_int
-        assert set(red.colors) == {i for i, (u, v) in enumerate(P.edges)
-                                   if red.mask >> u & 1 and red.mask >> v & 1}
-        assert set(red.colors.values()) <= {1, 2, 3}
-
+class TestCubicCap:
     def test_consecutive_triple_gives_all_three_residues(self, P):
+        # the residue fact the cap argues from
         c = fixtures()["psi"].coloring()
         rep = analyze(P, c)
         for vi in range(P.n):
@@ -143,23 +131,6 @@ class TestModReduction:
                 res = {(c.colors[ei] - 1) % 3 + 1 for _, ei in P.adjacency[vi]}
                 assert res == {1, 2, 3}
 
-    def test_non_interval_vertices_rejected(self, P):
-        c = fixtures()["psi"].coloring()
-        with pytest.raises(GraphError, match="not interval vertices"):
-            mod_reduction(P, c, full_set(P))
-
-    def test_non_cubic_rejected(self):
-        g = cycle(4)
-        with pytest.raises(GraphError, match="not cubic"):
-            mod_reduction(g, EdgeColoring(2, (1, 2, 1, 2)), 0b1111)
-
-    def test_invalid_coloring_rejected(self, P):
-        from mu_spectra import InvalidColoringError
-        with pytest.raises(InvalidColoringError):
-            mod_reduction(P, EdgeColoring(15, (1,) * 15), 0b1)
-
-
-class TestCubicCap:
     def test_petersen_cap_is_eight(self, P):
         ev = mu22_cap_cubic(P)
         assert ev.kind is EvidenceKind.MOD_REDUCTION
