@@ -5,6 +5,14 @@ valid when adjacent edges differ and every one of the t colors occurs. The
 spectrum of a vertex is the set of colors on its incident edges, and the
 quantity of interest everywhere is f = the number of vertices whose spectrum
 is an interval of consecutive integers.
+
+Checking is a pass over bitmasks: edge i contributes ``1 << colors[i]``,
+and each vertex ORs in the bits of its edges. The coloring is proper iff
+every vertex mask has as many bits as the vertex has edges, surjective iff
+the masks together hold exactly bits 1..t, and a vertex is interval iff
+its mask is one run of set bits. The per-edge walk that names each clash,
+out-of-range color and unused color runs only when the mask pass fails,
+to explain the failure.
 """
 
 from __future__ import annotations
@@ -12,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graphs import Graph, GraphError, from_spec, graph_from_dict, graph_to_dict
+from .graphs import (
+    MAX_EDGES,
+    Graph,
+    GraphError,
+    edge_key,
+    from_spec,
+    graph_from_dict,
+    graph_to_dict,
+)
 
 
 class InvalidColoringError(ValueError):
@@ -52,13 +68,53 @@ def spectrum(g: Graph, c: EdgeColoring, label: str) -> frozenset[int]:
     return frozenset(c.colors[ei] for _, ei in g.adjacency[vi])
 
 
+#: Color -> its bit, for every color a graph within MAX_EDGES can use.
+_BIT = {color: 1 << color for color in range(1, MAX_EDGES + 1)}
+
+
+def _vertex_masks(g: Graph, c: EdgeColoring) -> list[int] | None:
+    """Per vertex, the OR of ``1 << color`` over its edges.
+
+    None when the mask pass does not apply: t outside [1, m], where no
+    coloring is valid and a shift by t could be unbounded, a wrong number
+    of colors, or a color that is not an integer in [1, MAX_EDGES]. Colors
+    above t are left in the masks, where validity checks for them.
+    """
+    t, colors = c.t, c.colors
+    if type(t) is not int or not 1 <= t <= g.m or len(colors) != g.m:
+        return None
+    bits = list(map(_BIT.get, colors))
+    if None in bits:
+        return None
+    masks = []
+    for edges in g.incident:
+        mask = 0
+        for ei in edges:
+            mask |= bits[ei]
+        masks.append(mask)
+    return masks
+
+
 def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
     """All violations of properness, surjectivity, and color range.
 
-    Empty result means the coloring is a member of alpha(g, t). Reports
-    every violation rather than the first, so hand-edited certificates get
-    full diagnostics. Never raises.
+    Empty result means the coloring is a member of alpha(g, t). The mask
+    pass decides; only a coloring it does not pass is walked edge by edge,
+    which reports every violation rather than the first, so hand-edited
+    certificates get full diagnostics. With t > m not all t colors fit on
+    the m edges, which is one surjectivity violation rather than one per
+    missing color. Never raises.
     """
+    masks = _vertex_masks(g, c)
+    if masks is not None:
+        full = 0
+        for mask, degree in zip(masks, g.degrees):
+            if mask.bit_count() != degree:
+                break
+            full |= mask
+        else:
+            if full == ((1 << c.t) - 1) << 1:
+                return ()
     if len(c.colors) != g.m:
         return (Violation("shape", g.name,
                           f"expected {g.m} edge colors, got {len(c.colors)}"),)
@@ -80,9 +136,12 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
                     f"edges ({a1},{b1}) and ({a2},{b2}) at {label} share color {col}"))
             else:
                 seen[col] = ei
-    missing = sorted(set(range(1, c.t + 1)) - set(c.colors))
-    for col in missing:
-        out.append(Violation("surjectivity", str(col), f"color {col} unused"))
+    if c.t > g.m:
+        out.append(Violation("surjectivity", str(c.t),
+                             f"{c.t} colors cannot all appear on {g.m} edges"))
+    else:
+        for col in sorted(set(range(1, c.t + 1)) - set(c.colors)):
+            out.append(Violation("surjectivity", str(col), f"color {col} unused"))
     return tuple(out)
 
 
@@ -114,10 +173,22 @@ def analyze(g: Graph, c: EdgeColoring) -> SpectrumReport:
 
 
 def _report(g: Graph, c: EdgeColoring) -> SpectrumReport:
-    """``analyze`` for a coloring already known to be valid."""
+    """``analyze`` for a coloring already known to be valid.
+
+    A vertex is interval iff its mask is one run of set bits: adding the
+    lowest set bit then carries through the whole run and clears it. A valid
+    coloring with a color that is no integer (the walk in ``validate``
+    admits 2.5 where 2 and 3 also occur) is read by ``is_interval`` instead.
+    """
+    masks = _vertex_masks(g, c)
     v_int = 0
-    for vi, around in enumerate(g.adjacency):
-        if is_interval([c.colors[ei] for _, ei in around]):
+    if masks is None:
+        for vi, edges in enumerate(g.incident):
+            if is_interval([c.colors[ei] for ei in edges]):
+                v_int |= 1 << vi
+        return SpectrumReport(v_int=v_int)
+    for vi, mask in enumerate(masks):
+        if not (mask + (mask & -mask)) & mask:
             v_int |= 1 << vi
     return SpectrumReport(v_int=v_int)
 
@@ -134,10 +205,6 @@ def reflect(c: EdgeColoring) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _edge_key(a: str, b: str) -> str:
-    return f"{a}-{b}"
-
-
 def _json_int(value, what: str) -> int:
     """An integer field of a document; bools, floats and null are rejected."""
     if type(value) is not int:
@@ -153,6 +220,17 @@ def _json_object(value, what: str) -> Mapping:
 
 def _parse_edge_key(key: str, g: Graph) -> int:
     """Resolve 'a-b' to an edge index, accepting either endpoint order.
+
+    One lookup in ``Graph.edge_keys`` answers every key that spells one
+    edge in one way; the rest go to ``_walk_edge_key``, which refuses them
+    with the reason.
+    """
+    ei = g.edge_keys.get(key, -1)
+    return ei if ei >= 0 else _walk_edge_key(key, g)
+
+
+def _walk_edge_key(key: str, g: Graph) -> int:
+    """``_parse_edge_key`` by trying every split of the key at a '-'.
 
     Labels may contain '-', so every split is tried; a key that names two
     edges (labels a, a-b, b-c, c and key 'a-b-c') is refused.
@@ -198,7 +276,7 @@ class Certificate:
         return EdgeColoring(t=self.t, colors=self.colors)
 
     def to_dict(self) -> dict:
-        colors = {_edge_key(a, b): self.colors[i]
+        colors = {edge_key(a, b): self.colors[i]
                   for i, (a, b) in enumerate(self.graph.edge_labels)}
         doc: dict = {
             "graph": self.source if self.source else graph_to_dict(self.graph),
@@ -242,7 +320,7 @@ class Certificate:
                                  f"got {value!r}")
             colors[ei] = value
         if not all(seen):
-            missing = [f"{a}-{b}" for i, (a, b) in enumerate(graph.edge_labels)
+            missing = [edge_key(a, b) for i, (a, b) in enumerate(graph.edge_labels)
                        if not seen[i]]
             raise GraphError(f"certificate misses edges: {', '.join(missing)}")
         claims = _json_object(doc.get("claims", {}), "certificate claims")

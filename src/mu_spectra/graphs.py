@@ -90,6 +90,11 @@ class Graph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex: the indices of its edges."""
+        return tuple(tuple(ei for _, ei in a) for a in self.adjacency)
+
+    @cached_property
     def neighbors(self) -> tuple[int, ...]:
         """Per vertex: the bitmask of its neighbors."""
         return tuple(sum(1 << v for v, _ in a) for a in self.adjacency)
@@ -106,6 +111,23 @@ class Graph:
     def edge_index(self) -> dict[frozenset[str], int]:
         """Label pair (order-insensitive) -> edge index."""
         return {frozenset(pair): i for i, pair in enumerate(self.edge_labels)}
+
+    @cached_property
+    def edge_keys(self) -> dict[str, int]:
+        """Edge key -> edge index, for both spellings ``edge_key(a, b)`` and
+        ``edge_key(b, a)`` of every edge.
+
+        A string spelled more than once, as "a-b-c" is by the edges (a, b-c)
+        and (a-b, c), maps to -1, and so does a spelling whose first label
+        is empty: ``coloring``'s split walk never splits a key at its first
+        character. Those keys are left to the walk, which explains them.
+        """
+        keys: dict[str, int] = {}
+        for ei, (a, b) in enumerate(self.edge_labels):
+            for first, second in ((a, b), (b, a)):
+                key = edge_key(first, second)
+                keys[key] = ei if first and key not in keys else -1
+        return keys
 
     @property
     def n(self) -> int:
@@ -139,6 +161,11 @@ class Graph:
     def summary(self) -> dict:
         return {"name": self.name, "vertices": self.n, "edges": self.m,
                 "min_degree": self.min_degree(), "max_degree": self.max_degree()}
+
+
+def edge_key(a: str, b: str) -> str:
+    """The certificate spelling of the edge between labels a and b."""
+    return f"{a}-{b}"
 
 
 # ---------------------------------------------------------------------------

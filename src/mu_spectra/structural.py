@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .graphs import (
     Graph,
@@ -265,8 +266,12 @@ def mu1_floor_from_matchings(g: Graph) -> BoundEvidence:
     )
 
 
-def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
-    """All structural caps on f applicable to colorings with exactly t colors."""
+@lru_cache(maxsize=None)
+def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
+    """The caps of ``mu2_caps`` that hold at every t, built once per graph.
+
+    Callers share the evidence objects, so nothing may change a payload.
+    """
     out = []
     if g.is_regular():
         try:
@@ -277,6 +282,12 @@ def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
         out.append(mu22_cap_cubic(g))
     except GraphError:
         pass
+    return tuple(out)
+
+
+def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
+    """All structural caps on f applicable to colorings with exactly t colors."""
+    out = list(_every_t_caps(g))
     if t == g.m and g.min_degree() >= 2 and g.n <= _SUBSET_SCAN_LIMIT:
         out.append(mu2_top_cap(g))
     return out

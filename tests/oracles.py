@@ -28,7 +28,8 @@ def naive_valid(g: Graph, c: EdgeColoring) -> bool:
     for cols in incident.values():
         if len(set(cols)) != len(cols):
             return False
-    return set(c.colors) == set(range(1, c.t + 1))
+    used = set(c.colors)  # sizes first: t may be far too large to list
+    return len(used) == c.t and used == set(range(1, c.t + 1))
 
 
 def naive_interval_labels(g: Graph, c: EdgeColoring) -> set[str]:

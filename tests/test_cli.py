@@ -87,6 +87,19 @@ class TestVerify:
         assert "violation" in out
         assert "FAIL" in out
 
+    def test_huge_t_is_one_violation(self, capsys, tmp_path):
+        # listing the unused colors of t = 10**12 would never finish
+        doc = fixtures()["psi"].to_dict()
+        doc["t"] = 10**12
+        bad = tmp_path / "huge_t.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[2:] == [
+            f"  violation[surjectivity] at {10**12}: "
+            f"{10**12} colors cannot all appear on 15 edges",
+            "FAIL"]
+
     def test_claim_mismatch_fails_without_violations(self, capsys, tmp_path):
         doc = fixtures()["psi"].to_dict()
         doc["claims"]["f"] = 3

@@ -12,6 +12,7 @@ from mu_spectra import (
     graph_to_dict,
     is_interval,
     is_valid,
+    path,
     petersen,
     rebind,
     reflect,
@@ -22,9 +23,11 @@ from mu_spectra import (
     validate,
 )
 from mu_spectra import coloring as coloring_module
-from mu_spectra.graphs import Graph
+from mu_spectra.coloring import _parse_edge_key, _walk_edge_key
+from mu_spectra.graphs import Graph, edge_key
+from mu_spectra.search import legal_t_range
 
-from oracles import naive_f, naive_valid
+from oracles import ORACLE_CORPUS, naive_f, naive_interval_labels, naive_valid
 
 
 class TestIntervalPredicate:
@@ -82,6 +85,30 @@ class TestValidate:
         kinds = {v.kind for v in validate(P, bad)}
         assert {"properness", "surjectivity"} <= kinds
         assert len(validate(P, bad)) > 5
+
+    def test_t_above_m_is_one_surjectivity_violation(self, P, catalog):
+        c = EdgeColoring(t=10**12, colors=catalog["psi"].colors)
+        violations = validate(P, c)
+        assert [(v.kind, v.where, v.message) for v in violations] == [
+            ("surjectivity", str(10**12),
+             f"{10**12} colors cannot all appear on 15 edges")]
+        assert not naive_valid(P, c)
+
+    def test_colors_equal_to_ints_read_as_those_ints(self, P, catalog):
+        c = catalog["sigma"].coloring()
+        for odd in (tuple(float(k) for k in c.colors),
+                    tuple(True if k == 1 else k for k in c.colors)):
+            same = EdgeColoring(t=c.t, colors=odd)
+            assert validate(P, same) == ()
+            assert analyze(P, same) == analyze(P, c)
+
+    def test_non_integer_color_is_read_by_is_interval(self):
+        # the walk admits 1.5 between 1 and 2; no vertex mask can hold it
+        g = path(4)
+        c = EdgeColoring(t=2, colors=(1, 1.5, 2))
+        assert validate(g, c) == ()
+        expect = {label for label in g.vertices if is_interval(spectrum(g, c, label))}
+        assert set(set_labels(g, analyze(g, c).v_int)) == expect == {"v0", "v3"}
 
     def test_require_valid_raises_with_details(self, P):
         with pytest.raises(InvalidColoringError) as exc:
@@ -249,3 +276,110 @@ class TestCertificates:
         cert = Certificate.from_dict(doc)
         assert cert.source is None
         assert check_certificate(cert).ok
+
+
+@st.composite
+def _colorings(draw):
+    """A graph and a coloring that is valid, clashing, out of range or not
+    surjective: a sampled valid coloring with a few edits and perhaps t one
+    off, or colors drawn at random, with t from -1 to m + 2 and colors from
+    -1 to t + 2."""
+    g = draw(st.sampled_from(ORACLE_CORPUS) | st.just(petersen()))
+    legal = legal_t_range(g)
+    t = draw(st.sampled_from(legal) | st.integers(-1, g.m + 2))
+    color = st.integers(-1, t + 2)
+    if t in legal and draw(st.integers(0, 3)):
+        (c,) = sample(g, t, seed=draw(st.integers(0, 10**6)))
+        colors = list(c.colors)
+        for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+            colors[draw(st.integers(0, g.m - 1))] = draw(color)
+        t += draw(st.sampled_from((0, 0, 0, 1, -1)))
+    else:
+        colors = draw(st.lists(color, min_size=g.m, max_size=g.m))
+    return g, EdgeColoring(t=t, colors=tuple(colors))
+
+
+class TestMaskPass:
+    """``validate`` and ``_report`` decide by vertex masks; these compare
+    them with the definitions in ``oracles``."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(_colorings(), st.integers(-1, 2), st.data())
+    def test_agrees_with_the_definition(self, case, f_offset, data):
+        g, c = case
+        valid = naive_valid(g, c)
+        assert (validate(g, c) == ()) is valid
+        truth = naive_interval_labels(g, c) if valid else set()
+        if valid:
+            assert set(set_labels(g, analyze(g, c).v_int)) == truth
+        claim_f = len(truth) + f_offset if valid else data.draw(st.integers(0, g.n))
+        flips = data.draw(st.sets(st.sampled_from(g.vertices), max_size=2))
+        claims = tuple(sorted((label, (label in truth) != (label in flips))
+                              for label in g.vertices))
+        cert = Certificate(graph=g, t=c.t, colors=c.colors, claim_f=claim_f,
+                           claim_intervals=claims)
+        assert check_certificate(cert).ok is (valid and claim_f == naive_f(g, c)
+                                             and not flips)
+
+
+_DASHED = st.text(alphabet="ab-", max_size=4)
+
+
+@st.composite
+def _dashed_graphs(draw):
+    """A connected graph whose labels may hold '-' or be empty: a path
+    through the labels plus random chords."""
+    labels = draw(st.lists(_DASHED, min_size=2, max_size=6, unique=True))
+    edges = {frozenset(pair) for pair in zip(labels, labels[1:])}
+    pairs = [frozenset((a, b)) for i, a in enumerate(labels) for b in labels[:i]]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    return Graph.from_labels("dashed", labels, [tuple(e) for e in edges])
+
+
+def _resolve(parse, key, g):
+    try:
+        return parse(key, g)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestEdgeKeyMap:
+    """``Graph.edge_keys`` answers an edge key in one lookup; the split walk
+    it stands in for must give the same edge or the same refusal."""
+
+    def _agree(self, g):
+        for a in g.vertices:
+            for b in g.vertices:
+                key = edge_key(a, b)
+                assert (_resolve(_parse_edge_key, key, g)
+                        == _resolve(_walk_edge_key, key, g)), key
+
+    def test_labels_that_spell_two_edges(self):
+        g = Graph.from_labels("dashes", ["a", "a-b", "b-c", "c"],
+                              [("a", "b-c"), ("a-b", "c"), ("a", "c")])
+        self._agree(g)
+        assert g.edge_keys["a-b-c"] == -1
+        with pytest.raises(GraphError, match="more than one edge"):
+            _parse_edge_key("a-b-c", g)
+
+    def test_an_edge_that_spells_itself_both_ways(self):
+        # "1-1-1" is (1, 1-1) and (1-1, 1); the walk refuses it as two edges
+        g = Graph.from_labels("self", ["1", "1-1", "2"],
+                              [("1", "1-1"), ("1-1", "2")])
+        self._agree(g)
+        assert g.edge_keys["1-1-1"] == -1
+
+    def test_empty_label(self):
+        # the walk never splits at the first character, so "-b" is no key
+        g = Graph.from_labels("empty", ["", "b"], [("", "b")])
+        self._agree(g)
+        assert g.edge_keys == {"b-": 0, "-b": -1}
+
+    def test_every_petersen_key_is_one_lookup(self, P):
+        assert len(P.edge_keys) == 2 * P.m
+        assert sorted(set(P.edge_keys.values())) == list(range(P.m))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_dashed_graphs())
+    def test_agrees_with_the_walk(self, g):
+        self._agree(g)

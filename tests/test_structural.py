@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
 
 from mu_spectra import (
     EvidenceKind,
     Graph,
+    Objective,
     GraphError,
     analyze,
     chromatic_index,
@@ -24,7 +26,9 @@ from mu_spectra import (
     path,
     petersen,
     sample,
+    solve,
 )
+from mu_spectra import structural as structural_module
 
 from oracles import naive_mu
 
@@ -198,6 +202,23 @@ class TestBoundCollections:
             assert hi_true <= e.value
         for e in mu1_floors(P, 4):
             assert e.value <= lo_true
+
+    def test_every_t_caps_are_built_once_per_graph(self, P, monkeypatch):
+        # an equal graph under a new name misses every cache P has filled
+        g = Graph.from_labels("petersen-caps", P.vertices, P.edge_labels)
+        deleted = []
+        real = structural_module.delete_vertex
+        monkeypatch.setattr(structural_module, "delete_vertex",
+                            lambda g, label: deleted.append(label) or real(g, label))
+        caps = [mu2_caps(g, t) for t in range(4, 16)]
+        assert len(deleted) == g.n
+        assert all(c[:2] == caps[0] for c in caps)
+        for t in (4, 15):
+            json.dumps(solve(g, t, Objective.MU2).to_dict(g))
+        # the shared evidence comes out as a fresh build, and the public
+        # cap still replays every deletion
+        assert mu2_caps(g, 4) == [mu22_cap_from_noninterval(g), mu22_cap_cubic(g)]
+        assert len(deleted) == 2 * g.n
 
     def test_evidence_serializes(self, P):
         docs = [e.to_dict() for e in mu2_caps(P, 15)] + [
