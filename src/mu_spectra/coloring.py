@@ -12,7 +12,13 @@ every vertex mask has as many bits as the vertex has edges, surjective iff
 the masks together hold exactly bits 1..t, and a vertex is interval iff
 its mask is one run of set bits. The per-edge walk that names each clash,
 out-of-range color and unused color runs only when the mask pass fails,
-to explain the failure.
+to explain the failure; a color not equal to an integer in [1,t] is out
+of range, so every valid coloring has vertex masks.
+
+Certificate edge keys ("a-b", either endpoint order) are resolved by one
+lookup in ``Graph.edge_keys``; a key that spells two different edges is an
+input error, and a certificate that ``to_dict`` writes reads back unless
+two of its edges share a spelling.
 """
 
 from __future__ import annotations
@@ -75,13 +81,14 @@ _BIT = {color: 1 << color for color in range(1, MAX_EDGES + 1)}
 def _vertex_masks(g: Graph, c: EdgeColoring) -> list[int] | None:
     """Per vertex, the OR of ``1 << color`` over its edges.
 
-    None when the mask pass does not apply: t outside [1, m], where no
-    coloring is valid and a shift by t could be unbounded, a wrong number
-    of colors, or a color that is not an integer in [1, MAX_EDGES]. Colors
-    above t are left in the masks, where validity checks for them.
+    None when the mask pass does not apply, each time on a coloring that
+    is not valid: t not an int in [1, m], where a shift by t could be
+    unbounded, a wrong number of colors, or a color that is not an integer
+    in [1, MAX_EDGES]. Colors above t are left in the masks, where validity
+    checks for them.
     """
     t, colors = c.t, c.colors
-    if type(t) is not int or not 1 <= t <= g.m or len(colors) != g.m:
+    if not isinstance(t, int) or not 1 <= t <= g.m or len(colors) != g.m:
         return None
     bits = list(map(_BIT.get, colors))
     if None in bits:
@@ -120,7 +127,7 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
                           f"expected {g.m} edge colors, got {len(c.colors)}"),)
     out: list[Violation] = []
     for ei, col in enumerate(c.colors):
-        if not 1 <= col <= c.t:
+        if not 1 <= col <= c.t or col % 1:  # 1.5 lies in [1, 2] but is no color
             a, b = g.edge_labels[ei]
             out.append(Violation("range", f"({a},{b})",
                                  f"color {col} on edge ({a},{b}) outside [1,{c.t}]"))
@@ -176,18 +183,10 @@ def _report(g: Graph, c: EdgeColoring) -> SpectrumReport:
     """``analyze`` for a coloring already known to be valid.
 
     A vertex is interval iff its mask is one run of set bits: adding the
-    lowest set bit then carries through the whole run and clears it. A valid
-    coloring with a color that is no integer (the walk in ``validate``
-    admits 2.5 where 2 and 3 also occur) is read by ``is_interval`` instead.
+    lowest set bit then carries through the whole run and clears it.
     """
-    masks = _vertex_masks(g, c)
     v_int = 0
-    if masks is None:
-        for vi, edges in enumerate(g.incident):
-            if is_interval([c.colors[ei] for ei in edges]):
-                v_int |= 1 << vi
-        return SpectrumReport(v_int=v_int)
-    for vi, mask in enumerate(masks):
+    for vi, mask in enumerate(_vertex_masks(g, c)):
         if not (mask + (mask & -mask)) & mask:
             v_int |= 1 << vi
     return SpectrumReport(v_int=v_int)
@@ -219,41 +218,13 @@ def _json_object(value, what: str) -> Mapping:
 
 
 def _parse_edge_key(key: str, g: Graph) -> int:
-    """Resolve 'a-b' to an edge index, accepting either endpoint order.
-
-    One lookup in ``Graph.edge_keys`` answers every key that spells one
-    edge in one way; the rest go to ``_walk_edge_key``, which refuses them
-    with the reason.
-    """
-    ei = g.edge_keys.get(key, -1)
-    return ei if ei >= 0 else _walk_edge_key(key, g)
-
-
-def _walk_edge_key(key: str, g: Graph) -> int:
-    """``_parse_edge_key`` by trying every split of the key at a '-'.
-
-    Labels may contain '-', so every split is tried; a key that names two
-    edges (labels a, a-b, b-c, c and key 'a-b-c') is refused.
-    """
-    found = None
-    labels = False
-    pos = key.find("-", 1)
-    while pos != -1:
-        a, b = key[:pos], key[pos + 1:]
-        if a in g.index and b in g.index:
-            labels = True
-            ei = g.edge_index.get(frozenset((a, b)))
-            if ei is not None:
-                if found is not None:
-                    raise GraphError(
-                        f"edge key {key!r} names more than one edge of {g.name}")
-                found = ei
-        pos = key.find("-", pos + 1)
-    if found is not None:
-        return found
-    if labels:
-        raise GraphError(f"{key!r} is not an edge of {g.name}")
-    raise GraphError(f"edge key {key!r} does not name two vertices of {g.name}")
+    """Resolve 'a-b' to an edge index, accepting either endpoint order."""
+    ei = g.edge_keys.get(key)
+    if ei is None:
+        raise GraphError(f"edge key {key!r} is not an edge of {g.name}")
+    if ei < 0:
+        raise GraphError(f"edge key {key!r} names more than one edge of {g.name}")
+    return ei
 
 
 @dataclass(frozen=True)

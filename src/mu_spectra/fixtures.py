@@ -86,16 +86,6 @@ _LAMBDA_STEPS: tuple[tuple[int, int, _Patch], ...] = (
 )
 
 
-def _colors_from(table: _Patch) -> list[int]:
-    g = petersen()
-    colors = [0] * g.m
-    for (a, b), col in table.items():
-        colors[g.edge_index[frozenset((a, b))]] = col
-    if 0 in colors:
-        raise RuntimeError("fixture table misses an edge")
-    return colors
-
-
 def _certificate(name: str, t: int, f: int, colors: list[int]) -> Certificate:
     cert = Certificate(graph=petersen(), t=t, colors=tuple(colors),
                        claim_f=f, source="petersen")
@@ -106,11 +96,15 @@ def _certificate(name: str, t: int, f: int, colors: list[int]) -> Certificate:
     return cert
 
 
-def _apply(colors: list[int], patch: _Patch) -> list[int]:
+def _apply(patch: _Patch, colors=(0,) * 15) -> list[int]:
+    """``colors`` (by default, none) with the patched edges recolored; every
+    edge must end up colored."""
     g = petersen()
     out = list(colors)
     for (a, b), col in patch.items():
         out[g.edge_index[frozenset((a, b))]] = col
+    if 0 in out:
+        raise RuntimeError("fixture table misses an edge")
     return out
 
 
@@ -121,21 +115,21 @@ def fixtures() -> dict[str, Certificate]:
     26 keys; ``psi0`` and ``lambda0`` alias ``psi`` and ``epsilon``.
     """
     cat: dict[str, Certificate] = {}
-    cat["phi"] = _certificate("phi", 15, 0, _colors_from(_PHI))
-    cat["psi"] = _certificate("psi", 15, 6, _colors_from(_PSI))
-    cat["epsilon"] = _certificate("epsilon", 4, 2, _colors_from(_EPSILON))
-    cat["sigma"] = _certificate("sigma", 4, 8, _colors_from(_SIGMA))
+    cat["phi"] = _certificate("phi", 15, 0, _apply(_PHI))
+    cat["psi"] = _certificate("psi", 15, 6, _apply(_PSI))
+    cat["epsilon"] = _certificate("epsilon", 4, 2, _apply(_EPSILON))
+    cat["sigma"] = _certificate("sigma", 4, 8, _apply(_SIGMA))
 
     cat["psi0"] = cat["psi"]
-    cur = _colors_from(_PSI)
+    cur = _apply(_PSI)
     for k, (t, f, patch) in enumerate(_PSI_STEPS, start=1):
-        cur = _apply(cur, patch)
+        cur = _apply(patch, cur)
         cat[f"psi{k}"] = _certificate(f"psi{k}", t, f, cur)
 
     cat["lambda0"] = cat["epsilon"]
-    cur = _colors_from(_EPSILON)
+    cur = _apply(_EPSILON)
     for k, (t, f, patch) in enumerate(_LAMBDA_STEPS, start=1):
-        cur = _apply(cur, patch)
+        cur = _apply(patch, cur)
         cat[f"lambda{k}"] = _certificate(f"lambda{k}", t, f, cur)
 
     if len(cat) != 26:

@@ -115,18 +115,17 @@ class Graph:
     @cached_property
     def edge_keys(self) -> dict[str, int]:
         """Edge key -> edge index, for both spellings ``edge_key(a, b)`` and
-        ``edge_key(b, a)`` of every edge.
+        ``edge_key(b, a)`` of every edge; the one resolver of certificate
+        edge keys.
 
-        A string spelled more than once, as "a-b-c" is by the edges (a, b-c)
-        and (a-b, c), maps to -1, and so does a spelling whose first label
-        is empty: ``coloring``'s split walk never splits a key at its first
-        character. Those keys are left to the walk, which explains them.
+        A string that spells two different edges, as "a-b-c" does for the
+        edges (a, b-c) and (a-b, c), maps to -1. An edge that spells itself
+        both ways, as (1, 1-1) does with "1-1-1", keeps its index.
         """
         keys: dict[str, int] = {}
         for ei, (a, b) in enumerate(self.edge_labels):
-            for first, second in ((a, b), (b, a)):
-                key = edge_key(first, second)
-                keys[key] = ei if first and key not in keys else -1
+            for key in (edge_key(a, b), edge_key(b, a)):
+                keys[key] = ei if keys.get(key, ei) == ei else -1
         return keys
 
     @property

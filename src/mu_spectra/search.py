@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coloring import EdgeColoring, analyze, require_valid, rebind
-from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
-                     set_labels)
+from .graphs import (Graph, GraphError, chromatic_index, edge_key,
+                     is_petersen_labeled, set_labels)
 from .graphs import _carry, _search, _subset_orbit_reps, _subset_orbits
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
@@ -140,7 +140,7 @@ class SearchOutcome:
             "closed_by": self.closed_by,
         }
         if self.witness is not None:
-            doc["witness"] = {f"{a}-{b}": self.witness.colors[i]
+            doc["witness"] = {edge_key(a, b): self.witness.colors[i]
                               for i, (a, b) in enumerate(g.edge_labels)}
             doc["witness_f"] = self.lo if self.objective is Objective.MU2 else self.hi
         if self.evidence:

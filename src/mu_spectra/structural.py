@@ -33,6 +33,7 @@ from .graphs import (
     contains_induced_c6,
     contains_induced_claw,
     delete_vertex,
+    edge_key,
     is_path_forest,
 )
 
@@ -102,13 +103,27 @@ def mu22_cap_from_noninterval(g: Graph) -> BoundEvidence:
     )
 
 
-def _max_path_forest_with_witness(g: Graph) -> tuple[int, tuple[str, ...]]:
+def _require_subset_scan(g: Graph) -> None:
+    """The premises of the t = |E| caps: min degree 2, subsets few to scan."""
     if g.min_degree() < 2:
         raise GraphError(f"{g.name} has a vertex of degree < 2")
     if g.n > _SUBSET_SCAN_LIMIT:
         raise GraphError(
             f"subset scan limited to {_SUBSET_SCAN_LIMIT} vertices, "
             f"{g.name} has {g.n}")
+
+
+def _require_cubic_class_two(g: Graph) -> None:
+    """The premise of the cubic arguments: g cubic with chromatic index 4."""
+    if not g.is_cubic():
+        raise GraphError(f"{g.name} is not cubic")
+    chi = chromatic_index(g)
+    if chi != 4:
+        raise GraphError(f"chromatic index of {g.name} is {chi}, not 4")
+
+
+def _max_path_forest_with_witness(g: Graph) -> tuple[int, tuple[str, ...]]:
+    _require_subset_scan(g)
     for size in range(g.n, 0, -1):
         for combo in itertools.combinations(range(g.n), size):
             mask = 0
@@ -155,12 +170,7 @@ def mu2_top_cap_from_obstructions(g: Graph, size: int) -> BoundEvidence:
     forest, and the path-forest argument of ``mu2_top_cap`` caps f at
     size - 1. Raises GraphError on the first subset with neither.
     """
-    if g.min_degree() < 2:
-        raise GraphError(f"{g.name} has a vertex of degree < 2")
-    if g.n > _SUBSET_SCAN_LIMIT:
-        raise GraphError(
-            f"subset scan limited to {_SUBSET_SCAN_LIMIT} vertices, "
-            f"{g.name} has {g.n}")
+    _require_subset_scan(g)
     subsets = 0
     for k in range(size, g.n + 1):
         for combo in itertools.combinations(range(g.n), k):
@@ -193,23 +203,19 @@ def mu22_cap_cubic(g: Graph) -> BoundEvidence:
     coloring mod 3 at its interval vertices would 3-color a subgraph that
     has no proper 3-coloring.
     """
+    _require_cubic_class_two(g)
     problems = []
-    if not g.is_cubic():
-        problems.append(f"{g.name} is not cubic")
-    elif chromatic_index(g) != 4:
-        problems.append(f"chromatic index of {g.name} is {chromatic_index(g)}, not 4")
     deletions: dict[str, int] = {}
-    if not problems:
-        for label in g.vertices:
-            try:
-                chi = chromatic_index(delete_vertex(g, label))
-            except GraphError as exc:
-                problems.append(f"cannot check deletion of {label}: {exc}")
-                continue
-            deletions[label] = chi
-            if chi != 4:
-                problems.append(
-                    f"deleting {label} leaves chromatic index {chi}, not 4")
+    for label in g.vertices:
+        try:
+            chi = chromatic_index(delete_vertex(g, label))
+        except GraphError as exc:
+            problems.append(f"cannot check deletion of {label}: {exc}")
+            continue
+        deletions[label] = chi
+        if chi != 4:
+            problems.append(
+                f"deleting {label} leaves chromatic index {chi}, not 4")
     if problems:
         raise GraphError("; ".join(problems))
     return BoundEvidence(
@@ -230,24 +236,16 @@ def mu1_floor_from_matchings(g: Graph) -> BoundEvidence:
     perfect matchings, and distinct color classes are edge-disjoint. That
     contradicts pairwise intersection, hence f >= 2 at t = 4.
     """
-    problems = []
-    if not g.is_cubic():
-        problems.append(f"{g.name} is not cubic")
-    elif chromatic_index(g) != 4:
-        problems.append(f"chromatic index of {g.name} is {chromatic_index(g)}, not 4")
-    matchings = all_perfect_matchings(g) if not problems else ()
+    _require_cubic_class_two(g)
+    matchings = all_perfect_matchings(g)
     pairs = 0
-    if not problems:
-        for m1, m2 in itertools.combinations(matchings, 2):
-            pairs += 1
-            if not m1 & m2:
-                e1 = min(m1 - m2)
-                problems.append(
-                    f"disjoint perfect matchings exist (one contains edge "
-                    f"{g.edge_labels[e1]})")
-                break
-    if problems:
-        raise GraphError("; ".join(problems))
+    for m1, m2 in itertools.combinations(matchings, 2):
+        pairs += 1
+        if not m1 & m2:
+            e1 = min(m1 - m2)
+            raise GraphError(
+                f"disjoint perfect matchings exist (one contains edge "
+                f"{g.edge_labels[e1]})")
     return BoundEvidence(
         kind=EvidenceKind.MATCHING_INTERSECTION,
         value=2,
@@ -257,8 +255,7 @@ def mu1_floor_from_matchings(g: Graph) -> BoundEvidence:
                 f"{len(matchings)} perfect matchings intersect"),
         payload={
             "perfect_matchings": [
-                sorted(f"{a}-{b}" for a, b in
-                       (g.edge_labels[ei] for ei in m))
+                sorted(edge_key(*g.edge_labels[ei]) for ei in m)
                 for m in matchings
             ],
             "pairs_checked": pairs,
@@ -273,23 +270,22 @@ def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
     Callers share the evidence objects, so nothing may change a payload.
     """
     out = []
-    if g.is_regular():
+    for cap in (mu22_cap_from_noninterval, mu22_cap_cubic):
         try:
-            out.append(mu22_cap_from_noninterval(g))
-        except GraphError:
+            out.append(cap(g))
+        except GraphError:  # its premise fails on g
             pass
-    try:
-        out.append(mu22_cap_cubic(g))
-    except GraphError:
-        pass
     return tuple(out)
 
 
 def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
     """All structural caps on f applicable to colorings with exactly t colors."""
     out = list(_every_t_caps(g))
-    if t == g.m and g.min_degree() >= 2 and g.n <= _SUBSET_SCAN_LIMIT:
-        out.append(mu2_top_cap(g))
+    if t == g.m:
+        try:
+            out.append(mu2_top_cap(g))
+        except GraphError:
+            pass
     return out
 
 

@@ -51,6 +51,14 @@ def naive_f(g: Graph, c: EdgeColoring) -> int:
     return len(naive_interval_labels(g, c))
 
 
+def naive_edge_key(g: Graph, key: str) -> set[int]:
+    """Indices of the edges that ``key`` spells as "a-b" in either order,
+    by cutting the key at each of its dashes."""
+    pairs = {frozenset((key[:i], key[i + 1:]))
+             for i, ch in enumerate(key) if ch == "-"}
+    return {ei for ei, pair in enumerate(g.edge_labels) if frozenset(pair) in pairs}
+
+
 @lru_cache(maxsize=None)
 def naive_interval_sets(g: Graph, t: int) -> frozenset[frozenset[str]]:
     """The interval-vertex label sets of all valid t-colorings of g, by

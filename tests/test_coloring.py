@@ -23,11 +23,12 @@ from mu_spectra import (
     validate,
 )
 from mu_spectra import coloring as coloring_module
-from mu_spectra.coloring import _parse_edge_key, _walk_edge_key
+from mu_spectra.coloring import _parse_edge_key
 from mu_spectra.graphs import Graph, edge_key
 from mu_spectra.search import legal_t_range
 
-from oracles import ORACLE_CORPUS, naive_f, naive_interval_labels, naive_valid
+from oracles import (ORACLE_CORPUS, naive_edge_key, naive_f, naive_interval_labels,
+                     naive_valid)
 
 
 class TestIntervalPredicate:
@@ -102,13 +103,19 @@ class TestValidate:
             assert validate(P, same) == ()
             assert analyze(P, same) == analyze(P, c)
 
-    def test_non_integer_color_is_read_by_is_interval(self):
-        # the walk admits 1.5 between 1 and 2; no vertex mask can hold it
+    def test_non_integer_color_is_a_range_violation(self):
+        # 1.5 lies between 1 and 2, but the colors of a 2-coloring are 1 and 2
         g = path(4)
         c = EdgeColoring(t=2, colors=(1, 1.5, 2))
-        assert validate(g, c) == ()
-        expect = {label for label in g.vertices if is_interval(spectrum(g, c, label))}
-        assert set(set_labels(g, analyze(g, c).v_int)) == expect == {"v0", "v3"}
+        assert [(v.kind, v.message) for v in validate(g, c)] == [
+            ("range", "color 1.5 on edge (v1,v2) outside [1,2]")]
+        assert not naive_valid(g, c)
+
+    def test_t_equal_to_an_int_reads_as_that_int(self):
+        g = path(2)
+        c = EdgeColoring(t=True, colors=(1,))
+        assert validate(g, c) == () and naive_valid(g, c)
+        assert analyze(g, c).f == naive_f(g, c) == 2
 
     def test_require_valid_raises_with_details(self, P):
         with pytest.raises(InvalidColoringError) as exc:
@@ -249,7 +256,7 @@ class TestCertificates:
         (lambda d: d.pop("colors"), "missing"),
         (lambda d: d["colors"].pop("x1-x2"), "misses edges"),
         (lambda d: d["colors"].update({"x1-x3": 1}), "not an edge"),
-        (lambda d: d["colors"].update({"bogus": 1}), "does not name"),
+        (lambda d: d["colors"].update({"bogus": 1}), "'bogus' is not an edge"),
     ])
     def test_malformed_documents_rejected(self, catalog, mutate, match):
         doc = catalog["psi"].to_dict()
@@ -336,23 +343,29 @@ def _dashed_graphs(draw):
     return Graph.from_labels("dashed", labels, [tuple(e) for e in edges])
 
 
-def _resolve(parse, key, g):
+def _resolve(key, g):
     try:
-        return parse(key, g)
+        return _parse_edge_key(key, g)
     except GraphError as exc:
         return str(exc)
 
 
 class TestEdgeKeyMap:
-    """``Graph.edge_keys`` answers an edge key in one lookup; the split walk
-    it stands in for must give the same edge or the same refusal."""
+    """``Graph.edge_keys`` resolves an edge key in one lookup; it must give
+    the one edge that ``naive_edge_key`` finds, and refuse a key that
+    spells no edge or two."""
 
     def _agree(self, g):
-        for a in g.vertices:
-            for b in g.vertices:
-                key = edge_key(a, b)
-                assert (_resolve(_parse_edge_key, key, g)
-                        == _resolve(_walk_edge_key, key, g)), key
+        keys = {edge_key(a, b) for a in g.vertices for b in g.vertices}
+        for key in keys | {"-", "bogus", "a--b"}:
+            named = naive_edge_key(g, key)
+            got = _resolve(key, g)
+            if len(named) == 1:
+                assert got == next(iter(named)), key
+            elif named:
+                assert got == f"edge key {key!r} names more than one edge of {g.name}"
+            else:
+                assert got == f"edge key {key!r} is not an edge of {g.name}"
 
     def test_labels_that_spell_two_edges(self):
         g = Graph.from_labels("dashes", ["a", "a-b", "b-c", "c"],
@@ -363,17 +376,16 @@ class TestEdgeKeyMap:
             _parse_edge_key("a-b-c", g)
 
     def test_an_edge_that_spells_itself_both_ways(self):
-        # "1-1-1" is (1, 1-1) and (1-1, 1); the walk refuses it as two edges
+        # "1-1-1" is (1, 1-1) and (1-1, 1): one edge, so it resolves
         g = Graph.from_labels("self", ["1", "1-1", "2"],
                               [("1", "1-1"), ("1-1", "2")])
         self._agree(g)
-        assert g.edge_keys["1-1-1"] == -1
+        assert g.edge_keys["1-1-1"] == _parse_edge_key("1-1-1", g) == 0
 
     def test_empty_label(self):
-        # the walk never splits at the first character, so "-b" is no key
         g = Graph.from_labels("empty", ["", "b"], [("", "b")])
         self._agree(g)
-        assert g.edge_keys == {"b-": 0, "-b": -1}
+        assert g.edge_keys == {"b-": 0, "-b": 0}
 
     def test_every_petersen_key_is_one_lookup(self, P):
         assert len(P.edge_keys) == 2 * P.m
@@ -381,5 +393,16 @@ class TestEdgeKeyMap:
 
     @settings(deadline=None, max_examples=300)
     @given(_dashed_graphs())
-    def test_agrees_with_the_walk(self, g):
+    def test_agrees_with_the_definition(self, g):
         self._agree(g)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_dashed_graphs())
+    def test_certificates_read_back(self, g):
+        cert = Certificate(graph=g, t=g.m, colors=tuple(range(1, g.m + 1)))
+        doc = cert.to_dict()
+        if all(len(naive_edge_key(g, key)) == 1 for key in doc["colors"]):
+            assert Certificate.from_dict(doc).colors == cert.colors
+        else:
+            with pytest.raises(GraphError, match="more than one edge"):
+                Certificate.from_dict(doc)
