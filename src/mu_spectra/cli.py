@@ -119,13 +119,12 @@ def cmd_verify(args) -> int:
 
 def _witness_certificate(g: Graph, outcome, graph_arg: str) -> dict | None:
     """The witness as a certificate; ``search.solve`` has already checked
-    that it is valid and attains ``lo`` (mu2) or ``hi`` (mu1)."""
+    that it is valid and attains ``outcome.witness_f``."""
     if outcome.witness is None:
         return None
-    f = outcome.lo if outcome.objective is Objective.MU2 else outcome.hi
     source = None if graph_arg.startswith("@") else graph_arg
     cert = Certificate(graph=g, t=outcome.t, colors=outcome.witness.colors,
-                       claim_f=f, source=source)
+                       claim_f=outcome.witness_f, source=source)
     return cert.to_dict()
 
 

@@ -6,14 +6,15 @@ spectrum of a vertex is the set of colors on its incident edges, and the
 quantity of interest everywhere is f = the number of vertices whose spectrum
 is an interval of consecutive integers.
 
-Checking is a pass over bitmasks: edge i contributes ``1 << colors[i]``,
-and each vertex ORs in the bits of its edges. The coloring is proper iff
-every vertex mask has as many bits as the vertex has edges, surjective iff
-the masks together hold exactly bits 1..t, and a vertex is interval iff
-its mask is one run of set bits. The per-edge walk that names each clash,
-out-of-range color and unused color runs only when the mask pass fails,
-to explain the failure; a color not equal to an integer in [1,t] is out
-of range, so every valid coloring has vertex masks.
+Checking is one pass over bitmasks (``_interval_set``): edge i contributes
+``1 << colors[i]``, and each vertex ORs in the bits of its edges. The
+coloring is proper iff every vertex mask has as many bits as the vertex
+has edges, surjective iff the masks together hold exactly bits 1..t, and
+a vertex is interval iff its mask is one run of set bits, so the same pass
+that decides validity yields the interval vertices. The per-edge walk that
+names each clash, out-of-range color and unused color runs only when the
+pass fails, to explain the failure; a color not equal to an integer in
+[1,t] is out of range, so every valid coloring passes.
 
 Certificate edge keys ("a-b", either endpoint order) are resolved by one
 lookup in ``Graph.edge_keys``; a key that spells two different edges is an
@@ -78,14 +79,18 @@ def spectrum(g: Graph, c: EdgeColoring, label: str) -> frozenset[int]:
 _BIT = {color: 1 << color for color in range(1, MAX_EDGES + 1)}
 
 
-def _vertex_masks(g: Graph, c: EdgeColoring) -> list[int] | None:
-    """Per vertex, the OR of ``1 << color`` over its edges.
+def _interval_set(g: Graph, c: EdgeColoring) -> int | None:
+    """The interval vertices of a valid coloring as a vertex mask, else None.
 
-    None when the mask pass does not apply, each time on a coloring that
-    is not valid: t not an int in [1, m], where a shift by t could be
-    unbounded, a wrong number of colors, or a color that is not an integer
-    in [1, MAX_EDGES]. Colors above t are left in the masks, where validity
-    checks for them.
+    One pass over bitmasks decides validity and reads the spectra: None on
+    a t that is not an int in [1, m], where a shift by t could be
+    unbounded, on a wrong number of colors, on a color that is not an
+    integer in [1, MAX_EDGES], at the first vertex whose mask has fewer
+    bits than it has edges (a clash), and when the masks together do not
+    hold exactly bits 1..t (a color above t, or one unused). A vertex is
+    interval iff its mask is one run of set bits: adding the lowest set
+    bit then carries through the whole run and clears it. None exactly
+    when ``validate``'s walk reports a violation.
     """
     t, colors = c.t, c.colors
     if not isinstance(t, int) or not 1 <= t <= g.m or len(colors) != g.m:
@@ -93,13 +98,17 @@ def _vertex_masks(g: Graph, c: EdgeColoring) -> list[int] | None:
     bits = list(map(_BIT.get, colors))
     if None in bits:
         return None
-    masks = []
-    for edges in g.incident:
+    full = v_int = 0
+    for vi, (edges, degree) in enumerate(zip(g.incident, g.degrees)):
         mask = 0
         for ei in edges:
             mask |= bits[ei]
-        masks.append(mask)
-    return masks
+        if mask.bit_count() != degree:
+            return None
+        full |= mask
+        if not (mask + (mask & -mask)) & mask:
+            v_int |= 1 << vi
+    return v_int if full == ((1 << t) - 1) << 1 else None
 
 
 def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
@@ -108,20 +117,15 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
     Empty result means the coloring is a member of alpha(g, t). The mask
     pass decides; only a coloring it does not pass is walked edge by edge,
     which reports every violation rather than the first, so hand-edited
-    certificates get full diagnostics. With t > m not all t colors fit on
-    the m edges, which is one surjectivity violation rather than one per
-    missing color. Never raises.
+    certificates get full diagnostics. A t that is not an int and a wrong
+    number of colors are each one shape violation, and with t > m not all
+    t colors fit on the m edges, which is one surjectivity violation rather
+    than one per missing color. Never raises.
     """
-    masks = _vertex_masks(g, c)
-    if masks is not None:
-        full = 0
-        for mask, degree in zip(masks, g.degrees):
-            if mask.bit_count() != degree:
-                break
-            full |= mask
-        else:
-            if full == ((1 << c.t) - 1) << 1:
-                return ()
+    if _interval_set(g, c) is not None:
+        return ()
+    if not isinstance(c.t, int):
+        return (Violation("shape", "t", f"t must be an integer, got {c.t!r}"),)
     if len(c.colors) != g.m:
         return (Violation("shape", g.name,
                           f"expected {g.m} edge colors, got {len(c.colors)}"),)
@@ -175,20 +179,9 @@ class SpectrumReport:
 
 def analyze(g: Graph, c: EdgeColoring) -> SpectrumReport:
     """Interval vertices and f for a valid coloring; raises on an invalid one."""
-    require_valid(g, c)
-    return _report(g, c)
-
-
-def _report(g: Graph, c: EdgeColoring) -> SpectrumReport:
-    """``analyze`` for a coloring already known to be valid.
-
-    A vertex is interval iff its mask is one run of set bits: adding the
-    lowest set bit then carries through the whole run and clears it.
-    """
-    v_int = 0
-    for vi, mask in enumerate(_vertex_masks(g, c)):
-        if not (mask + (mask & -mask)) & mask:
-            v_int |= 1 << vi
+    v_int = _interval_set(g, c)
+    if v_int is None:
+        raise InvalidColoringError(validate(g, c))
     return SpectrumReport(v_int=v_int)
 
 
@@ -326,10 +319,10 @@ class CertificateCheck:
 def check_certificate(cert: Certificate) -> CertificateCheck:
     """Validate the coloring and recompute everything the certificate claims."""
     c = cert.coloring()
-    violations = validate(cert.graph, c)
-    if violations:
-        return CertificateCheck(violations=violations, f=None)
-    report = _report(cert.graph, c)
+    v_int = _interval_set(cert.graph, c)
+    if v_int is None:
+        return CertificateCheck(violations=validate(cert.graph, c), f=None)
+    report = SpectrumReport(v_int=v_int)
     mismatches: list[str] = []
     if cert.claim_f is not None and report.f != cert.claim_f:
         mismatches.append(f"claimed f={cert.claim_f}, recomputed f={report.f}")

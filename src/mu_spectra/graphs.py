@@ -384,7 +384,7 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 #: gives up; Petersen needs 116 and complete:11 needs 486.
 _AUTOMORPHISM_BUDGET = 1_000_000
 
-#: Largest C(n,k) for which ``_subset_orbit_reps`` walks the k-subsets.
+#: Largest C(n,k) for which ``_subset_orbits`` walks the k-subsets.
 _SUBSET_ORBIT_BUDGET = 10_000
 
 
@@ -469,33 +469,24 @@ def _image(img: Sequence[int], mask: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subset_orbit_reps(g: Graph, k: int) -> tuple[int, ...] | None:
-    """One k-subset mask per orbit under the maps of ``_edge_automorphisms``.
+def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
+    """Every k-subset mask mapped to its orbit's representative under the
+    maps of ``_edge_automorphisms``, or None.
 
-    The representatives of ``_subset_orbits(g, k)``, in the order its walk
-    met them, so each is the lexicographically least index set of its
-    orbit. The maps may generate only a subgroup of Aut(g), whose orbits
-    can be finer: more representatives, each still one per orbit of that
-    subgroup, so every k-subset is an automorphic image of one of them.
-    None when g has no maps or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
-    """
-    if (_edge_automorphisms(g) is None
-            or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET):
-        return None
-    return tuple(r for s, r in _subset_orbits(g, k).items() if s == r)
-
-
-@lru_cache(maxsize=None)
-def _subset_orbits(g: Graph, k: int) -> dict[int, int]:
-    """Every k-subset mask mapped to its orbit's representative.
-
-    Only for a k where ``_subset_orbit_reps`` is not None. A walk from each
-    subset not yet reached applies every map to every subset it reaches,
-    which closes its orbit; the group is never listed. Subsets are tried
-    in ``itertools.combinations`` order, and each walk starts at its
-    representative, so the map lists the representatives in that order.
+    A walk from each subset not yet reached applies every map to every
+    subset it reaches, which closes its orbit; the group is never listed.
+    Subsets are tried in ``itertools.combinations`` order, and each walk
+    starts at its representative, so the representatives, the masks that
+    map to themselves, come in that order, each the lexicographically
+    least index set of its orbit. The maps may generate only a subgroup of
+    Aut(g), whose orbits can be finer: more representatives, each still
+    one per orbit of that subgroup, so every k-subset is an automorphic
+    image of one of them. None when g has no maps or C(n,k) exceeds
+    ``_SUBSET_ORBIT_BUDGET``.
     """
     maps = _edge_automorphisms(g)
+    if maps is None or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
+        return None
     rep_of: dict[int, int] = {}
     for combo in itertools.combinations(range(g.n), k):
         rep = sum(1 << i for i in combo)

@@ -45,7 +45,7 @@ from enum import Enum
 from .coloring import EdgeColoring, analyze, require_valid, rebind
 from .graphs import (Graph, GraphError, chromatic_index, edge_key,
                      is_petersen_labeled, set_labels)
-from .graphs import _carry, _search, _subset_orbit_reps, _subset_orbits
+from .graphs import _carry, _search, _subset_orbits
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
 
@@ -96,13 +96,33 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class SearchOutcome:
+class _Bounds:
+    """``lo <= value <= hi``; exact, with that value, when they meet."""
+
+    lo: int
+    hi: int
+
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus.EXACT if self.lo == self.hi else SolveStatus.BOUNDS_ONLY
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+    @property
+    def value(self) -> int | None:
+        return self.lo if self.is_exact else None
+
+
+@dataclass(frozen=True)
+class SearchOutcome(_Bounds):
     """Result of one solve: exact value or certified bounds.
 
-    ``lo <= mu <= hi`` always; status exact means lo == hi. For mu1 the
-    witness (always present when exact) attains hi, for mu2 it attains lo;
-    either way a witness is a valid coloring whose f equals the bound it
-    certifies.
+    ``lo <= mu <= hi`` always, and ``status`` is read off them: exact
+    means lo == hi. For mu1 the witness (always present when exact)
+    attains hi, for mu2 it attains lo (``witness_f``); either way a
+    witness is a valid coloring whose f equals the bound it certifies.
     ``closed_by`` records how the run ended: bounds-closed (no search
     needed), bound-met (a witness reached the bound the search started
     from), exhausted (every better value was refuted: the kernel emptied
@@ -112,21 +132,15 @@ class SearchOutcome:
 
     objective: Objective
     t: int
-    status: SolveStatus
-    lo: int
-    hi: int
     witness: EdgeColoring | None
     nodes_visited: int
     closed_by: str
     evidence: tuple[BoundEvidence, ...] = ()
 
     @property
-    def is_exact(self) -> bool:
-        return self.status is SolveStatus.EXACT
-
-    @property
-    def value(self) -> int | None:
-        return self.lo if self.is_exact else None
+    def witness_f(self) -> int:
+        """The f a witness attains: the bound it certifies."""
+        return self.lo if self.objective is Objective.MU2 else self.hi
 
     def to_dict(self, g: Graph) -> dict:
         doc: dict = {
@@ -142,7 +156,7 @@ class SearchOutcome:
         if self.witness is not None:
             doc["witness"] = {edge_key(a, b): self.witness.colors[i]
                               for i, (a, b) in enumerate(g.edge_labels)}
-            doc["witness_f"] = self.lo if self.objective is Objective.MU2 else self.hi
+            doc["witness_f"] = self.witness_f
         if self.evidence:
             doc["evidence"] = [e.to_dict() for e in self.evidence]
         return doc
@@ -161,7 +175,8 @@ def _require_legal_t(g: Graph, t: int) -> None:
 
 
 def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, EdgeColoring, int]]:
-    """Catalog colorings applicable to this graph at this t, with their f."""
+    """Catalog colorings applicable to this graph at this t, with their f:
+    the claim the catalog checked when it was built, which ``rebind`` keeps."""
     if not is_petersen_labeled(g):
         return []
     from .fixtures import fixtures
@@ -170,8 +185,7 @@ def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, EdgeColoring, int]]:
     for name, cert in fixtures().items():
         if cert.t != t or name in ("psi0", "lambda0"):
             continue
-        c = rebind(cert, g)
-        out.append((name, c, analyze(g, c).f))
+        out.append((name, rebind(cert, g), cert.claim_f))
     return out
 
 
@@ -185,11 +199,12 @@ def solve(g: Graph, t: int, objective: Objective,
     case the outcome carries the tightest (lo, hi) established.
 
     mu2 on a graph with edge automorphisms, with symmetry on and the
-    k-sets at hi few enough to walk, is split instead (``_descend``): k
-    runs from hi down, each "f >= k" decided on one k-set per orbit, each
-    refuted k a new hi with its evidence. The first witness closes the
-    cell, with ``closed_by`` bound-met if it reaches the entering hi and
-    exhausted if a higher k was refuted first. The budget counts every
+    k-sets at hi few enough to walk (``_subset_orbits(g, hi)`` is not
+    None), is split instead (``_descend``): k runs from hi down, each
+    "f >= k" decided on one k-set per orbit, each refuted k a new hi with
+    its evidence. The first witness closes the cell, with ``closed_by``
+    bound-met if it reaches the entering hi and exhausted if a higher k
+    was refuted first. The budget counts every
     kernel run of the solve; a budget or time stop leaves the refuted hi
     and the incumbent witness.
     """
@@ -236,7 +251,7 @@ def solve(g: Graph, t: int, objective: Objective,
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
         if (maximize and cfg.use_reflection_symmetry
-                and _subset_orbit_reps(g, hi) is not None):
+                and _subset_orbits(g, hi) is not None):
             lo, hi, witness, nodes, closed_by = _descend(
                 g, t, best, witness, hi, cfg.node_limit, deadline, evidence)
         else:
@@ -252,9 +267,8 @@ def solve(g: Graph, t: int, objective: Objective,
                 lo = max(best, 0)
             else:
                 hi = min(best, n)
-    status = SolveStatus.EXACT if lo == hi else SolveStatus.BOUNDS_ONLY
     return _checked(g, SearchOutcome(
-        objective=objective, t=t, status=status, lo=lo, hi=hi,
+        objective=objective, t=t, lo=lo, hi=hi,
         witness=witness, nodes_visited=nodes, closed_by=closed_by,
         evidence=tuple(evidence)))
 
@@ -266,13 +280,15 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
 
     f >= k holds exactly when some k-set S is interval under some valid
     coloring, and an automorphism s turns a coloring with interval set T
-    into one with interval set s(T), so one S per orbit of k-sets
-    (``_subset_orbit_reps``) decides it: a kernel run with ``req=S`` and
-    ``best=k-1, cap=k``. The first coloring found has f = k, since hi is a
-    cap, and closes the cell; when every representative fails, hi drops
-    to k-1 and an interval-set-orbits record lists them with their
-    nodes. Without an incumbent, a first-solution run supplies one.
-    Where C(n,k) is too large to walk, the plain kernel decides the rest.
+    into one with interval set s(T), so one S per orbit of k-sets decides
+    it: the representatives are the masks that ``_subset_orbits(g, k)``
+    maps to themselves, in the table's order, and each runs the kernel
+    with ``req=S`` and ``best=k-1, cap=k``. The first coloring found has
+    f = k, since hi is a cap, and closes the cell; when every
+    representative fails, hi drops to k-1 and an interval-set-orbits
+    record lists them with their nodes. Without an incumbent, a
+    first-solution run supplies one. Where C(n,k) is too large to walk
+    (the table is None), the plain kernel decides the rest.
 
     Each exhausted run leaves a core, a subset of its S that no valid
     coloring makes interval (see ``graphs._search``). A representative
@@ -299,8 +315,8 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
             return 0, hi, witness, nodes, tag
         witness = found(colors)
     for k in range(hi, best, -1):
-        reps = _subset_orbit_reps(g, k)
-        if reps is None:
+        orbit_of = _subset_orbits(g, k)
+        if orbit_of is None:
             f, colors, used, tag, _ = _search(g, t, True, best, 0, k,
                                               node_limit=node_limit - nodes,
                                               deadline=deadline)
@@ -310,7 +326,7 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
             if tag == "budget":
                 return best, k, witness, nodes, tag
             return best, best, witness, nodes, closed(best)
-        orbit_of = _subset_orbits(g, k)
+        reps = [s for s, r in orbit_of.items() if s == r]
         dead: dict[int, tuple[int, tuple[int, int, int]]] = {}
 
         def learn(learned: tuple[int, int, int]) -> None:
@@ -374,15 +390,14 @@ def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
             f"has no witness")
     if w is not None:
         f = analyze(g, w).f
-        expect = outcome.lo if outcome.objective is Objective.MU2 else outcome.hi
-        if f != expect:
+        if f != outcome.witness_f:
             raise RuntimeError(
-                f"witness f={f} does not match reported bound {expect}")
+                f"witness f={f} does not match reported bound {outcome.witness_f}")
     return outcome
 
 
 @dataclass(frozen=True)
-class AggregateBound:
+class AggregateBound(_Bounds):
     """Interval for an aggregate extremal value.
 
     Aggregating min over rows [lo_i, hi_i] gives [min lo_i, min hi_i];
@@ -390,32 +405,14 @@ class AggregateBound:
     which can happen even when individual rows stay open.
     """
 
-    lo: int
-    hi: int
-
-    @property
-    def status(self) -> SolveStatus:
-        return SolveStatus.EXACT if self.lo == self.hi else SolveStatus.BOUNDS_ONLY
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> int | None:
-        return self.lo if self.is_exact else None
-
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "status": self.status.value,
                 "value": self.value}
 
 
-def _agg_min(rows: list[SearchOutcome]) -> AggregateBound:
-    return AggregateBound(lo=min(r.lo for r in rows), hi=min(r.hi for r in rows))
-
-
-def _agg_max(rows: list[SearchOutcome]) -> AggregateBound:
-    return AggregateBound(lo=max(r.lo for r in rows), hi=max(r.hi for r in rows))
+def _aggregate(rows: list[SearchOutcome], pick) -> AggregateBound:
+    """``pick`` (min or max) taken over the rows' lo and over their hi."""
+    return AggregateBound(lo=pick(r.lo for r in rows), hi=pick(r.hi for r in rows))
 
 
 @dataclass(frozen=True)
@@ -439,10 +436,10 @@ class MuProfile:
     def __post_init__(self):
         mu1s = [r.mu1 for r in self.rows]
         mu2s = [r.mu2 for r in self.rows]
-        object.__setattr__(self, "mu11", _agg_min(mu1s))
-        object.__setattr__(self, "mu12", _agg_max(mu1s))
-        object.__setattr__(self, "mu21", _agg_min(mu2s))
-        object.__setattr__(self, "mu22", _agg_max(mu2s))
+        object.__setattr__(self, "mu11", _aggregate(mu1s, min))
+        object.__setattr__(self, "mu12", _aggregate(mu1s, max))
+        object.__setattr__(self, "mu21", _aggregate(mu2s, min))
+        object.__setattr__(self, "mu22", _aggregate(mu2s, max))
 
     def row(self, t: int) -> ProfileRow:
         for r in self.rows:

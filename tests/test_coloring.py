@@ -20,6 +20,7 @@ from mu_spectra import (
     sample,
     set_labels,
     spectrum,
+    Violation,
     validate,
 )
 from mu_spectra import coloring as coloring_module
@@ -116,6 +117,17 @@ class TestValidate:
         c = EdgeColoring(t=True, colors=(1,))
         assert validate(g, c) == () and naive_valid(g, c)
         assert analyze(g, c).f == naive_f(g, c) == 2
+
+    @pytest.mark.parametrize("t", [2.0, 2.5, "2", None])
+    def test_t_that_is_not_an_int_is_a_shape_violation(self, t):
+        g = path(3)
+        c = EdgeColoring(t=t, colors=(1, 2))
+        assert validate(g, c) == (
+            Violation("shape", "t", f"t must be an integer, got {t!r}"),)
+        with pytest.raises(InvalidColoringError, match="t must be an integer"):
+            analyze(g, c)
+        result = check_certificate(Certificate(graph=g, t=t, colors=c.colors))
+        assert not result.ok and result.violations == validate(g, c)
 
     def test_require_valid_raises_with_details(self, P):
         with pytest.raises(InvalidColoringError) as exc:
@@ -235,13 +247,16 @@ class TestCertificates:
         assert not result.ok
         assert result.mismatches == ("claimed interval[x2]=True, recomputed False",)
 
-    def test_check_validates_once(self, catalog, monkeypatch):
-        calls = []
-        real = coloring_module.validate
-        monkeypatch.setattr(coloring_module, "validate",
-                            lambda g, c: calls.append(c) or real(g, c))
+    def test_check_validates_once(self, P, catalog, monkeypatch):
+        # one mask pass decides validity and reads the interval vertices
+        passes = []
+        real = coloring_module._interval_set
+        monkeypatch.setattr(coloring_module, "_interval_set",
+                            lambda g, c: passes.append(c) or real(g, c))
         assert check_certificate(catalog["psi"]).ok
-        assert len(calls) == 1
+        assert len(passes) == 1
+        assert analyze(P, catalog["psi"].coloring()).f == 6
+        assert len(passes) == 2
 
     def test_wrong_f_claim_is_a_mismatch_not_an_error(self, P, catalog):
         cert = Certificate(graph=P, t=15, colors=catalog["psi"].colors,
@@ -307,8 +322,9 @@ def _colorings(draw):
 
 
 class TestMaskPass:
-    """``validate`` and ``_report`` decide by vertex masks; these compare
-    them with the definitions in ``oracles``."""
+    """``validate``, ``analyze`` and ``check_certificate`` read one pass
+    over vertex masks; these compare them with the definitions in
+    ``oracles`` and with each other."""
 
     @settings(deadline=None, max_examples=400)
     @given(_colorings(), st.integers(-1, 2), st.data())
@@ -327,6 +343,20 @@ class TestMaskPass:
                            claim_intervals=claims)
         assert check_certificate(cert).ok is (valid and claim_f == naive_f(g, c)
                                              and not flips)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_colorings())
+    def test_readers_agree_with_validate(self, case):
+        g, c = case
+        violations = validate(g, c)
+        try:
+            analyze(g, c)
+        except InvalidColoringError as exc:
+            assert violations and exc.violations == violations
+        else:
+            assert not violations
+        cert = Certificate(graph=g, t=c.t, colors=c.colors)
+        assert check_certificate(cert).violations == violations
 
 
 _DASHED = st.text(alphabet="ab-", max_size=4)

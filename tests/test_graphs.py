@@ -35,7 +35,7 @@ from mu_spectra.graphs import (
     _edge_automorphisms,
     _most_constrained_order,
     _search,
-    _subset_orbit_reps,
+    _subset_orbits,
 )
 
 from oracles import (
@@ -367,16 +367,23 @@ class TestEdgeTransitivity:
         assert _edge_automorphisms.__wrapped__(P) is None
 
 
+def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
+    """The masks an orbit table of ``_subset_orbits`` maps to themselves,
+    in table order: the k-sets ``search._descend`` runs."""
+    return tuple(s for s, r in orbits.items() if s == r)
+
+
 class TestSubsetOrbits:
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_representatives_against_the_full_group(self, g):
         maps = _edge_automorphisms(g)
         autos = naive_automorphisms(g)
         for k in range(1, g.n + 1):
-            reps = _subset_orbit_reps(g, k)
+            orbits = _subset_orbits(g, k)
             if maps is None:
-                assert reps is None
+                assert orbits is None
                 continue
+            reps = representatives(orbits)
             covered = set()
             for rep in reps:
                 # the rep's orbit under the maps, walked independently
@@ -397,13 +404,15 @@ class TestSubsetOrbits:
         # as under the full group of order 120: Petersen is distance-
         # transitive of diameter 2, so 8-sets (complements of vertex
         # pairs) fall into 2 orbits and 9-sets into 1
-        assert [len(_subset_orbit_reps(P, k)) for k in (7, 8, 9)] == [4, 2, 1]
-        assert _subset_orbit_reps(P, 9) == (full_set(P) ^ 1 << 9,)
+        assert [len(representatives(_subset_orbits(P, k)))
+                for k in (7, 8, 9)] == [4, 2, 1]
+        assert representatives(_subset_orbits(P, 9)) == (full_set(P) ^ 1 << 9,)
 
     def test_over_budget_is_none(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)
-        assert _subset_orbit_reps.__wrapped__(P, 5) is None  # C(10,5) = 252
-        assert len(_subset_orbit_reps.__wrapped__(P, 8)) == 2  # C(10,8) = 45
+        assert _subset_orbits.__wrapped__(P, 5) is None  # C(10,5) = 252
+        orbits = _subset_orbits.__wrapped__(P, 8)  # C(10,8) = 45
+        assert len(representatives(orbits)) == 2
 
 
 class TestDeleteVertex:

@@ -27,12 +27,12 @@ from mu_spectra import (
     solve,
     vertex_set,
 )
-from mu_spectra.graphs import (_most_constrained_order, _search,
-                               _subset_orbit_reps)
+from mu_spectra.graphs import _most_constrained_order, _search, _subset_orbits
 from mu_spectra.search import PROFILE_NODE_LIMIT
 
 from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
                      naive_interval_sets, naive_mu, naive_valid)
+from test_graphs import representatives
 from test_theorems import FAMILIES
 
 search_module = importlib.import_module("mu_spectra.search")
@@ -200,22 +200,22 @@ class TestPetersenSeededRuns:
             solve(P, 4, Objective.MU2)
 
     def test_exact_outcome_without_a_witness_is_refused(self, P):
-        out = SearchOutcome(objective=Objective.MU2, t=4,
-                            status=SolveStatus.EXACT, lo=8, hi=8, witness=None,
-                            nodes_visited=0, closed_by="bounds-closed")
+        out = SearchOutcome(objective=Objective.MU2, t=4, lo=8, hi=8,
+                            witness=None, nodes_visited=0,
+                            closed_by="bounds-closed")
         with pytest.raises(RuntimeError, match="no witness"):
             search_module._checked(P, out)
 
     def test_split_leaves_oversized_k_to_the_plain_kernel(self, P, monkeypatch):
         # with room for 10 k-sets, k = 10 and 9 are split and refuted, and
         # the plain kernel decides f >= 8 over the 45 8-sets
-        reps = graphs_module._subset_orbit_reps
+        orbits = graphs_module._subset_orbits
         monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 10)
-        reps.cache_clear()
+        orbits.cache_clear()
         try:
             out = solve(P, 4, Objective.MU2, BARE)
         finally:
-            reps.cache_clear()
+            orbits.cache_clear()
         assert (out.value, out.closed_by) == (8, "exhausted")
         assert [e.payload["k"] for e in out.evidence] == [10, 9]
         assert analyze(P, out.witness).f == 8
@@ -238,6 +238,14 @@ class TestPetersenSeededRuns:
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert out.witness is not None
         assert analyze(P, out.witness).f == out.lo
+
+    def test_budget_witness_attains_the_upper_bound(self):
+        # a mu1 witness certifies hi, and a budget stop leaves lo below it
+        g = complete(6)
+        out = solve(g, 9, Objective.MU1, SearchConfig(node_limit=20))
+        assert (out.lo, out.hi, out.closed_by) == (0, 2, "budget")
+        assert analyze(g, out.witness).f == out.witness_f == out.hi
+        assert out.to_dict(g)["witness_f"] == out.hi
 
     def test_minimum_zero_short_circuits(self, P):
         # f >= 0 always, so the first witness with f=0 ends a mu1 search
@@ -312,7 +320,7 @@ class TestConfig:
             for t in legal_t_range(g):
                 sets = naive_interval_sets(g, t)
                 for k in range(1, g.n + 1):
-                    for s in _subset_orbit_reps(g, k) or ():
+                    for s in representatives(_subset_orbits(g, k) or {}):
                         _, _, nodes, tag, core = _search(g, t, True, k - 1, 0,
                                                          k, req=s)
                         if tag != "exhausted":
