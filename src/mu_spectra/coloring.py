@@ -95,7 +95,10 @@ def _interval_set(g: Graph, c: EdgeColoring) -> int | None:
     t, colors = c.t, c.colors
     if not isinstance(t, int) or not 1 <= t <= g.m or len(colors) != g.m:
         return None
-    bits = list(map(_BIT.get, colors))
+    try:
+        bits = list(map(_BIT.get, colors))
+    except TypeError:  # an unhashable color, such as [1]
+        return None
     if None in bits:
         return None
     full = v_int = 0
@@ -120,7 +123,9 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
     certificates get full diagnostics. A t that is not an int and a wrong
     number of colors are each one shape violation, and with t > m not all
     t colors fit on the m edges, which is one surjectivity violation rather
-    than one per missing color. Never raises.
+    than one per missing color. A color that is not a number (a string,
+    None, a list) is one range violation and clashes with no other color.
+    Never raises.
     """
     if _interval_set(g, c) is not None:
         return ()
@@ -130,15 +135,24 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
         return (Violation("shape", g.name,
                           f"expected {g.m} edge colors, got {len(c.colors)}"),)
     out: list[Violation] = []
+    numbers: list = []  # each edge's color, None where it is not a number
     for ei, col in enumerate(c.colors):
-        if not 1 <= col <= c.t or col % 1:  # 1.5 lies in [1, 2] but is no color
+        try:  # the mask pass looks colors up by hash: [1] is no color either
+            hash(col)
+            in_range = 1 <= col <= c.t and not col % 1  # 1.5 is no color
+        except TypeError:  # not a number, such as "a", None or [1]
+            in_range, col = False, None
+        numbers.append(col)
+        if not in_range:
             a, b = g.edge_labels[ei]
-            out.append(Violation("range", f"({a},{b})",
-                                 f"color {col} on edge ({a},{b}) outside [1,{c.t}]"))
+            out.append(Violation("range", f"({a},{b})", f"color {c.colors[ei]} "
+                                 f"on edge ({a},{b}) outside [1,{c.t}]"))
     for vi, label in enumerate(g.vertices):
         seen: dict[int, int] = {}
         for _, ei in g.adjacency[vi]:
-            col = c.colors[ei]
+            col = numbers[ei]
+            if col is None:
+                continue
             if col in seen:
                 a1, b1 = g.edge_labels[seen[col]]
                 a2, b2 = g.edge_labels[ei]
@@ -151,7 +165,7 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
         out.append(Violation("surjectivity", str(c.t),
                              f"{c.t} colors cannot all appear on {g.m} edges"))
     else:
-        for col in sorted(set(range(1, c.t + 1)) - set(c.colors)):
+        for col in sorted(set(range(1, c.t + 1)) - set(numbers)):
             out.append(Violation("surjectivity", str(col), f"color {col} unused"))
     return tuple(out)
 
@@ -210,6 +224,11 @@ def _json_object(value, what: str) -> Mapping:
     return value
 
 
+def _keyed_colors(g: Graph, colors) -> dict[str, int]:
+    """Colors aligned with g's edge indices, keyed by certificate edge key."""
+    return {edge_key(a, b): colors[i] for i, (a, b) in enumerate(g.edge_labels)}
+
+
 def _parse_edge_key(key: str, g: Graph) -> int:
     """Resolve 'a-b' to an edge index, accepting either endpoint order."""
     ei = g.edge_keys.get(key)
@@ -240,12 +259,10 @@ class Certificate:
         return EdgeColoring(t=self.t, colors=self.colors)
 
     def to_dict(self) -> dict:
-        colors = {edge_key(a, b): self.colors[i]
-                  for i, (a, b) in enumerate(self.graph.edge_labels)}
         doc: dict = {
             "graph": self.source if self.source else graph_to_dict(self.graph),
             "t": self.t,
-            "colors": colors,
+            "colors": _keyed_colors(self.graph, self.colors),
         }
         claims: dict = {}
         if self.claim_f is not None:

@@ -16,8 +16,8 @@ catalog materializes every stage and re-verifies it against its claimed
 (t, f) pair, so a transcription slip fails fast at first use. ``psi0`` and
 ``lambda0`` are aliases of ``psi`` and ``epsilon``.
 
-Run ``python -m mu_spectra.fixtures OUTDIR`` to dump the catalog as
-certificate JSON files.
+``dump(OUTDIR)`` writes the catalog as certificate JSON files:
+``python -c "from mu_spectra.fixtures import dump; dump('OUTDIR')"``.
 """
 
 from __future__ import annotations
@@ -147,12 +147,3 @@ def dump(outdir: Path) -> list[Path]:
         path.write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n")
         written.append(path)
     return written
-
-
-if __name__ == "__main__":
-    import sys
-
-    if len(sys.argv) != 2:
-        sys.exit("usage: python -m mu_spectra.fixtures OUTDIR")
-    for p in dump(Path(sys.argv[1])):
-        print(p)

@@ -564,7 +564,7 @@ def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
     return order
 
 
-def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
+def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
             order: Sequence[int] | None = None,
             rng: random.Random | None = None, reflect: bool = True,
             req: int = 0, node_limit: int = 2**63,
@@ -600,8 +600,9 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     prunes maximizing searches that carry an incumbent: a first-solution
     search has ``best=-1``, and minimizing searches read ci alone. ``best``
     leaves as the optimum over the explored space and the entering
-    incumbent; a leaf reaching ``cap`` (maximizing) or ``floor`` ends the
-    search. So ``maximize=True, best=-1, cap=0`` is a first-solution search.
+    incumbent; a leaf reaching ``goal`` (at least it when maximizing, at
+    most it when minimizing) ends the search. So ``maximize=True, best=-1``
+    with goal 0 is a first-solution search.
 
     ``req`` is a vertex mask that must be interval: no child may doom a
     vertex of ``req``. The window mask enforces it before any child is
@@ -615,13 +616,13 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
     does not count those children in ``nodes``. A vertex of ``req`` is
     thus never doomed, every leaf makes all of ``req`` interval, and
     ``req=0`` leaves the search as it was.
-    ``search.solve`` runs it as ``best=k-1, cap=k`` with a k-set ``req``,
+    ``search.solve`` runs it as ``best=k-1`` with goal k and a k-set ``req``,
     which finds a coloring with f >= k that makes ``req`` interval or shows
     there is none.
 
     ``core`` is the set of ``req`` vertices whose window mask removed at
     least one color at some node of the run (0 without ``req``). When such
-    a run, ``req`` = S, ``best=k-1, cap=k``, ends "exhausted", no valid
+    a run, ``req`` = S, ``best=k-1``, goal k, ends "exhausted", no valid
     t-coloring makes the core interval, nor any set that contains the core
     or an automorphic image of it:
 
@@ -751,12 +752,12 @@ def _search(g: Graph, t: int, maximize: bool, best: int, floor: int, cap: int,
                 if maximize:
                     if nci > best:
                         best, witness = nci, colors[:]
-                        if best >= cap:
+                        if best >= goal:
                             aborted = "bound-met"
                             return
                 elif nci < best:
                     best, witness = nci, colors[:]
-                    if best <= floor:
+                    if best <= goal:
                         aborted = "bound-met"
                         return
                 continue
@@ -783,7 +784,7 @@ def chromatic_index(g: Graph) -> int:
     (Vizing).
     """
     d = g.max_degree()
-    if _search(g, d, True, -1, 0, 0)[3] == "bound-met":
+    if _search(g, d, True, -1, 0)[3] == "bound-met":
         return d
     return d + 1
 

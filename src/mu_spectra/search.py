@@ -42,9 +42,10 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coloring import EdgeColoring, analyze, require_valid, rebind
-from .graphs import (Graph, GraphError, chromatic_index, edge_key,
-                     is_petersen_labeled, set_labels)
+from .coloring import (EdgeColoring, _keyed_colors, analyze, rebind,
+                       require_valid)
+from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
+                     set_labels)
 from .graphs import _carry, _search, _subset_orbits
 from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
 
@@ -123,11 +124,10 @@ class SearchOutcome(_Bounds):
     means lo == hi. For mu1 the witness (always present when exact)
     attains hi, for mu2 it attains lo (``witness_f``); either way a
     witness is a valid coloring whose f equals the bound it certifies.
-    ``closed_by`` records how the run ended: bounds-closed (no search
-    needed), bound-met (a witness reached the bound the search started
-    from), exhausted (every better value was refuted: the kernel emptied
-    its space, or the interval-set split refuted the entering hi and
-    went on down), or budget.
+    ``closed_by`` is read off the bounds: bounds-closed when the entering
+    bounds met (no search), budget while lo < hi, bound-met when the
+    value is the entering bound a witness can meet (hi for mu2, lo for
+    mu1), and exhausted when every better value was refuted.
     """
 
     objective: Objective
@@ -154,8 +154,7 @@ class SearchOutcome(_Bounds):
             "closed_by": self.closed_by,
         }
         if self.witness is not None:
-            doc["witness"] = {edge_key(a, b): self.witness.colors[i]
-                              for i, (a, b) in enumerate(g.edge_labels)}
+            doc["witness"] = _keyed_colors(g, self.witness.colors)
             doc["witness_f"] = self.witness_f
         if self.evidence:
             doc["evidence"] = [e.to_dict() for e in self.evidence]
@@ -200,13 +199,14 @@ def solve(g: Graph, t: int, objective: Objective,
 
     mu2 on a graph with edge automorphisms, with symmetry on and the
     k-sets at hi few enough to walk (``_subset_orbits(g, hi)`` is not
-    None), is split instead (``_descend``): k runs from hi down, each
+    None), is split first (``_descend``): k runs from hi down, each
     "f >= k" decided on one k-set per orbit, each refuted k a new hi with
-    its evidence. The first witness closes the cell, with ``closed_by``
-    bound-met if it reaches the entering hi and exhausted if a higher k
-    was refuted first. The budget counts every
-    kernel run of the solve; a budget or time stop leaves the refuted hi
-    and the incumbent witness.
+    its evidence, until a witness closes the cell or the k-sets grow too
+    many to walk. The plain kernel decides what the split leaves, or the
+    whole cell where it does not apply. Every kernel run of the solve goes
+    through ``run``, which spends what is left of the one node budget and
+    makes any coloring it finds the witness; a budget or time stop leaves
+    the refuted hi and the incumbent witness.
     """
     _require_legal_t(g, t)
     maximize = objective is Objective.MU2
@@ -226,69 +226,74 @@ def solve(g: Graph, t: int, objective: Objective,
                     applies_t=t,
                     detail=f"catalog coloring {name} achieves f={f} at t={t}"))
 
-    floor, cap = 0, n
+    # entering bounds: the incumbent on one side; on the other 0 or n,
+    # tightened by the structural floors on mu1 or caps on mu2
+    lo, hi = (max(best, 0), n) if maximize else (0, min(best, n))
     if cfg.use_structural_bounds:
         if maximize:
             for ev in mu2_caps(g, t):
                 evidence.append(ev)
-                cap = min(cap, ev.value)
+                hi = min(hi, ev.value)
         else:
             for ev in mu1_floors(g, t):
                 evidence.append(ev)
-                floor = max(floor, ev.value)
-
-    # entering bounds: mu2 in [max(best,0), cap], mu1 in [floor, min(best,n)]
-    if maximize:
-        lo, hi = max(best, 0), cap
-    else:
-        lo, hi = floor, min(best, n)
+                lo = max(lo, ev.value)
     if lo > hi:  # catalog colorings and structural caps are both sound
         raise RuntimeError(
             f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}")
 
-    nodes, closed_by = 0, "bounds-closed"
-    if lo < hi:
+    bound = hi if maximize else lo  # the entering bound a witness can meet
+    searched, nodes = lo < hi, 0
+    if searched:
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
+
+        def run(best: int, goal: int, req: int = 0):
+            """One kernel run on what is left of the node budget."""
+            nonlocal nodes, witness
+            f, colors, used, tag, core = _search(
+                g, t, maximize, best, goal, reflect=cfg.use_reflection_symmetry,
+                req=req, node_limit=cfg.node_limit - nodes, deadline=deadline)
+            nodes += used
+            if colors is not None:
+                witness = EdgeColoring(t=t, colors=tuple(colors))
+            return f, used, tag, core
+
+        tag = None
         if (maximize and cfg.use_reflection_symmetry
                 and _subset_orbits(g, hi) is not None):
-            lo, hi, witness, nodes, closed_by = _descend(
-                g, t, best, witness, hi, cfg.node_limit, deadline, evidence)
+            best, hi, tag = _descend(g, t, best, hi, run, deadline, evidence)
+        if tag is None:
+            best, _, tag, _ = run(best, hi if maximize else lo)
+        if tag != "budget":  # exhausted or bound-met: best is the optimum
+            lo = hi = best
+        elif maximize:  # a budget stop leaves best short of hi, so lo < hi
+            lo = max(best, 0)
         else:
-            best, wcolors, nodes, closed_by, _ = _search(
-                g, t, maximize, best, floor, cap,
-                reflect=cfg.use_reflection_symmetry,
-                node_limit=cfg.node_limit, deadline=deadline)
-            if wcolors is not None:
-                witness = EdgeColoring(t=t, colors=tuple(wcolors))
-            if closed_by != "budget":  # exhausted or bound-met: best is the optimum
-                lo = hi = best
-            elif maximize:  # a budget stop leaves best short of cap, so lo < hi
-                lo = max(best, 0)
-            else:
-                hi = min(best, n)
+            hi = min(best, n)
+    closed_by = ("bounds-closed" if not searched else "budget" if lo < hi
+                 else "bound-met" if lo == bound else "exhausted")
     return _checked(g, SearchOutcome(
         objective=objective, t=t, lo=lo, hi=hi,
         witness=witness, nodes_visited=nodes, closed_by=closed_by,
         evidence=tuple(evidence)))
 
 
-def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
-             hi: int, node_limit: int, deadline: float | None,
-             evidence: list[BoundEvidence]):
-    """mu2 by deciding "f >= k" one interval-set orbit at a time, k = hi down.
+def _descend(g: Graph, t: int, best: int, hi: int, run,
+             deadline: float | None, evidence: list[BoundEvidence]):
+    """Lower mu2's hi by deciding "f >= k" one interval-set orbit at a time.
 
     f >= k holds exactly when some k-set S is interval under some valid
     coloring, and an automorphism s turns a coloring with interval set T
     into one with interval set s(T), so one S per orbit of k-sets decides
     it: the representatives are the masks that ``_subset_orbits(g, k)``
-    maps to themselves, in the table's order, and each runs the kernel
-    with ``req=S`` and ``best=k-1, cap=k``. The first coloring found has
-    f = k, since hi is a cap, and closes the cell; when every
-    representative fails, hi drops to k-1 and an interval-set-orbits
-    record lists them with their nodes. Without an incumbent, a
-    first-solution run supplies one. Where C(n,k) is too large to walk
-    (the table is None), the plain kernel decides the rest.
+    maps to themselves, in the table's order, and each is one ``run`` with
+    ``req=S``, best k-1 and goal k. The first coloring found has f = k,
+    since hi is a cap, and closes the cell; when every representative
+    fails, hi drops to k-1 and an interval-set-orbits record lists them
+    with their nodes. Without an incumbent, a first-solution run supplies
+    one. The split stops at the first k where C(n,k) is too large to walk
+    (the table is None) and leaves the rest to ``solve``'s plain run.
 
     Each exhausted run leaves a core, a subset of its S that no valid
     coloring makes interval (see ``graphs._search``). A representative
@@ -296,36 +301,19 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
     at this k or above, cannot be interval either: it is skipped at 0
     nodes, and the record names the image of the core it contains and the
     representative and k whose run learned that core.
-    Returns ``(lo, hi, witness, nodes, closed_by)``.
+    Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
+    None when the plain kernel must decide f >= hi, and otherwise the
+    cell is closed at best == hi.
     """
-    top, nodes = hi, 0
     cores: list[tuple[int, int, int]] = []  # (core, its run's S, its k)
-
-    def found(colors) -> EdgeColoring:
-        return EdgeColoring(t=t, colors=tuple(colors))
-
-    def closed(k: int) -> str:
-        return "bound-met" if k == top else "exhausted"
-
     if best < 0:
-        best, colors, nodes, tag, _ = _search(g, t, True, -1, 0, 0,
-                                              node_limit=node_limit,
-                                              deadline=deadline)
+        best, _, tag, _ = run(-1, 0)
         if tag == "budget":
-            return 0, hi, witness, nodes, tag
-        witness = found(colors)
+            return best, hi, tag
     for k in range(hi, best, -1):
         orbit_of = _subset_orbits(g, k)
         if orbit_of is None:
-            f, colors, used, tag, _ = _search(g, t, True, best, 0, k,
-                                              node_limit=node_limit - nodes,
-                                              deadline=deadline)
-            nodes += used
-            if colors is not None:
-                best, witness = f, found(colors)
-            if tag == "budget":
-                return best, k, witness, nodes, tag
-            return best, best, witness, nodes, closed(best)
+            return best, k, None
         reps = [s for s, r in orbit_of.items() if s == r]
         dead: dict[int, tuple[int, tuple[int, int, int]]] = {}
 
@@ -353,15 +341,12 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
                                 "representative": list(set_labels(g, source))}})
                 continue
             if deadline is not None and time.monotonic() > deadline:
-                return best, k, witness, nodes, "budget"
-            _, colors, used, tag, core = _search(
-                g, t, True, k - 1, 0, k, req=req,
-                node_limit=node_limit - nodes, deadline=deadline)
-            nodes += used
+                return best, k, "budget"
+            _, used, tag, core = run(k - 1, k, req)
             if tag == "budget":
-                return best, k, witness, nodes, tag
-            if colors is not None:
-                return k, k, found(colors), nodes, closed(k)
+                return best, k, tag
+            if tag == "bound-met":  # a witness with f = k
+                return k, k, tag
             spent.append(used)
             why.append({"core": list(set_labels(g, core))})
             cores.append((core, req, k))
@@ -377,7 +362,7 @@ def _descend(g: Graph, t: int, best: int, witness: EdgeColoring | None,
                      "representatives": [list(set_labels(g, s)) for s in reps],
                      "nodes": spent,
                      "cores": why}))
-    return best, best, witness, nodes, closed(best)
+    return best, best, "exhausted"
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
@@ -496,12 +481,12 @@ def sample(g: Graph, t: int, seed: int = 0, count: int = 1) -> list[EdgeColoring
         for _attempt in range(32):
             order = list(range(g.m))
             rng.shuffle(order)
-            colors = _search(g, t, True, -1, 0, 0, order=order, rng=rng,
+            colors = _search(g, t, True, -1, 0, order=order, rng=rng,
                              reflect=False, node_limit=100_000)[1]
             if colors is not None:
                 break
         if colors is None:
-            colors = _search(g, t, True, -1, 0, 0)[1]
+            colors = _search(g, t, True, -1, 0)[1]
         c = EdgeColoring(t=t, colors=tuple(colors))
         require_valid(g, c)
         out.append(c)

@@ -105,12 +105,18 @@ class TestValidate:
             assert analyze(P, same) == analyze(P, c)
 
     def test_non_integer_color_is_a_range_violation(self):
-        # 1.5 lies between 1 and 2, but the colors of a 2-coloring are 1 and 2
+        # 1.5 lies between 1 and 2, but the colors of a 2-coloring are 1 and
+        # 2; a string, None or an unhashable list is no color either
         g = path(4)
-        c = EdgeColoring(t=2, colors=(1, 1.5, 2))
-        assert [(v.kind, v.message) for v in validate(g, c)] == [
-            ("range", "color 1.5 on edge (v1,v2) outside [1,2]")]
-        assert not naive_valid(g, c)
+        assert not naive_valid(g, EdgeColoring(t=2, colors=(1, 1.5, 2)))
+        for color in (1.5, "a", None, [1]):
+            c = EdgeColoring(t=2, colors=(1, color, 2))
+            assert [(v.kind, v.message) for v in validate(g, c)] == [
+                ("range", f"color {color} on edge (v1,v2) outside [1,2]")]
+            with pytest.raises(InvalidColoringError, match="outside"):
+                analyze(g, c)
+            result = check_certificate(Certificate(graph=g, t=2, colors=c.colors))
+            assert not result.ok and result.violations == validate(g, c)
 
     def test_t_equal_to_an_int_reads_as_that_int(self):
         g = path(2)

@@ -89,31 +89,22 @@ def test_fixtures_is_cached(catalog):
     assert fixtures() is catalog
 
 
-def run_fixtures_module(*args):
-    """``python -m mu_spectra.fixtures ARGS`` against this checkout's package."""
+def test_documented_dump_command_round_trips(tmp_path, catalog):
+    # the README's one-liner, against this checkout's package: it writes
+    # every entry and prints nothing, no RuntimeWarning included
     env = dict(os.environ)
     src = str(Path(mu_spectra.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "mu_spectra.fixtures", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
-def test_module_dump_round_trips(tmp_path, catalog):
-    proc = run_fixtures_module(str(tmp_path))
-    assert proc.returncode == 0
-    paths = proc.stdout.splitlines()
-    assert sorted(Path(p).stem for p in paths) == sorted(EXPECTED)
+    code = f"from mu_spectra.fixtures import dump; dump({str(tmp_path)!r})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    paths = sorted(tmp_path.glob("*.json"))
+    assert sorted(p.stem for p in paths) == sorted(EXPECTED)
     for p in paths:
-        doc = json.loads(Path(p).read_text())
-        cert = catalog[Path(p).stem]
-        back = Certificate.from_dict(doc)
+        cert = catalog[p.stem]
+        back = Certificate.from_dict(json.loads(p.read_text()))
         assert (back.t, back.colors, back.claim_f) == (cert.t, cert.colors, cert.claim_f)
-
-
-def test_module_without_outdir_prints_usage():
-    proc = run_fixtures_module()
-    assert proc.returncode != 0
-    assert "usage: python -m mu_spectra.fixtures OUTDIR" in proc.stderr
 
 
 def test_dump_writes_one_verified_file_per_entry(tmp_path, catalog):

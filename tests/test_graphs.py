@@ -287,7 +287,7 @@ class TestSearchKernel:
             order = list(range(g.m))
             rng.shuffle(order)
             for kwargs in ({}, {"order": order, "rng": rng, "reflect": False}):
-                best, colors, _, tag, _ = _search(g, t, True, -1, 0, 0, **kwargs)
+                best, colors, _, tag, _ = _search(g, t, True, -1, 0, **kwargs)
                 assert tag == "bound-met"
                 c = EdgeColoring(t=t, colors=tuple(colors))
                 assert naive_valid(g, c), (t, kwargs, colors)

@@ -31,7 +31,8 @@ from mu_spectra.graphs import _most_constrained_order, _search, _subset_orbits
 from mu_spectra.search import PROFILE_NODE_LIMIT
 
 from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
-                     naive_interval_sets, naive_mu, naive_valid)
+                     naive_interval_sets, naive_mu, naive_valid,
+                     random_connected_graph)
 from test_graphs import representatives
 from test_theorems import FAMILIES
 
@@ -64,13 +65,13 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
             assert len(labels) == k
             s, core = vertex_set(g, labels), vertex_set(g, why["core"])
             assert core and not core & ~s
-            _, colors, nodes, tag, got = _search(g, out.t, True, k - 1, 0, k,
+            _, colors, nodes, tag, got = _search(g, out.t, True, k - 1, k,
                                                  req=s)
             assert (colors, tag) == (None, "exhausted")
             source = why.get("learned_from")
             if source is None:
                 assert (nodes, got) == (spent, core)
-                again = _search(g, out.t, True, k - 1, 0, k, req=core,
+                again = _search(g, out.t, True, k - 1, k, req=core,
                                 order=_most_constrained_order(g, s))
                 assert again[1:4] == (None, spent, "exhausted")
                 learned[k, frozenset(labels)] = core.bit_count()
@@ -220,6 +221,23 @@ class TestPetersenSeededRuns:
         assert [e.payload["k"] for e in out.evidence] == [10, 9]
         assert analyze(P, out.witness).f == 8
 
+    def test_budget_stops_the_plain_run_after_the_split(self, P, monkeypatch):
+        # as above, but the budget runs out in the plain kernel's run on
+        # f >= 8: the refuted hi stays and the incumbent is its witness
+        orbits = graphs_module._subset_orbits
+        monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 10)
+        orbits.cache_clear()
+        try:
+            out = solve(P, 4, Objective.MU2, SearchConfig(
+                node_limit=992, seed_fixtures=False,
+                use_structural_bounds=False))
+        finally:
+            orbits.cache_clear()
+        assert (out.lo, out.hi, out.closed_by, out.nodes_visited) == (
+            6, 8, "budget", 992)
+        assert [e.payload["k"] for e in out.evidence] == [10, 9]
+        assert analyze(P, out.witness).f == 6
+
     def test_middle_t_budget_run_reports_bounds(self, P):
         cfg = SearchConfig(node_limit=50, seed_fixtures=False)
         out = solve(P, 12, Objective.MU2, cfg)
@@ -299,7 +317,7 @@ class TestConfig:
                 sets = naive_interval_sets(g, t)
                 for s in range(1, 1 << g.n):
                     k = s.bit_count()
-                    colors = _search(g, t, True, k - 1, 0, k, req=s)[1]
+                    colors = _search(g, t, True, k - 1, k, req=s)[1]
                     want = set(set_labels(g, s))
                     if colors is None:
                         ok = not any(want <= found for found in sets)
@@ -321,13 +339,13 @@ class TestConfig:
                 sets = naive_interval_sets(g, t)
                 for k in range(1, g.n + 1):
                     for s in representatives(_subset_orbits(g, k) or {}):
-                        _, _, nodes, tag, core = _search(g, t, True, k - 1, 0,
-                                                         k, req=s)
+                        _, _, nodes, tag, core = _search(g, t, True, k - 1, k,
+                                                         req=s)
                         if tag != "exhausted":
                             continue
                         runs += 1
                         want = set(set_labels(g, core))
-                        again = _search(g, t, True, k - 1, 0, k, req=core,
+                        again = _search(g, t, True, k - 1, k, req=core,
                                         order=_most_constrained_order(g, s))
                         if (not core or core & ~s
                                 or any(want <= found for found in sets)
@@ -346,7 +364,8 @@ class TestConfig:
             for t in legal_t_range(g):
                 for maximize in (False, True):
                     best = -1 if maximize else g.n + 1
-                    got = [_search(g, t, maximize, best, 0, g.n, order=order)[0]
+                    got = [_search(g, t, maximize, best, g.n if maximize else 0,
+                                   order=order)[0]
                            for order in (None, range(g.m), shuffled)]
                     want = naive_mu(g, t)[maximize]
                     if got != [want] * 3:
@@ -469,6 +488,29 @@ class TestProfile:
         # and 3,694 at t=14
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in petersen_profile.rows) == 98_815
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(node_limit=PROFILE_NODE_LIMIT),
+        SearchConfig(node_limit=1_000),
+        SearchConfig(node_limit=50, seed_fixtures=False,
+                     use_structural_bounds=False),
+        SearchConfig(node_limit=500, use_reflection_symmetry=False),
+    ], ids=["default", "1000-nodes", "bare-50-nodes", "no-symmetry-500-nodes"])
+    def test_closed_by_is_read_off_the_bounds(self, cfg):
+        # budget exactly while the cell is open, bounds-closed exactly when
+        # no node was spent
+        graphs = ([petersen(), complete(5), complete(6), cycle(6)]
+                  + [random_connected_graph(seed) for seed in range(30)])
+        wrong = []
+        for g in graphs:
+            for row in profile(g, cfg).rows:
+                for out in (row.mu1, row.mu2):
+                    if ((out.closed_by == "budget") != (out.lo < out.hi)
+                            or (out.closed_by == "bounds-closed")
+                            != (out.nodes_visited == 0)):
+                        wrong.append(f"{g.name} t={row.t} "
+                                     f"{out.objective.value}: {out.closed_by}")
+        assert wrong == []
 
     def test_refuted_rows_replay(self, petersen_profile):
         prof = petersen_profile
