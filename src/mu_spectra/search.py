@@ -23,8 +23,13 @@ mask), so those runs neither make nor count a child that would doom one.
 A refuted run also returns its core, the vertices of the set whose window
 ever cut a color; no valid coloring makes the core interval, so a later
 set of the solve, at any k, whose orbit holds a superset of a learned core
-is skipped without a run. Each refuted k is recorded as
-interval-set-orbits evidence, which names each set's core and, for a
+is skipped without a run. Before its run, a set S whose complement is
+independent is refuted at 0 nodes by the span rule when t exceeds
+``structural.span_cap(g, S)``: every edge then has an endpoint in S, and
+colors climb by at most deg - 1 across each interval vertex of a path in
+S from the edge colored 1 to the edge colored t. Each refuted k is
+recorded as interval-set-orbits evidence, which names each set's core
+(a span-refuted set is its own core, with its ``span_cap``) and, for a
 skipped set, the run that learned it.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
@@ -47,7 +52,8 @@ from .coloring import (EdgeColoring, _keyed_colors, analyze, rebind,
 from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
                      set_labels)
 from .graphs import _carry, _search, _subset_orbits
-from .structural import BoundEvidence, EvidenceKind, mu1_floors, mu2_caps
+from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
+                         span_cap)
 
 
 #: Node budget ``profile`` gives each (t, objective) cell by default.
@@ -80,7 +86,9 @@ class SearchConfig:
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every
     entering bound rests on a witness or on an argument that can be
-    replayed.
+    replayed. ``use_structural_bounds`` also gates the span rule of the
+    interval-set split, a structural argument too; with it off, the
+    split's sets are decided by search alone.
     """
 
     node_limit: int = 10**8
@@ -262,7 +270,8 @@ def solve(g: Graph, t: int, objective: Objective,
         tag = None
         if (maximize and cfg.use_reflection_symmetry
                 and _subset_orbits(g, hi) is not None):
-            best, hi, tag = _descend(g, t, best, hi, run, deadline, evidence)
+            best, hi, tag = _descend(g, t, best, hi, run, deadline, evidence,
+                                     cfg.use_structural_bounds)
         if tag is None:
             best, _, tag, _ = run(best, hi if maximize else lo)
         if tag != "budget":  # exhausted or bound-met: best is the optimum
@@ -280,7 +289,8 @@ def solve(g: Graph, t: int, objective: Objective,
 
 
 def _descend(g: Graph, t: int, best: int, hi: int, run,
-             deadline: float | None, evidence: list[BoundEvidence]):
+             deadline: float | None, evidence: list[BoundEvidence],
+             spans: bool):
     """Lower mu2's hi by deciding "f >= k" one interval-set orbit at a time.
 
     f >= k holds exactly when some k-set S is interval under some valid
@@ -301,6 +311,15 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     at this k or above, cannot be interval either: it is skipped at 0
     nodes, and the record names the image of the core it contains and the
     representative and k whose run learned that core.
+
+    With ``spans`` (the solve's ``use_structural_bounds``), a
+    representative S that is not skipped is first checked by the span
+    rule, before any clock read: when t > ``span_cap(g, S)``, finite only
+    if S's complement is independent, no valid t-coloring makes S
+    interval (an endpoint in S of the edge colored 1 and one of the edge
+    colored t are joined by a path in S, and each vertex on it lets the
+    colors climb by at most its degree minus 1). S is refuted at 0 nodes,
+    recorded with ``{"core": S, "span_cap": cap}`` and learned whole.
     Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
     None when the plain kernel must decide f >= hi, and otherwise the
     cell is closed at best == hi.
@@ -340,15 +359,19 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
                                 "k": at,
                                 "representative": list(set_labels(g, source))}})
                 continue
-            if deadline is not None and time.monotonic() > deadline:
-                return best, k, "budget"
-            _, used, tag, core = run(k - 1, k, req)
-            if tag == "budget":
-                return best, k, tag
-            if tag == "bound-met":  # a witness with f = k
-                return k, k, tag
+            if spans and t > (cap := span_cap(g, req)):
+                used, core, note = 0, req, {"span_cap": cap}
+            else:
+                if deadline is not None and time.monotonic() > deadline:
+                    return best, k, "budget"
+                _, used, tag, core = run(k - 1, k, req)
+                if tag == "budget":
+                    return best, k, tag
+                if tag == "bound-met":  # a witness with f = k
+                    return k, k, tag
+                note = {}
             spent.append(used)
-            why.append({"core": list(set_labels(g, core))})
+            why.append({"core": list(set_labels(g, core)), **note})
             cores.append((core, req, k))
             learn(cores[-1])
         evidence.append(BoundEvidence(

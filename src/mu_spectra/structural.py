@@ -15,12 +15,17 @@ The arguments mechanized here:
   would reduce mod 3 to a proper 3-edge-coloring of a deleted subgraph;
 * on a cubic graph with chromatic index 4 whose perfect matchings pairwise
   intersect, f <= 1 at t = 4 would force color classes 1 and 4 to be
-  disjoint perfect matchings, so f >= 2.
+  disjoint perfect matchings, so f >= 2;
+* colors climb by at most deg - 1 across an interval vertex, so a vertex
+  set S whose complement is independent is interval under no valid
+  t-coloring once t exceeds ``span_cap(g, S)`` (after Asratian & Kamalian,
+  JCTB 62, 1994); with S = V, f <= |V|-1 there.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -34,6 +39,7 @@ from .graphs import (
     contains_induced_claw,
     delete_vertex,
     edge_key,
+    full_set,
     is_path_forest,
 )
 
@@ -48,6 +54,7 @@ class EvidenceKind(Enum):
     MATCHING_INTERSECTION = "matching-intersection"
     CERTIFICATE_LOWER_BOUND = "certificate-lower-bound"
     INTERVAL_SET_ORBITS = "interval-set-orbits"
+    SPAN_CAP = "span-cap"
 
 
 @dataclass(frozen=True)
@@ -264,6 +271,66 @@ def mu1_floor_from_matchings(g: Graph) -> BoundEvidence:
 
 
 @lru_cache(maxsize=None)
+def span_cap(g: Graph, s: int) -> float:
+    """A bound on t for a valid t-coloring that makes every vertex of the
+    mask ``s`` interval, or inf when no bound follows.
+
+    Let the complement of s be independent, so every edge has an endpoint
+    in s. Take a valid t-coloring that makes s interval, an endpoint x0 in
+    s of the edge colored 1 and one, xd, of the edge colored t, and a path
+    x0..xd inside G[s]. The colors at x0 lie in [1, deg(x0)], and an
+    interval vertex holding color c holds nothing above c + deg - 1, so
+    the colors at x_i stay <= 1 + sum over j <= i of (deg(x_j) - 1); at xd
+    that is t. The cap is 1 plus the largest, over pairs of edges, of the
+    least such path cost between their endpoints in s: inf when an edge
+    has no endpoint in s or G[s] joins no endpoints of some pair.
+    Cached: it does not depend on t.
+    """
+    nb, climb, inside = g.neighbors, [d - 1 for d in g.degrees], range(g.n)
+    members = [i for i in inside if s >> i & 1]
+    # cost[a][b]: the least sum of deg - 1 over a path a..b in G[s], ends
+    # included (Floyd-Warshall, each vertex counted once where paths meet)
+    cost = [[math.inf if not (s >> a & 1 and s >> b & 1)
+             else climb[a] if a == b
+             else climb[a] + climb[b] if nb[a] >> b & 1 else math.inf
+             for b in inside] for a in inside]
+    for c in members:
+        through = cost[c]
+        for a in members:
+            via = cost[a][c] - climb[c]
+            if via < math.inf:
+                cost[a] = [x if x <= via + y else via + y
+                           for x, y in zip(cost[a], through)]
+    # a vertex outside s lies on no path: its row and column are inf, and
+    # so is the row of an edge with no endpoint in s
+    near = [list(map(min, cost[u], cost[v])) for u, v in g.edges]
+    return 1 + max(min(row[u], row[v]) for row in near for u, v in g.edges)
+
+
+def mu2_span_cap(g: Graph, t: int) -> BoundEvidence:
+    """Cap f <= |V|-1 at a t above ``span_cap`` of the whole vertex set.
+
+    Every vertex interval would bound t by ``span_cap(g, V)``, so a valid
+    coloring with more colors leaves some vertex non-interval. Valid only
+    at that t; raises GraphError when t is within the cap.
+    """
+    cap = span_cap(g, full_set(g))
+    if t <= cap:
+        raise GraphError(
+            f"t={t} is within the span cap {cap} of {g.name}; no cap follows")
+    return BoundEvidence(
+        kind=EvidenceKind.SPAN_CAP,
+        value=g.n - 1,
+        applies_t=t,
+        detail=(f"colors climb by at most deg-1 along a path of interval "
+                f"vertices, so no valid coloring of {g.name} with all "
+                f"{g.n} vertices interval uses more than {cap} colors; "
+                f"f <= {g.n - 1} at t={t}"),
+        payload={"cap": cap},
+    )
+
+
+@lru_cache(maxsize=None)
 def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
     """The caps of ``mu2_caps`` that hold at every t, built once per graph.
 
@@ -281,6 +348,10 @@ def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
 def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
     """All structural caps on f applicable to colorings with exactly t colors."""
     out = list(_every_t_caps(g))
+    try:
+        out.append(mu2_span_cap(g, t))
+    except GraphError:
+        pass
     if t == g.m:
         try:
             out.append(mu2_top_cap(g))

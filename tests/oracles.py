@@ -16,10 +16,14 @@ from mu_spectra import EdgeColoring, Graph, complete, cycle, path
 
 
 def naive_valid(g: Graph, c: EdgeColoring) -> bool:
-    """Definition check: proper at every vertex, every color in [1,t] used."""
+    """Definition check: proper at every vertex, every color in [1,t] used.
+
+    A color that is not a number is no color; 2.0 and True read as 2 and 1.
+    """
     if len(c.colors) != g.m:
         return False
-    if any(not 1 <= col <= c.t for col in c.colors):
+    if any(not isinstance(col, (int, float)) or not 1 <= col <= c.t
+           for col in c.colors):
         return False
     incident: dict[str, list[int]] = {label: [] for label in g.vertices}
     for (a, b), col in zip(g.edge_labels, c.colors):

@@ -108,15 +108,21 @@ class TestValidate:
         # 1.5 lies between 1 and 2, but the colors of a 2-coloring are 1 and
         # 2; a string, None or an unhashable list is no color either
         g = path(4)
-        assert not naive_valid(g, EdgeColoring(t=2, colors=(1, 1.5, 2)))
         for color in (1.5, "a", None, [1]):
             c = EdgeColoring(t=2, colors=(1, color, 2))
+            assert not naive_valid(g, c)
             assert [(v.kind, v.message) for v in validate(g, c)] == [
                 ("range", f"color {color} on edge (v1,v2) outside [1,2]")]
             with pytest.raises(InvalidColoringError, match="outside"):
                 analyze(g, c)
             result = check_certificate(Certificate(graph=g, t=2, colors=c.colors))
             assert not result.ok and result.violations == validate(g, c)
+
+    def test_number_equal_to_an_int_is_that_color(self):
+        g = path(3)
+        c = EdgeColoring(t=2, colors=(True, 2.0))
+        assert validate(g, c) == () and naive_valid(g, c)
+        assert analyze(g, c).f == 3
 
     def test_t_equal_to_an_int_reads_as_that_int(self):
         g = path(2)

@@ -25,6 +25,7 @@ from mu_spectra import (
     sample,
     set_labels,
     solve,
+    span_cap,
     vertex_set,
 )
 from mu_spectra.graphs import _most_constrained_order, _search, _subset_orbits
@@ -48,10 +49,13 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     Every listed representative's default-order req search must find no
     witness. One that ran must spend the recorded nodes and return the
     recorded core, and that core, searched in the representative's edge
-    order, must exhaust in the same nodes. One that was skipped must have
-    spent 0 nodes and contain the core it names, whose size is that of
-    the core learned by the representative and k it names, listed earlier
-    in the outcome. Returns (k, representatives) per record.
+    order, must exhaust in the same nodes. One refuted by the span rule
+    must have spent 0 nodes, name itself as its core, have an independent
+    complement, and have a ``span_cap`` that recomputes to the recorded
+    value, below t. One that was skipped must have spent 0 nodes and
+    contain the core it names, whose size is that of the core learned by
+    the representative and k it names, listed earlier in the outcome.
+    Returns (k, representatives) per record.
     """
     replayed, learned = [], {}
     for e in out.evidence:
@@ -69,7 +73,12 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                                                  req=s)
             assert (colors, tag) == (None, "exhausted")
             source = why.get("learned_from")
-            if source is None:
+            if "span_cap" in why:
+                assert (spent, core) == (0, s)
+                assert all(s >> u & 1 or s >> v & 1 for u, v in g.edges)
+                assert span_cap(g, core) == why["span_cap"] < out.t
+                learned[k, frozenset(labels)] = core.bit_count()
+            elif source is None:
                 assert (nodes, got) == (spent, core)
                 again = _search(g, out.t, True, k - 1, k, req=core,
                                 order=_most_constrained_order(g, s))
@@ -484,10 +493,13 @@ class TestProfile:
 
     def test_node_total_is_pinned(self, petersen_profile):
         # mu2 only: 26 + 171 + 1,494 + 4,630 at t=5..8, 6,547 at t=9,
-        # 19,454 at t=10, 27,745 at t=11, 23,884 at t=12, 11,170 at t=13
-        # and 3,694 at t=14
+        # 12,274 at t=10, 33,237 at t=11, 11,375 at t=12, 5,022 at t=13
+        # and 1,918 at t=14. The span rule refutes the first 8-set (span
+        # cap 9) from t=10 and the third 7-set (cap 11) from t=12 at 0
+        # nodes; at t=11 the second 8-set, no longer skipped on the first
+        # one's 7-vertex core, costs a run of its own
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 98_815
+                   for r in petersen_profile.rows) == 76_694
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 
@@ -13,12 +14,15 @@ from mu_spectra import (
     complete,
     cycle,
     fixtures,
+    full_set,
     is_interval_colorable_regular,
     is_path_forest,
+    legal_t_range,
     max_path_forest_subset,
     mu1_floor_from_matchings,
     mu1_floors,
     mu2_caps,
+    mu2_span_cap,
     mu2_top_cap,
     mu2_top_cap_from_obstructions,
     mu22_cap_cubic,
@@ -26,11 +30,14 @@ from mu_spectra import (
     path,
     petersen,
     sample,
+    set_labels,
     solve,
+    span_cap,
+    vertex_set,
 )
 from mu_spectra import structural as structural_module
 
-from oracles import naive_mu
+from oracles import ORACLE_CORPUS, naive_interval_sets, naive_mu
 
 
 def bridge_cubic() -> Graph:
@@ -175,6 +182,76 @@ class TestMatchingFloor:
     def test_non_cubic_rejected(self):
         with pytest.raises(GraphError, match="not cubic"):
             mu1_floor_from_matchings(cycle(6))
+
+
+def covers_edges(g: Graph, s: int) -> bool:
+    """Whether every edge has an endpoint in s: its complement is independent."""
+    return all(s >> u & 1 or s >> v & 1 for u, v in g.edges)
+
+
+class TestSpanCap:
+    def test_petersen_pins(self, P):
+        # diameter 2, degree 3: a path of 3 vertices climbs by 2 at each
+        assert span_cap(P, full_set(P)) == 7
+        assert span_cap(P, vertex_set(
+            P, ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"])) == 9
+        # the complement {y3, y5} holds the edge y3-y5
+        assert span_cap(P, vertex_set(
+            P, ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y4"])) == math.inf
+
+    def test_unjoined_edges_give_no_cap(self):
+        # {v0, v2} of a 3-vertex path covers both edges but joins neither
+        g = path(3)
+        assert covers_edges(g, 0b101)
+        assert span_cap(g, 0b101) == math.inf
+
+    def test_refutations_agree_with_enumeration(self):
+        # wherever the rule refutes a set, no enumerated valid coloring
+        # makes that set interval; the counts pin the cap's strength too
+        checks, refuted, wrong = 0, 0, []
+        for g in ORACLE_CORPUS:
+            assert g.m <= 7
+            for t in legal_t_range(g):
+                for s in range(1, 1 << g.n):
+                    cap = span_cap(g, s)
+                    if not covers_edges(g, s):
+                        assert cap == math.inf
+                        continue
+                    if cap == math.inf:  # G[s] leaves two edges unjoined
+                        continue
+                    checks += 1
+                    if cap < t:
+                        refuted += 1
+                        want = set(set_labels(g, s))
+                        if any(want <= found
+                               for found in naive_interval_sets(g, t)):
+                            wrong.append(f"{g.name} t={t} S={sorted(want)}")
+        assert (checks, refuted, wrong) == (621, 50, [])
+
+    def test_whole_graph_cap_applies_above_the_span(self, P):
+        ev = mu2_span_cap(P, 8)
+        assert ev.kind is EvidenceKind.SPAN_CAP
+        assert (ev.value, ev.applies_t, ev.payload) == (9, 8, {"cap": 7})
+        with pytest.raises(GraphError, match="within the span cap 7"):
+            mu2_span_cap(P, 7)
+        spans = [t for t in range(4, 16) if any(
+            e.kind is EvidenceKind.SPAN_CAP for e in mu2_caps(P, t))]
+        assert spans == list(range(8, 16))
+
+    def test_whole_graph_caps_replay(self):
+        # every span-cap entry recomputes its cap, lies above it and
+        # respects the enumerated maximum
+        entries = 0
+        for g in ORACLE_CORPUS:
+            for t in legal_t_range(g):
+                for e in mu2_caps(g, t):
+                    if e.kind is not EvidenceKind.SPAN_CAP:
+                        continue
+                    entries += 1
+                    assert e.applies_t == t and e.value == g.n - 1
+                    assert span_cap(g, full_set(g)) == e.payload["cap"] < t
+                    assert naive_mu(g, t)[1] <= e.value
+        assert entries == 23
 
 
 class TestBoundCollections:
