@@ -15,22 +15,26 @@ states each rule and why it is sound.
 On an edge-transitive graph ``solve`` decides mu2 from the top down
 instead of raising an incumbent: "f >= k" holds exactly when some k-set
 of vertices is interval under some valid coloring, automorphisms carry
-interval sets onto interval sets, so one k-set per orbit decides it, each
-by a first-solution kernel run that never dooms a vertex of the set: it
-colors the edges at the set's vertices first and, at each of them, tries
-only the colors that keep the vertex's span within its degree (the window
-mask), so those runs neither make nor count a child that would doom one.
-A refuted run also returns its core, the vertices of the set whose window
-ever cut a color; no valid coloring makes the core interval, so a later
-set of the solve, at any k, whose orbit holds a superset of a learned core
-is skipped without a run. Before its run, a set S whose complement is
-independent is refuted at 0 nodes by the span rule when t exceeds
-``structural.span_cap(g, S)``: every edge then has an endpoint in S, and
-colors climb by at most deg - 1 across each interval vertex of a path in
-S from the edge colored 1 to the edge colored t. Each refuted k is
-recorded as interval-set-orbits evidence, which names each set's core
-(a span-refuted set is its own core, with its ``span_cap``) and, for a
-skipped set, the run that learned it.
+interval sets onto interval sets, so one k-set per orbit decides it. The
+sets are tried most slack first: fewest edges inside the set, then the
+largest span cap, then the orbit table's order. Any order is sound, since
+k is refuted only after every set was tried or skipped once; this one
+lets an easy set close the cell before the hard ones are paid. Each is
+decided by a first-solution kernel run that never dooms a vertex of the
+set: it colors the edges at the set's vertices first and, at each of
+them, tries only the colors that keep the vertex's span within its degree
+(the window mask), so those runs neither make nor count a child that
+would doom one. A refuted run also returns its core, the vertices of the
+set whose window ever cut a color; no valid coloring makes the core
+interval, so a later set of the solve, at any k, whose orbit holds a
+superset of a learned core is skipped without a run. Before its run, a
+set S whose complement is independent is refuted at 0 nodes by the span
+rule when t exceeds ``structural.span_cap(g, S)``: every edge then has an
+endpoint in S, and colors climb by at most deg - 1 across each interval
+vertex of a path in S from the edge colored 1 to the edge colored t. Each
+refuted k is recorded as interval-set-orbits evidence, which names each
+set's core (a span-refuted set is its own core, with its ``span_cap``)
+and, for a skipped set, the run that learned it.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -297,11 +301,16 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     coloring, and an automorphism s turns a coloring with interval set T
     into one with interval set s(T), so one S per orbit of k-sets decides
     it: the representatives are the masks that ``_subset_orbits(g, k)``
-    maps to themselves, in the table's order, and each is one ``run`` with
-    ``req=S``, best k-1 and goal k. The first coloring found has f = k,
-    since hi is a cap, and closes the cell; when every representative
-    fails, hi drops to k-1 and an interval-set-orbits record lists them
-    with their nodes. Without an incumbent, a first-solution run supplies
+    maps to themselves, tried most slack first (``_slack_order``: fewest
+    edges inside S, then the largest span cap, then the table's order),
+    and each is one ``run`` with ``req=S``, best k-1 and goal k. Any
+    order is sound, since every representative is still tried or skipped
+    exactly once before k is refuted; the order only lets a set that is
+    easy to make interval close the cell before the hard ones are paid.
+    The first coloring found has f = k, since hi is a cap, and closes the
+    cell; when every representative fails, hi drops to k-1 and an
+    interval-set-orbits record lists them, in the order tried, with their
+    nodes. Without an incumbent, a first-solution run supplies
     one. The split stops at the first k where C(n,k) is too large to walk
     (the table is None) and leaves the rest to ``solve``'s plain run.
 
@@ -333,7 +342,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         orbit_of = _subset_orbits(g, k)
         if orbit_of is None:
             return best, k, None
-        reps = [s for s, r in orbit_of.items() if s == r]
+        reps = _slack_order(g, [s for s, r in orbit_of.items() if s == r])
         dead: dict[int, tuple[int, tuple[int, int, int]]] = {}
 
         def learn(learned: tuple[int, int, int]) -> None:
@@ -386,6 +395,22 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
                      "nodes": spent,
                      "cores": why}))
     return best, best, "exhausted"
+
+
+def _slack_order(g: Graph, reps: list[int]) -> list[int]:
+    """The representatives most slack first: fewest edges inside the set,
+    then the largest ``span_cap`` (inf first), then table position.
+
+    An edge with an endpoint outside S meets a vertex whose colors need
+    not form an interval, and a larger span cap leaves the colors more
+    room to climb, so such a set is likely made interval in few nodes.
+    The order decides nothing: f >= k holds when any representative is
+    interval, and each is still tried or skipped exactly once.
+    """
+    def inside(s: int) -> int:
+        return sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
+
+    return sorted(reps, key=lambda s: (inside(s), -span_cap(g, s)))
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:

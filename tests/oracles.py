@@ -37,7 +37,10 @@ def naive_valid(g: Graph, c: EdgeColoring) -> bool:
 
 
 def naive_interval_labels(g: Graph, c: EdgeColoring) -> set[str]:
-    """Labels of the interval vertices, straight from the definition."""
+    """Labels of the interval vertices, straight from the definition.
+
+    Colors are compared as numbers, so 2.0 and True read as 2 and 1.
+    """
     incident: dict[str, list[int]] = {label: [] for label in g.vertices}
     for (a, b), col in zip(g.edge_labels, c.colors):
         incident[a].append(col)
@@ -45,7 +48,7 @@ def naive_interval_labels(g: Graph, c: EdgeColoring) -> set[str]:
     out = set()
     for label, cols in incident.items():
         distinct = sorted(set(cols))
-        if distinct == list(range(distinct[0], distinct[0] + len(distinct))):
+        if distinct[-1] - distinct[0] == len(distinct) - 1:
             out.add(label)
     return out
 

@@ -369,7 +369,7 @@ class TestEdgeTransitivity:
 
 def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
     """The masks an orbit table of ``_subset_orbits`` maps to themselves,
-    in table order: the k-sets ``search._descend`` runs."""
+    in table order: the k-sets ``search._descend`` tries, in its own order."""
     return tuple(s for s, r in orbits.items() if s == r)
 
 

@@ -35,7 +35,7 @@ from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
                      naive_interval_sets, naive_mu, naive_valid,
                      random_connected_graph)
 from test_graphs import representatives
-from test_theorems import FAMILIES
+from test_theorems import FAMILIES, complete_bipartite, hypercube
 
 search_module = importlib.import_module("mu_spectra.search")
 graphs_module = importlib.import_module("mu_spectra.graphs")
@@ -492,14 +492,26 @@ class TestProfile:
                 prof.mu21.value, prof.mu22.value) == (1, 4, 3, 4)
 
     def test_node_total_is_pinned(self, petersen_profile):
-        # mu2 only: 26 + 171 + 1,494 + 4,630 at t=5..8, 6,547 at t=9,
-        # 12,274 at t=10, 33,237 at t=11, 11,375 at t=12, 5,022 at t=13
-        # and 1,918 at t=14. The span rule refutes the first 8-set (span
-        # cap 9) from t=10 and the third 7-set (cap 11) from t=12 at 0
-        # nodes; at t=11 the second 8-set, no longer skipped on the first
-        # one's 7-vertex core, costs a run of its own
+        # mu2 only, per cell, so a regression names its t. The span rule
+        # refutes the 8-set with span cap 9 from t=10 at 0 nodes. At
+        # t=10 and t=11 the split then tries the 7-sets most slack first:
+        # {x1,x2,x3,x4,y1,y4,y5}, with 6 edges inside and no span cap, is
+        # made interval at once, where table order paid for the other
+        # three 7-sets first (12,274 and 33,237 nodes before)
+        assert [r.mu1.nodes_visited for r in petersen_profile.rows] == [0] * 12
+        assert [r.mu2.nodes_visited for r in petersen_profile.rows] == [
+            0, 26, 171, 1_494, 4_630, 6_547, 7_083, 5_993, 11_375, 5_022,
+            1_918, 0]
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 76_694
+                   for r in petersen_profile.rows) == 44_259
+
+    @pytest.mark.parametrize("g, nodes", [
+        (hypercube(3), 8_078),  # 10,559 in table order
+        (complete_bipartite(3, 4), 37_113),  # 45,264 in table order
+    ], ids=["Q3", "K3,4"])
+    def test_family_node_totals_are_pinned(self, g, nodes):
+        assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
+                   for r in profile(g).rows) == nodes
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -549,7 +561,7 @@ class TestProfile:
                 assert naive_valid(bare.graph, out.witness)
                 assert naive_f(bare.graph, out.witness) == attained
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in bare.rows) == 167_430
+                   for r in bare.rows) == 135_649
 
     def test_theorem_family_skips_replay(self):
         # the split skips representatives on these graphs; every record,
@@ -563,6 +575,34 @@ class TestProfile:
                              if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
                              for why in e.payload["cores"])
         assert skips == 21
+
+    @pytest.mark.parametrize("cfg", [BARE, SearchConfig()],
+                             ids=["bare", "default"])
+    def test_split_tries_each_representative_once_most_slack_first(self, cfg):
+        # every refuted k lists each representative of its orbit table
+        # exactly once, ordered by (edges inside the set, ascending; span
+        # cap, descending; table position)
+        def key(g, table, s):
+            inside = sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
+            return inside, -span_cap(g, s), table.index(s)
+
+        records, reordered, wrong = 0, 0, []
+        for g in ORACLE_CORPUS + [g for g, _ in FAMILIES]:
+            for t in legal_t_range(g):
+                out = solve(g, t, Objective.MU2, cfg)
+                for e in out.evidence:
+                    if e.kind is not EvidenceKind.INTERVAL_SET_ORBITS:
+                        continue
+                    records += 1
+                    k = e.payload["k"]
+                    table = representatives(_subset_orbits(g, k))
+                    want = sorted(table, key=lambda s: key(g, table, s))
+                    got = [vertex_set(g, labels)
+                           for labels in e.payload["representatives"]]
+                    reordered += want != list(table)
+                    if got != want or len(e.payload["nodes"]) != len(want):
+                        wrong.append(f"{g.name} t={t} k={k}")
+        assert (records > 0, reordered > 0, wrong) == (True, True, [])
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4
