@@ -458,16 +458,6 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     return tuple(maps)
 
 
-def _image(img: Sequence[int], mask: int) -> int:
-    """The vertex set ``mask`` moved by the vertex map ``img``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << img[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 @lru_cache(maxsize=None)
 def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
@@ -497,7 +487,7 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
         while stack:
             s = stack.pop()
             for img in maps:
-                image, rest = 0, s  # _image(img, s), inlined for speed
+                image, rest = 0, s  # s moved by the map img
                 while rest:
                     low = rest & -rest
                     image |= 1 << img[low.bit_length() - 1]
@@ -506,22 +496,6 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
                     rep_of[image] = rep
                     stack.append(image)
     return rep_of
-
-
-def _carry(g: Graph, src: int, dst: int, sub: int) -> int:
-    """The image of ``sub`` under some product of the edge maps that sends
-    ``src`` onto ``dst``, two sets of one orbit."""
-    maps = _edge_automorphisms(g)
-    carried = {src: sub}
-    stack = [src]
-    while dst not in carried:
-        s = stack.pop()
-        for img in maps:
-            image = _image(img, s)
-            if image not in carried:
-                carried[image] = _image(img, carried[s])
-                stack.append(image)
-    return carried[dst]
 
 
 # ---------------------------------------------------------------------------

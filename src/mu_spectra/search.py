@@ -34,7 +34,8 @@ endpoint in S, and colors climb by at most deg - 1 across each interval
 vertex of a path in S from the edge colored 1 to the edge colored t. Each
 refuted k is recorded as interval-set-orbits evidence, which names each
 set's core (a span-refuted set is its own core, with its ``span_cap``)
-and, for a skipped set, the run that learned it.
+and, for a skipped set, the superset in its orbit and the run that
+learned the core.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -55,7 +56,7 @@ from .coloring import (EdgeColoring, _keyed_colors, analyze, rebind,
                        require_valid)
 from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
                      set_labels)
-from .graphs import _carry, _search, _subset_orbits
+from .graphs import _search, _subset_orbits
 from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
                          span_cap)
 
@@ -81,7 +82,9 @@ class SearchConfig:
     ``node_limit`` is the budget of one solve; ``profile`` gives it to each
     (t, objective) cell and by default sets it to ``PROFILE_NODE_LIMIT``,
     so a full sweep stays fast while single solves default to a deep one.
-    ``time_limit_ms`` stops a solve's searches at a deadline.
+    ``time_limit_ms`` sets a solve's deadline: no kernel run starts after
+    it, and a run reads the clock every 2,048 nodes. Both budgets must be
+    ints, not bools (a nan budget would never stop a search).
     ``use_reflection_symmetry`` switches every use of symmetry: both
     first-edge rules of the search kernel (the root orbit rule on
     edge-transitive graphs and the reflection cut elsewhere) and the
@@ -102,10 +105,11 @@ class SearchConfig:
     use_structural_bounds: bool = True
 
     def __post_init__(self):
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be >= 1")
-        if self.time_limit_ms is not None and self.time_limit_ms < 1:
-            raise ValueError("time_limit_ms must be >= 1")
+        if type(self.node_limit) is not int or self.node_limit < 1:
+            raise ValueError("node_limit must be an integer >= 1")
+        if self.time_limit_ms is not None and (
+                type(self.time_limit_ms) is not int or self.time_limit_ms < 1):
+            raise ValueError("time_limit_ms must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,8 @@ def legal_t_range(g: Graph) -> range:
 
 
 def _require_legal_t(g: Graph, t: int) -> None:
+    if type(t) is not int:  # 4.0 and True compare equal to legal ints
+        raise GraphError(f"t must be an integer, got {t!r}")
     r = legal_t_range(g)
     if t not in r:
         raise GraphError(
@@ -209,16 +215,16 @@ def solve(g: Graph, t: int, objective: Objective,
     refines the open side until it closes or the budget runs out, in which
     case the outcome carries the tightest (lo, hi) established.
 
-    mu2 on a graph with edge automorphisms, with symmetry on and the
-    k-sets at hi few enough to walk (``_subset_orbits(g, hi)`` is not
-    None), is split first (``_descend``): k runs from hi down, each
-    "f >= k" decided on one k-set per orbit, each refuted k a new hi with
-    its evidence, until a witness closes the cell or the k-sets grow too
-    many to walk. The plain kernel decides what the split leaves, or the
-    whole cell where it does not apply. Every kernel run of the solve goes
-    through ``run``, which spends what is left of the one node budget and
-    makes any coloring it finds the witness; a budget or time stop leaves
-    the refuted hi and the incumbent witness.
+    mu2 with symmetry on goes to the split first (``_descend``), which
+    applies when the k-sets at hi have an orbit table: k runs from hi
+    down, each "f >= k" decided on one k-set per orbit, each refuted k a
+    new hi with its evidence, until a witness closes the cell or the
+    k-sets grow too many to walk. The plain kernel decides what the split
+    leaves, or the whole cell where it does not apply. Every kernel run of
+    the solve goes through ``run``, which starts no run once the deadline
+    has passed, spends what is left of the one node budget and makes any
+    coloring it finds the witness; a budget or time stop leaves the
+    refuted hi and the incumbent witness.
     """
     _require_legal_t(g, t)
     maximize = objective is Objective.MU2
@@ -261,8 +267,11 @@ def solve(g: Graph, t: int, objective: Objective,
                     if cfg.time_limit_ms is not None else None)
 
         def run(best: int, goal: int, req: int = 0):
-            """One kernel run on what is left of the node budget."""
+            """One kernel run on what is left of the node and time budgets;
+            none starts once the deadline has passed."""
             nonlocal nodes, witness
+            if deadline is not None and time.monotonic() > deadline:
+                return best, 0, "budget", 0
             f, colors, used, tag, core = _search(
                 g, t, maximize, best, goal, reflect=cfg.use_reflection_symmetry,
                 req=req, node_limit=cfg.node_limit - nodes, deadline=deadline)
@@ -272,9 +281,8 @@ def solve(g: Graph, t: int, objective: Objective,
             return f, used, tag, core
 
         tag = None
-        if (maximize and cfg.use_reflection_symmetry
-                and _subset_orbits(g, hi) is not None):
-            best, hi, tag = _descend(g, t, best, hi, run, deadline, evidence,
+        if maximize and cfg.use_reflection_symmetry:
+            best, hi, tag = _descend(g, t, best, hi, run, evidence,
                                      cfg.use_structural_bounds)
         if tag is None:
             best, _, tag, _ = run(best, hi if maximize else lo)
@@ -293,8 +301,7 @@ def solve(g: Graph, t: int, objective: Objective,
 
 
 def _descend(g: Graph, t: int, best: int, hi: int, run,
-             deadline: float | None, evidence: list[BoundEvidence],
-             spans: bool):
+             evidence: list[BoundEvidence], spans: bool):
     """Lower mu2's hi by deciding "f >= k" one interval-set orbit at a time.
 
     f >= k holds exactly when some k-set S is interval under some valid
@@ -312,18 +319,21 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     interval-set-orbits record lists them, in the order tried, with their
     nodes. Without an incumbent, a first-solution run supplies
     one. The split stops at the first k where C(n,k) is too large to walk
-    (the table is None) and leaves the rest to ``solve``'s plain run.
+    or g has no edge maps (the table is None), hi included, and leaves the
+    rest to ``solve``'s plain run. It reaches the kernel, the node budget
+    and the clock only through ``run``.
 
     Each exhausted run leaves a core, a subset of its S that no valid
     coloring makes interval (see ``graphs._search``). A representative
     whose orbit holds a k-superset of a core learned earlier in the solve,
     at this k or above, cannot be interval either: it is skipped at 0
-    nodes, and the record names the image of the core it contains and the
-    representative and k whose run learned that core.
+    nodes, and the record names that core as learned, the k-superset
+    ``within`` it (the orbit table maps ``within`` to the representative)
+    and the representative and k whose run learned the core.
 
     With ``spans`` (the solve's ``use_structural_bounds``), a
     representative S that is not skipped is first checked by the span
-    rule, before any clock read: when t > ``span_cap(g, S)``, finite only
+    rule, before any run: when t > ``span_cap(g, S)``, finite only
     if S's complement is independent, no valid t-coloring makes S
     interval (an endpoint in S of the edge colored 1 and one of the edge
     colored t are joined by a path in S, and each vertex on it lets the
@@ -333,6 +343,8 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     None when the plain kernel must decide f >= hi, and otherwise the
     cell is closed at best == hi.
     """
+    if _subset_orbits(g, hi) is None:
+        return best, hi, None
     cores: list[tuple[int, int, int]] = []  # (core, its run's S, its k)
     if best < 0:
         best, _, tag, _ = run(-1, 0)
@@ -360,10 +372,10 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         spent, why = [], []
         for req in reps:
             if req in dead:
-                superset, (core, source, at) = dead[req]
+                within, (core, source, at) = dead[req]
                 spent.append(0)
-                why.append({"core": list(set_labels(g, _carry(
-                                g, superset, req, core))),
+                why.append({"core": list(set_labels(g, core)),
+                            "within": list(set_labels(g, within)),
                             "learned_from": {
                                 "k": at,
                                 "representative": list(set_labels(g, source))}})
@@ -371,8 +383,6 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
             if spans and t > (cap := span_cap(g, req)):
                 used, core, note = 0, req, {"span_cap": cap}
             else:
-                if deadline is not None and time.monotonic() > deadline:
-                    return best, k, "budget"
                 _, used, tag, core = run(k - 1, k, req)
                 if tag == "budget":
                     return best, k, tag

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -52,9 +53,10 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     order, must exhaust in the same nodes. One refuted by the span rule
     must have spent 0 nodes, name itself as its core, have an independent
     complement, and have a ``span_cap`` that recomputes to the recorded
-    value, below t. One that was skipped must have spent 0 nodes and
-    contain the core it names, whose size is that of the core learned by
-    the representative and k it names, listed earlier in the outcome.
+    value, below t. One that was skipped must have spent 0 nodes and name
+    a k-set ``within`` that the orbit table maps to it and that holds the
+    named core, which is the very core learned by the representative and
+    k it names, listed earlier in the outcome.
     Returns (k, representatives) per record.
     """
     replayed, learned = [], {}
@@ -68,26 +70,29 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                                       e.payload["cores"], strict=True):
             assert len(labels) == k
             s, core = vertex_set(g, labels), vertex_set(g, why["core"])
-            assert core and not core & ~s
             _, colors, nodes, tag, got = _search(g, out.t, True, k - 1, k,
                                                  req=s)
             assert (colors, tag) == (None, "exhausted")
             source = why.get("learned_from")
+            if source is not None:
+                within = vertex_set(g, why["within"])
+                assert spent == 0
+                assert _subset_orbits(g, k)[within] == s
+                assert core and not core & ~within
+                assert learned[source["k"],
+                               frozenset(source["representative"])] == core
+                continue
+            assert core and not core & ~s
             if "span_cap" in why:
                 assert (spent, core) == (0, s)
                 assert all(s >> u & 1 or s >> v & 1 for u, v in g.edges)
                 assert span_cap(g, core) == why["span_cap"] < out.t
-                learned[k, frozenset(labels)] = core.bit_count()
-            elif source is None:
+            else:
                 assert (nodes, got) == (spent, core)
                 again = _search(g, out.t, True, k - 1, k, req=core,
                                 order=_most_constrained_order(g, s))
                 assert again[1:4] == (None, spent, "exhausted")
-                learned[k, frozenset(labels)] = core.bit_count()
-            else:
-                assert spent == 0
-                assert learned[source["k"], frozenset(
-                    source["representative"])] == core.bit_count()
+            learned[k, frozenset(labels)] = core
         replayed.append((k, len(e.payload["representatives"])))
     return replayed
 
@@ -130,6 +135,15 @@ class TestLegalRange:
     def test_out_of_range_rejected(self, P, t):
         with pytest.raises(GraphError, match=r"\[4, 15\]"):
             solve(P, t, Objective.MU1)
+
+    def test_t_that_is_not_an_int_rejected(self, P):
+        # each equals a legal t, and 5.0 would reach the kernel's 1 << t
+        for call in (lambda: solve(P, 4.0, Objective.MU1),
+                     lambda: solve(P, 5.0, Objective.MU2),
+                     lambda: sample(P, 5.0),
+                     lambda: solve(path(2), True, Objective.MU2)):
+            with pytest.raises(GraphError, match="t must be an integer"):
+                call()
 
 
 class TestExactValues:
@@ -284,7 +298,10 @@ class TestPetersenSeededRuns:
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"node_limit": 0},
-        {"node_limit": -1}, {"time_limit_ms": 0}])
+        {"node_limit": -1}, {"time_limit_ms": 0},
+        # a budget that is not an int never bounds: nan < 1 is False
+        *({field: bad} for field in ("node_limit", "time_limit_ms")
+          for bad in (float("nan"), 2.5, True))])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
@@ -382,22 +399,25 @@ class TestConfig:
         assert mismatches == []
 
     def test_time_limit_stops_a_deep_search(self, P, monkeypatch):
-        # the clock passes the deadline right after solve reads it; the
-        # interval-set split stops before its first representative, after
-        # the 15 nodes of its first-solution run
-        expire_clock_after(monkeypatch, 1)
+        # solve reads the clock for its deadline, and each run before it
+        # starts; the deadline passes after the 15-node first-solution run,
+        # so the interval-set split stops before its first representative
+        expire_clock_after(monkeypatch, 2)
         cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False)
         out = solve(P, 10, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert (out.closed_by, out.nodes_visited, out.hi) == ("budget", 15, 8)
 
     @pytest.mark.parametrize("symmetry, reads, nodes", [
-        (True, 2, 15 + 2_048),  # inside the first req run of the split
-        (False, 1, 2_048),  # inside the plain kernel
+        (True, 3, 15 + 2_048),  # inside the first req run of the split
+        (False, 2, 2_048),  # inside the plain kernel
+        (True, 1, 0),  # no run starts after the deadline
+        (False, 1, 0),
     ])
     def test_time_limit_stops_the_kernel(self, P, monkeypatch, symmetry,
                                          reads, nodes):
-        # the kernel reads the clock every 2,048 nodes
+        # one read for the deadline, one before each run, and one every
+        # 2,048 nodes inside a run
         expire_clock_after(monkeypatch, reads)
         cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False,
                            use_reflection_symmetry=symmetry)
@@ -543,6 +563,24 @@ class TestProfile:
         assert replayed == {10: [(8, 2)], 11: [(8, 2)],
                             12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
                             14: [(8, 2), (7, 4)]}
+
+    def test_replay_refuses_a_within_that_misses_the_core(self,
+                                                         petersen_profile):
+        # at t=12 the skipped 7-set's core lies in another member of its
+        # orbit; naming the representative itself as `within` must fail
+        out = petersen_profile.row(12).mu2
+        (e,) = [e for e in out.evidence
+                if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
+                and e.payload["k"] == 7]
+        cores = [dict(why, within=labels) if "learned_from" in why else why
+                 for labels, why in zip(e.payload["representatives"],
+                                        e.payload["cores"])]
+        assert cores != e.payload["cores"]
+        moved = replace(e, payload={**e.payload, "cores": cores})
+        bad = replace(out, evidence=tuple(moved if x is e else x
+                                          for x in out.evidence))
+        with pytest.raises(AssertionError):
+            replay_orbit_evidence(petersen_profile.graph, bad)
 
     def test_headline_follows_from_search_alone(self, petersen_profile):
         # no catalog coloring and no structural bound: every cell comes out
