@@ -47,7 +47,11 @@ def _load_certificate(arg: str) -> tuple[str, dict]:
     else, for a bare name with no directory part, the catalog entry of that
     name with or without ``.json``; the source is the path or the name."""
     p = Path(arg)
-    if p.is_file():
+    try:
+        is_file = p.is_file()
+    except OSError:  # the system refuses the name (too long, say): no file
+        is_file = False
+    if is_file:
         try:
             return str(p), json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:

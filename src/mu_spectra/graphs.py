@@ -594,6 +594,24 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     which finds a coloring with f >= k that makes ``req`` interval or shows
     there is none.
 
+    A decision run, ``maximize`` and ``best < goal <= |req|``, needs no
+    doomed count: every run of ``search.solve``'s interval-set split, the
+    first-solution searches (``best=-1``, goal 0) of ``solve``, ``sample``
+    and ``chromatic_index`` are such runs.
+
+    * The window mask keeps every ``req`` vertex undoomed, so lost <=
+      n - |req|.
+    * So n - lost >= |req| > ``best``, and the bound prune never fires.
+    * Every leaf has f >= |req| >= goal, so the first leaf ends the run
+      "bound-met".
+
+    Such a run goes through ``decide``, which makes the same children in
+    the same order as ``rec``, counts and budgets them the same way, and
+    stops at its first leaf. It drops the doomed tests and the counts ci
+    and lost, and computes f of the witness once, at that leaf, as the
+    number of vertices whose colors are one run of bits. So it returns
+    what ``rec`` would.
+
     ``core`` is the set of ``req`` vertices whose window mask removed at
     least one color at some node of the run (0 without ``req``). When such
     a run, ``req`` = S, ``best=k-1``, goal k, ends "exhausted", no valid
@@ -655,6 +673,12 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         order = _most_constrained_order(g, req)
     deg = g.degrees
     full = (1 << t) - 1
+    if not reflect:
+        first_mask = full
+    elif not req and _edge_automorphisms(g) is not None:
+        first_mask = 1
+    else:
+        first_mask = (1 << ((t + 1) // 2)) - 1
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
@@ -662,27 +686,73 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     steps = []
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
-        steps.append((bi, u, v, deg[u], deg[v], last_at[u] == d,
-                      last_at[v] == d, m - d, req & 1 << u, req & 1 << v))
-    if not reflect:
-        first_mask = full
-    elif not req and _edge_automorphisms(g) is not None:
-        first_mask = 1
-    else:
-        first_mask = (1 << ((t + 1) // 2)) - 1
+        steps.append((bi, u, v, deg[u], deg[v], first_mask if d == 0 else full,
+                      last_at[u] == d, last_at[v] == d, m - d,
+                      req & 1 << u, req & 1 << v))
     used = [0] * n
-    colors = [0] * m
+    colors = [0] * m  # color bits; a witness holds the colors 1..t
     leaf = m - 1
 
     witness: list[int] | None = None
     nodes = core = 0
-    aborted: str | None = None
+    # the next node count at which a budget is tested: the node limit, or
+    # before it the next multiple of 2,048 where the deadline is read
+    check = node_limit if deadline is None else min(node_limit, 2048)
 
-    def rec(depth: int, ci: int, lost: int, unused: int, unused_bits: int) -> None:
-        nonlocal best, witness, nodes, core, aborted
-        bi, u, v, du, dv, fu, fv, remaining, ru, rv = steps[depth]
+    def over() -> bool:
+        """Whether the budget stops the run at ``nodes >= check``."""
+        nonlocal check
+        if nodes >= node_limit or time.monotonic() > deadline:
+            return True
+        check = min(node_limit, nodes + 2048)
+        return False
+
+    def decide(depth: int, unused: int, unused_bits: int) -> str | None:
+        # rec for a decision run: the same children, no doomed counts, and
+        # the first leaf ends the run
+        nonlocal nodes, core
+        bi, u, v, du, dv, top, _, _, remaining, ru, rv = steps[depth]
         uu, uv = used[u], used[v]
-        avail = (first_mask if depth == 0 else full) & ~(uu | uv)
+        avail = top & ~(uu | uv)
+        if unused == remaining:
+            avail &= unused_bits
+        if ru and uu:  # the window mask: keep u's span within du
+            window = (((uu & -uu) << du) - 1) & -(
+                (1 << uu.bit_length() - 1 >> du - 1) or 1)
+            if avail & ~window:
+                core |= ru
+            avail &= window
+        if rv and uv:
+            window = (((uv & -uv) << dv) - 1) & -(
+                (1 << uv.bit_length() - 1 >> dv - 1) or 1)
+            if avail & ~window:
+                core |= rv
+            avail &= window
+        while avail:
+            bit = avail & -avail if rng is None else _random_bit(avail, rng)
+            avail ^= bit
+            nodes += 1
+            if nodes >= check and over():
+                return "budget"
+            colors[bi] = bit
+            used[u], used[v] = uu | bit, uv | bit
+            if depth == leaf:  # proper, and surjective as unused hit 0
+                return "bound-met"
+            if unused_bits & bit:
+                tag = decide(depth + 1, unused - 1, unused_bits ^ bit)
+            else:
+                tag = decide(depth + 1, unused, unused_bits)
+            if tag:
+                return tag
+        used[u], used[v] = uu, uv
+        return None
+
+    def rec(depth: int, ci: int, lost: int, unused: int,
+            unused_bits: int) -> str | None:
+        nonlocal best, witness, nodes, core
+        bi, u, v, du, dv, top, fu, fv, remaining, ru, rv = steps[depth]
+        uu, uv = used[u], used[v]
+        avail = top & ~(uu | uv)
         if unused == remaining:
             avail &= unused_bits
         if ru and uu:  # the window mask: keep u's span within du
@@ -703,12 +773,9 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
             bit = avail & -avail if rng is None else _random_bit(avail, rng)
             avail ^= bit
             nodes += 1
-            if nodes >= node_limit or (
-                    deadline is not None and nodes % 2048 == 0
-                    and time.monotonic() > deadline):
-                aborted = "budget"
-                return
-            colors[bi] = bit.bit_length()
+            if nodes >= check and over():
+                return "budget"
+            colors[bi] = bit
             nci, nlost = ci, lost
             a = uu | bit
             if not ou:
@@ -723,31 +790,32 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
                 elif fv:
                     nci += 1
             if depth == leaf:  # proper, and surjective as unused hit 0
-                if maximize:
-                    if nci > best:
-                        best, witness = nci, colors[:]
-                        if best >= goal:
-                            aborted = "bound-met"
-                            return
-                elif nci < best:
-                    best, witness = nci, colors[:]
-                    if best <= goal:
-                        aborted = "bound-met"
-                        return
+                if nci > best if maximize else nci < best:
+                    best = nci
+                    witness = [c.bit_length() for c in colors]
+                    if best >= goal if maximize else best <= goal:
+                        return "bound-met"
                 continue
             if n - nlost <= best if maximize else nci >= best:
                 continue
             used[u], used[v] = a, b
             if unused_bits & bit:
-                rec(depth + 1, nci, nlost, unused - 1, unused_bits ^ bit)
+                tag = rec(depth + 1, nci, nlost, unused - 1, unused_bits ^ bit)
             else:
-                rec(depth + 1, nci, nlost, unused, unused_bits)
-            if aborted:
-                return
+                tag = rec(depth + 1, nci, nlost, unused, unused_bits)
+            if tag:
+                return tag
         used[u], used[v] = uu, uv
+        return None
 
-    rec(0, 0, 0, t, full)
-    return best, witness, nodes, aborted or "exhausted", core
+    if maximize and best < goal <= req.bit_count():
+        tag = decide(0, t, full)
+        if tag == "bound-met":  # f: the vertices whose colors are one run
+            best = sum(not (x + (x & -x)) & x for x in used)
+            witness = [c.bit_length() for c in colors]
+    else:
+        tag = rec(0, 0, 0, t, full)
+    return best, witness, nodes, tag or "exhausted", core
 
 
 @lru_cache(maxsize=None)

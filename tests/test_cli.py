@@ -74,6 +74,14 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not found" in err
 
+    def test_over_long_path_is_not_found(self, capsys):
+        # Path.is_file raises ENAMETOOLONG for such a name rather than
+        # answering False
+        code, out, err = run_cli(capsys, "verify", "a" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not found" in err and "Traceback" not in err
+
     def test_invalid_coloring_fails(self, capsys, tmp_path):
         doc = fixtures()["psi"].to_dict()
         counts = Counter(doc["colors"].values())

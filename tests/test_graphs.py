@@ -293,6 +293,21 @@ class TestSearchKernel:
                 assert naive_valid(g, c), (t, kwargs, colors)
                 assert best == analyze(g, c).f
 
+    @pytest.mark.parametrize("args, req, nodes", [
+        ((4, True, -1, 0), (), 15),  # a first-solution run
+        ((9, True, 7, 8), ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"),
+         6_547),  # a run of the interval-set split
+    ])
+    def test_budget_is_tested_before_the_leaf(self, P, args, req, nodes):
+        # the node that reaches the first leaf is counted, then budgeted:
+        # a limit of exactly that many nodes stops the run short of it
+        req = vertex_set(P, req)
+        assert _search(P, *args, req=req)[2:4] == (nodes, "bound-met")
+        assert _search(P, *args, req=req, node_limit=nodes)[2:4] == (
+            nodes, "budget")
+        assert _search(P, *args, req=req, node_limit=nodes + 1)[2:4] == (
+            nodes, "bound-met")
+
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [petersen(), complete(5)],
                              ids=lambda g: g.name)
     def test_default_order_is_the_per_node_scan(self, g):

@@ -687,6 +687,12 @@ class TestSample:
         assert h.hexdigest() == (
             "acb016ccf3a33bb971f4842d4a15779c31d6f8a384444970ce3b1858d53273cb")
 
+    def test_seed_7_draws_are_pinned(self, P):
+        # two draws at every legal t, run by the kernel's decision loop
+        draws = [sample(P, t, seed=7, count=2) for t in legal_t_range(P)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest().startswith(
+            "8b84f77bae02cf55")
+
     def test_single_edge_graph(self):
         g = path(2)
         assert sample(g, 1, seed=0, count=2) == [
