@@ -566,74 +566,66 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     plus one, exceeds its degree. Spans only grow, and the deg colors of an
     interval vertex span exactly deg, so a doomed vertex is interval in no
     leaf below. A vertex with all edges colored that is not doomed has deg
-    distinct colors within a span of deg, so it is interval. Hence f = n -
-    lost at a leaf, where lost counts doomed vertices, complete or open,
-    and ci, the complete vertices that are not doomed, never exceeds f. A
-    maximizing search prunes when n - lost cannot beat ``best``, a
-    minimizing one when ci already matches it. The doomed count thus only
-    prunes maximizing searches that carry an incumbent: a first-solution
-    search has ``best=-1``, and minimizing searches read ci alone. ``best``
-    leaves as the optimum over the explored space and the entering
-    incumbent; a leaf reaching ``goal`` (at least it when maximizing, at
-    most it when minimizing) ends the search. So ``maximize=True, best=-1``
-    with goal 0 is a first-solution search.
+    distinct colors within a span of deg, so it is interval.
 
-    ``req`` is a vertex mask that must be interval: no child may doom a
-    vertex of ``req``. The window mask enforces it before any child is
-    made. At an edge whose endpoint x is in ``req`` and already has a
-    colored edge, with lowest color bit ``low`` and highest ``high`` on x,
-    the colors tried are cut to ``((low << d) - 1) & -((high >> (d - 1))
-    or 1)`` for d = deg(x): exactly the colors that keep x's span within
-    d. The colors it removes are the children that would doom x, each a
-    dead end, so the search explores, in the same order, the tree that
-    pruning each such child would leave, finds the same witnesses, and
-    does not count those children in ``nodes``. A vertex of ``req`` is
-    thus never doomed, every leaf makes all of ``req`` interval, and
-    ``req=0`` leaves the search as it was.
-    ``search.solve`` runs it as ``best=k-1`` with goal k and a k-set ``req``,
-    which finds a coloring with f >= k that makes ``req`` interval or shows
-    there is none.
+    A run has one of two jobs, and each job has its own loop.
 
-    A decision run, ``maximize`` and ``best < goal <= |req|``, needs no
-    doomed count: every run of ``search.solve``'s interval-set split, the
-    first-solution searches (``best=-1``, goal 0) of ``solve``, ``sample``
-    and ``chromatic_index`` are such runs.
+    *Decision runs*, ``maximize`` and ``best < goal <= |req|``, ask whether
+    some valid coloring makes every vertex of the mask ``req`` interval.
+    Every run of ``search.solve``'s interval-set split is one (``best=k-1``,
+    goal k, a k-set ``req``), and so are the first-solution searches
+    (``best=-1``, goal 0, ``req=0``) of ``solve``, ``sample`` and
+    ``chromatic_index``. Only these take ``req``; any other run given one
+    raises ValueError. They go through ``decide``.
 
-    * The window mask keeps every ``req`` vertex undoomed, so lost <=
-      n - |req|.
-    * So n - lost >= |req| > ``best``, and the bound prune never fires.
-    * Every leaf has f >= |req| >= goal, so the first leaf ends the run
-      "bound-met".
+    * The window mask keeps every ``req`` vertex undoomed. At an edge whose
+      endpoint x is in ``req`` and already has a colored edge, with lowest
+      color bit ``low`` and highest ``high`` on x, the colors tried are cut
+      to ``((low << d) - 1) & -((high >> (d - 1)) or 1)`` for d = deg(x):
+      exactly the colors that keep x's span within d. The colors it removes
+      are the children that would doom x, each a dead end, so the run
+      explores, in the same order, the tree that pruning each such child
+      would leave, and does not count those children in ``nodes``.
+    * So the first leaf makes all of ``req`` interval, and its f >= |req|
+      >= goal ends the run "bound-met". ``best`` leaves as that f, counted
+      once at the leaf as the vertices whose colors are one run of bits.
+    * ``core`` is the set of ``req`` vertices whose window mask removed at
+      least one color at some node of the run (0 without ``req``). When
+      the run ends "exhausted", no valid t-coloring makes the core
+      interval, nor any set that contains the core or an automorphic image
+      of it:
 
-    Such a run goes through ``decide``, which makes the same children in
-    the same order as ``rec``, counts and budgets them the same way, and
-    stops at its first leaf. It drops the doomed tests and the counts ci
-    and lost, and computes f of the witness once, at that leaf, as the
-    number of vertices whose colors are one run of bits. So it returns
-    what ``rec`` would.
+      1. The run reached no leaf, since its first leaf would end it.
+      2. A ``req`` vertex whose window never cut a color never constrained
+         the run. Take the decision run with the same edge order, ``req`` =
+         core, ``best`` = |core| - 1 and goal |core|: at each node it sees
+         the same colors, so the core's windows cut what they cut before
+         and no other window cuts. It makes the same children and reaches
+         no leaf either, and its window masks and reflection cut keep every
+         coloring that makes the core interval. At a legal t a valid
+         coloring exists, so the core is not empty; ``req`` stays nonzero,
+         and the root rule stays off in both runs.
+      3. Automorphisms carry this to every image of the core, at every k.
 
-    ``core`` is the set of ``req`` vertices whose window mask removed at
-    least one color at some node of the run (0 without ``req``). When such
-    a run, ``req`` = S, ``best=k-1``, goal k, ends "exhausted", no valid
-    t-coloring makes the core interval, nor any set that contains the core
-    or an automorphic image of it:
+      Any later prune that depends on ``req`` must add the ``req`` vertices
+      it relied on to the core, or the core run would make other children.
 
-    1. The run reached no leaf: a leaf makes S interval, so f >= k > best,
-       and the run would have stopped "bound-met".
-    2. A vertex of S whose window never cut a color never constrained the
-       run, and was never doomed (no child it was given would doom it).
-       So with the same edge order and ``req`` = core, the run makes the
-       same children, the same ``nlost`` and the same prunes: the bound
-       prune never fires in either, as the k vertices of S stay undoomed,
-       so ``n - nlost >= k``. It reaches no leaf either, and the window
-       mask and the reflection cut both keep every coloring that makes the
-       core interval. At a legal t a valid coloring exists, so the core
-       is not empty; ``req`` stays nonzero, and the root rule stays off in
-       both runs.
-    3. Automorphisms carry this to every image of the core, at every k.
+    *Optimizing runs* are the rest: ``solve``'s plain mu1 and mu2 runs,
+    which carry an incumbent ``best`` and stop at a leaf reaching ``goal``
+    (f at least it when maximizing, at most it when minimizing). They go
+    through ``rec``, which maximizes a score, f for mu2 and n - f for mu1
+    (``best`` and ``goal`` enter complemented and ``best`` leaves
+    translated back), and counts the vertices already settled against it:
 
-    Any later prune that depends on ``req`` must add the ``req`` vertices
-    it relied on to the core, or the core run would make other children.
+    * for mu2, the doomed vertices, each watched until it is doomed, so
+      f <= n - settled below;
+    * for mu1, the complete interval vertices, each watched at its last
+      edge, so n - f <= n - settled below.
+
+    At a leaf every vertex is complete, and n - settled is the score
+    itself. So one test, n - settled <= best, both prunes a child that
+    cannot beat ``best`` and skips a leaf that does not. ``best`` leaves as
+    the optimum over the explored space and the entering incumbent.
 
     ``reflect`` turns on two rules for the first edge e = ``order[0]``;
     each keeps, for every valid coloring, one with the same f.
@@ -667,6 +659,10 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     colorings proper.
     """
     n, m = g.n, g.m
+    decision = maximize and best < goal <= req.bit_count()
+    if req and not decision:
+        raise ValueError("req needs a decision run: maximize and "
+                         "best < goal <= |req|")
     if t > m:  # no coloring of m edges uses all t colors
         return best, None, 0, "exhausted", 0
     if order is None:
@@ -679,15 +675,16 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         first_mask = 1
     else:
         first_mask = (1 << ((t + 1) // 2)) - 1
+    mu2 = bool(maximize)
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         last_at[u] = last_at[v] = d
-    steps = []
+    steps = []  # rec watches mu2 endpoints at every edge, mu1 at their last
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         steps.append((bi, u, v, deg[u], deg[v], first_mask if d == 0 else full,
-                      last_at[u] == d, last_at[v] == d, m - d,
+                      mu2 or last_at[u] == d, mu2 or last_at[v] == d, m - d,
                       req & 1 << u, req & 1 << v))
     used = [0] * n
     colors = [0] * m  # color bits; a witness holds the colors 1..t
@@ -708,8 +705,8 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         return False
 
     def decide(depth: int, unused: int, unused_bits: int) -> str | None:
-        # rec for a decision run: the same children, no doomed counts, and
-        # the first leaf ends the run
+        # a decision run: the window mask keeps req undoomed, and the first
+        # leaf ends the run
         nonlocal nodes, core
         bi, u, v, du, dv, top, _, _, remaining, ru, rv = steps[depth]
         uu, uv = used[u], used[v]
@@ -747,28 +744,17 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         used[u], used[v] = uu, uv
         return None
 
-    def rec(depth: int, ci: int, lost: int, unused: int,
+    def rec(depth: int, settled: int, unused: int,
             unused_bits: int) -> str | None:
-        nonlocal best, witness, nodes, core
-        bi, u, v, du, dv, top, fu, fv, remaining, ru, rv = steps[depth]
+        # an optimizing run: maximize the score, f for mu2, n - f for mu1
+        nonlocal best, witness, nodes
+        bi, u, v, du, dv, top, wu, wv, remaining, _, _ = steps[depth]
         uu, uv = used[u], used[v]
         avail = top & ~(uu | uv)
         if unused == remaining:
             avail &= unused_bits
-        if ru and uu:  # the window mask: keep u's span within du
-            window = (((uu & -uu) << du) - 1) & -(
-                (1 << uu.bit_length() - 1 >> du - 1) or 1)
-            if avail & ~window:
-                core |= ru
-            avail &= window
-        if rv and uv:
-            window = (((uv & -uv) << dv) - 1) & -(
-                (1 << uv.bit_length() - 1 >> dv - 1) or 1)
-            if avail & ~window:
-                core |= rv
-            avail &= window
-        ou = uu and uu >= (uu & -uu) << du  # doomed before this edge
-        ov = uv and uv >= (uv & -uv) << dv
+        wu = wu and (not uu or uu < (uu & -uu) << du)  # not yet doomed
+        wv = wv and (not uv or uv < (uv & -uv) << dv)
         while avail:
             bit = avail & -avail if rng is None else _random_bit(avail, rng)
             avail ^= bit
@@ -776,45 +762,42 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
             if nodes >= check and over():
                 return "budget"
             colors[bi] = bit
-            nci, nlost = ci, lost
+            s = settled  # settled: doomed for mu2, interval for mu1
             a = uu | bit
-            if not ou:
-                if a >= (a & -a) << du:
-                    nlost += 1
-                elif fu:
-                    nci += 1
+            if wu and (a >= (a & -a) << du) == mu2:
+                s += 1
             b = uv | bit
-            if not ov:
-                if b >= (b & -b) << dv:
-                    nlost += 1
-                elif fv:
-                    nci += 1
-            if depth == leaf:  # proper, and surjective as unused hit 0
-                if nci > best if maximize else nci < best:
-                    best = nci
-                    witness = [c.bit_length() for c in colors]
-                    if best >= goal if maximize else best <= goal:
-                        return "bound-met"
+            if wv and (b >= (b & -b) << dv) == mu2:
+                s += 1
+            if n - s <= best:  # no better score below, leaf or not
                 continue
-            if n - nlost <= best if maximize else nci >= best:
+            if depth == leaf:  # proper, and surjective as unused hit 0
+                best = n - s
+                witness = [c.bit_length() for c in colors]
+                if best >= goal:
+                    return "bound-met"
                 continue
             used[u], used[v] = a, b
             if unused_bits & bit:
-                tag = rec(depth + 1, nci, nlost, unused - 1, unused_bits ^ bit)
+                tag = rec(depth + 1, s, unused - 1, unused_bits ^ bit)
             else:
-                tag = rec(depth + 1, nci, nlost, unused, unused_bits)
+                tag = rec(depth + 1, s, unused, unused_bits)
             if tag:
                 return tag
         used[u], used[v] = uu, uv
         return None
 
-    if maximize and best < goal <= req.bit_count():
+    if decision:
         tag = decide(0, t, full)
         if tag == "bound-met":  # f: the vertices whose colors are one run
             best = sum(not (x + (x & -x)) & x for x in used)
             witness = [c.bit_length() for c in colors]
-    else:
-        tag = rec(0, 0, 0, t, full)
+    elif mu2:
+        tag = rec(0, 0, t, full)
+    else:  # rec maximizes n - f
+        best, goal = n - best, n - goal
+        tag = rec(0, 0, t, full)
+        best = n - best
     return best, witness, nodes, tag or "exhausted", core
 
 

@@ -52,8 +52,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coloring import (EdgeColoring, _keyed_colors, analyze, rebind,
-                       require_valid)
+from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
+                       rebind, require_valid)
 from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
                      set_labels)
 from .graphs import _search, _subset_orbits
@@ -191,19 +191,17 @@ def _require_legal_t(g: Graph, t: int) -> None:
             f"t={t} outside [{r.start}, {r.stop - 1}] for {g.name}")
 
 
-def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, EdgeColoring, int]]:
-    """Catalog colorings applicable to this graph at this t, with their f:
-    the claim the catalog checked when it was built, which ``rebind`` keeps."""
+def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, Certificate]]:
+    """Catalog colorings applicable to this graph at this t, by name. Each
+    one's f is its ``claim_f``, checked when the catalog was built, and
+    ``rebind`` carries it onto g. The aliases ``psi0`` and ``lambda0`` come
+    after ``psi`` and ``epsilon``, so ``solve``, which takes only a strictly
+    better seed, never takes them."""
     if not is_petersen_labeled(g):
         return []
     from .fixtures import fixtures
 
-    out = []
-    for name, cert in fixtures().items():
-        if cert.t != t or name in ("psi0", "lambda0"):
-            continue
-        out.append((name, rebind(cert, g), cert.claim_f))
-    return out
+    return [(name, cert) for name, cert in fixtures().items() if cert.t == t]
 
 
 def solve(g: Graph, t: int, objective: Objective,
@@ -234,10 +232,10 @@ def solve(g: Graph, t: int, objective: Objective,
     best = -1 if maximize else n + 1
     witness: EdgeColoring | None = None
     if cfg.seed_fixtures:
-        for name, c, f in _fixture_seeds(g, t):
-            better = f > best if maximize else f < best
-            if better:
-                best, witness = f, c
+        for name, cert in _fixture_seeds(g, t):
+            f = cert.claim_f
+            if f > best if maximize else f < best:
+                best, witness = f, rebind(cert, g)
                 evidence.append(BoundEvidence(
                     kind=EvidenceKind.CERTIFICATE_LOWER_BOUND,
                     value=f,

@@ -308,6 +308,17 @@ class TestSearchKernel:
         assert _search(P, *args, req=req, node_limit=nodes + 1)[2:4] == (
             nodes, "bound-met")
 
+    @pytest.mark.parametrize("maximize, best, goal", [
+        (True, 2, 4),  # goal above |req|
+        (False, 11, 0),  # a minimizing run
+    ])
+    def test_req_needs_a_decision_run(self, P, maximize, best, goal):
+        # only a decision run, maximize and best < goal <= |req|, keeps its
+        # req vertices interval; any other run is refused before it starts
+        req = vertex_set(P, ("x1", "x2", "x3"))
+        with pytest.raises(ValueError, match="decision run"):
+            _search(P, 9, maximize, best, goal, req=req)
+
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [petersen(), complete(5)],
                              ids=lambda g: g.name)
     def test_default_order_is_the_per_node_scan(self, g):

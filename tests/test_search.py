@@ -18,6 +18,7 @@ from mu_spectra import (
     analyze,
     complete,
     cycle,
+    delete_vertex,
     is_valid,
     legal_t_range,
     path,
@@ -89,7 +90,8 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                 assert span_cap(g, core) == why["span_cap"] < out.t
             else:
                 assert (nodes, got) == (spent, core)
-                again = _search(g, out.t, True, k - 1, k, req=core,
+                c = core.bit_count()
+                again = _search(g, out.t, True, c - 1, c, req=core,
                                 order=_most_constrained_order(g, s))
                 assert again[1:4] == (None, spent, "exhausted")
             learned[k, frozenset(labels)] = core
@@ -207,6 +209,24 @@ class TestPetersenSeededRuns:
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
         assert out.nodes_visited == 2_251
+
+    @pytest.mark.parametrize("g, t, objective, cfg, want", [
+        # one plain optimizing run each: no seed, no bound, no split
+        (petersen(), 4, Objective.MU1,
+         replace(BARE, use_reflection_symmetry=False), (2, 26_273, "exhausted")),
+        (petersen(), 4, Objective.MU2,
+         replace(BARE, use_reflection_symmetry=False), (8, 21_396, "exhausted")),
+        # P - x1 is not edge-transitive, so mu2 takes the plain run too
+        (delete_vertex(petersen(), "x1"), 7, Objective.MU2, SearchConfig(),
+         (8, 1_765, "bound-met")),
+        (delete_vertex(petersen(), "x1"), 12, Objective.MU2, SearchConfig(),
+         (6, 7_627, "bound-met")),
+        (delete_vertex(petersen(), "x1"), 9, Objective.MU1, SearchConfig(),
+         (0, 136, "bound-met")),
+    ], ids=["P-t4-mu1", "P-t4-mu2", "Px1-t7-mu2", "Px1-t12-mu2", "Px1-t9-mu1"])
+    def test_optimizing_runs_are_pinned(self, g, t, objective, cfg, want):
+        out = solve(g, t, objective, cfg)
+        assert (out.value, out.nodes_visited, out.closed_by) == want
 
     def test_orbit_evidence_replays(self, P):
         # bare, mu2(P,4) starts from the trivial cap 10: the split refutes
@@ -358,7 +378,8 @@ class TestConfig:
     def test_req_cores_are_refuted(self):
         # every exhausted run of the split's kind on the edge-transitive
         # corpus graphs: no valid coloring makes its core interval, and the
-        # core, searched in the run's edge order, exhausts in the same nodes
+        # core, as its own decision run in the run's edge order, exhausts
+        # in the same nodes
         runs, mismatches = 0, []
         for g in ORACLE_CORPUS:
             for t in legal_t_range(g):
@@ -371,7 +392,8 @@ class TestConfig:
                             continue
                         runs += 1
                         want = set(set_labels(g, core))
-                        again = _search(g, t, True, k - 1, k, req=core,
+                        c = core.bit_count()
+                        again = _search(g, t, True, c - 1, c, req=core,
                                         order=_most_constrained_order(g, s))
                         if (not core or core & ~s
                                 or any(want <= found for found in sets)
