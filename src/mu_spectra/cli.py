@@ -291,7 +291,8 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
                    help="search node budget of each solve (profile runs "
                         "one per t and objective)")
     p.add_argument("--time-limit-ms", type=int, default=None,
-                   help="search time budget in milliseconds")
+                   help="search time budget in milliseconds of each solve "
+                        "(profile runs one per t and objective)")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable every use of symmetry: both rules at the "
                         "first edge (the root orbit rule and the reflection "

@@ -538,8 +538,8 @@ def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
     return order
 
 
-def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
-            order: Sequence[int] | None = None,
+def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
+            goal: int = 0, order: Sequence[int] | None = None,
             rng: random.Random | None = None, reflect: bool = True,
             req: int = 0, node_limit: int = 2**63,
             deadline: float | None = None):
@@ -568,15 +568,16 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     leaf below. A vertex with all edges colored that is not doomed has deg
     distinct colors within a span of deg, so it is interval.
 
-    A run has one of two jobs, and each job has its own loop.
+    A run has one of two jobs, named by ``mu2``, and each job has its own
+    loop.
 
-    *Decision runs*, ``maximize`` and ``best < goal <= |req|``, ask whether
-    some valid coloring makes every vertex of the mask ``req`` interval.
-    Every run of ``search.solve``'s interval-set split is one (``best=k-1``,
-    goal k, a k-set ``req``), and so are the first-solution searches
-    (``best=-1``, goal 0, ``req=0``) of ``solve``, ``sample`` and
-    ``chromatic_index``. Only these take ``req``; any other run given one
-    raises ValueError. They go through ``decide``.
+    *Decision runs*, ``mu2=None``, ask whether some valid coloring makes
+    every vertex of the mask ``req`` interval; ``req=0`` asks for any valid
+    coloring. They are called without ``best`` and ``goal``. Every run of
+    ``search.solve``'s interval-set split is one (a k-set ``req``), and so
+    are the first-solution searches of ``solve``, ``sample`` and
+    ``chromatic_index``. Only these take ``req`` or ``rng``; an optimizing
+    run given either raises ValueError. They go through ``decide``.
 
     * The window mask keeps every ``req`` vertex undoomed. At an edge whose
       endpoint x is in ``req`` and already has a colored edge, with lowest
@@ -586,9 +587,10 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
       are the children that would doom x, each a dead end, so the run
       explores, in the same order, the tree that pruning each such child
       would leave, and does not count those children in ``nodes``.
-    * So the first leaf makes all of ``req`` interval, and its f >= |req|
-      >= goal ends the run "bound-met". ``best`` leaves as that f, counted
-      once at the leaf as the vertices whose colors are one run of bits.
+    * So the first leaf makes all of ``req`` interval and ends the run
+      "bound-met". ``best`` leaves as its f, counted once at the leaf as
+      the vertices whose colors are one run of bits, or as its default -1
+      when the run finds no coloring.
     * ``core`` is the set of ``req`` vertices whose window mask removed at
       least one color at some node of the run (0 without ``req``). When
       the run ends "exhausted", no valid t-coloring makes the core
@@ -597,25 +599,23 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
 
       1. The run reached no leaf, since its first leaf would end it.
       2. A ``req`` vertex whose window never cut a color never constrained
-         the run. Take the decision run with the same edge order, ``req`` =
-         core, ``best`` = |core| - 1 and goal |core|: at each node it sees
-         the same colors, so the core's windows cut what they cut before
-         and no other window cuts. It makes the same children and reaches
-         no leaf either, and its window masks and reflection cut keep every
-         coloring that makes the core interval. At a legal t a valid
-         coloring exists, so the core is not empty; ``req`` stays nonzero,
-         and the root rule stays off in both runs.
+         the run. Take the decision run ``req=core`` in the same edge
+         order: at each node it sees the same colors, so the core's windows
+         cut what they cut before and no other window cuts. It makes the
+         same children and reaches no leaf either, and its window masks and
+         reflection cut keep every coloring that makes the core interval.
+         At a legal t a valid coloring exists, so the core is not empty;
+         ``req`` stays nonzero, and the root rule stays off in both runs.
       3. Automorphisms carry this to every image of the core, at every k.
 
       Any later prune that depends on ``req`` must add the ``req`` vertices
       it relied on to the core, or the core run would make other children.
 
-    *Optimizing runs* are the rest: ``solve``'s plain mu1 and mu2 runs,
-    which carry an incumbent ``best`` and stop at a leaf reaching ``goal``
-    (f at least it when maximizing, at most it when minimizing). They go
-    through ``rec``, which maximizes a score, f for mu2 and n - f for mu1
-    (``best`` and ``goal`` enter complemented and ``best`` leaves
-    translated back), and counts the vertices already settled against it:
+    *Optimizing runs*, ``mu2`` True or False, are ``solve``'s plain mu2 and
+    mu1 runs. They maximize a score, f when ``mu2`` and n - f otherwise,
+    enter with the incumbent's score ``best`` (-1 for none) and stop at a
+    leaf whose score reaches ``goal``. They go through ``rec``, which counts
+    the vertices already settled against the score:
 
     * for mu2, the doomed vertices, each watched until it is doomed, so
       f <= n - settled below;
@@ -625,7 +625,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     At a leaf every vertex is complete, and n - settled is the score
     itself. So one test, n - settled <= best, both prunes a child that
     cannot beat ``best`` and skips a leaf that does not. ``best`` leaves as
-    the optimum over the explored space and the entering incumbent.
+    the best score over the explored space and the entering incumbent.
 
     ``reflect`` turns on two rules for the first edge e = ``order[0]``;
     each keeps, for every valid coloring, one with the same f.
@@ -659,10 +659,8 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
     colorings proper.
     """
     n, m = g.n, g.m
-    decision = maximize and best < goal <= req.bit_count()
-    if req and not decision:
-        raise ValueError("req needs a decision run: maximize and "
-                         "best < goal <= |req|")
+    if mu2 is not None and (req or rng is not None):
+        raise ValueError("req and rng need a decision run (mu2=None)")
     if t > m:  # no coloring of m edges uses all t colors
         return best, None, 0, "exhausted", 0
     if order is None:
@@ -675,7 +673,6 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         first_mask = 1
     else:
         first_mask = (1 << ((t + 1) // 2)) - 1
-    mu2 = bool(maximize)
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
@@ -756,7 +753,7 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         wu = wu and (not uu or uu < (uu & -uu) << du)  # not yet doomed
         wv = wv and (not uv or uv < (uv & -uv) << dv)
         while avail:
-            bit = avail & -avail if rng is None else _random_bit(avail, rng)
+            bit = avail & -avail
             avail ^= bit
             nodes += 1
             if nodes >= check and over():
@@ -787,17 +784,12 @@ def _search(g: Graph, t: int, maximize: bool, best: int, goal: int,
         used[u], used[v] = uu, uv
         return None
 
-    if decision:
-        tag = decide(0, t, full)
-        if tag == "bound-met":  # f: the vertices whose colors are one run
-            best = sum(not (x + (x & -x)) & x for x in used)
-            witness = [c.bit_length() for c in colors]
-    elif mu2:
+    if mu2 is not None:
         tag = rec(0, 0, t, full)
-    else:  # rec maximizes n - f
-        best, goal = n - best, n - goal
-        tag = rec(0, 0, t, full)
-        best = n - best
+    elif (tag := decide(0, t, full)) == "bound-met":
+        # f: the vertices whose colors are one run
+        best = sum(not (x + (x & -x)) & x for x in used)
+        witness = [c.bit_length() for c in colors]
     return best, witness, nodes, tag or "exhausted", core
 
 
@@ -809,7 +801,7 @@ def chromatic_index(g: Graph) -> int:
     (Vizing).
     """
     d = g.max_degree()
-    if _search(g, d, True, -1, 0)[3] == "bound-met":
+    if _search(g, d)[3] == "bound-met":
         return d
     return d + 1
 

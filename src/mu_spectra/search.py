@@ -7,9 +7,14 @@ decides ``chromatic_index``: a depth-first search over edges with color
 bitmasks, pruned by properness, surjectivity feasibility, a symmetry rule
 at the first edge and bounds on f. The symmetry rule gives the first edge
 color 1 alone when the graph's automorphisms act transitively on its
-edges, and colors <= ceil(t/2) (the reflection k -> t+1-k) otherwise. The
-mu2 bound is the doomed-vertex bound: a vertex whose colors already span
-more than its degree is interval in no completion. The kernel's docstring
+edges, and colors <= ceil(t/2) (the reflection k -> t+1-k) otherwise.
+A kernel run has one of two jobs, named in the call. An optimizing run
+maximizes one score, f for mu2 and n - f for mu1, bounded by the vertices
+already settled against it: for mu2 a vertex whose colors already span
+more than its degree is interval in no completion, and for mu1 a vertex
+whose last edge left it interval stays so. A decision run is asked for by
+its required vertex set ``req`` and looks for a valid coloring that makes
+all of it interval (``req=0``: any valid coloring). The kernel's docstring
 states each rule and why it is sound.
 
 On an edge-transitive graph ``solve`` decides mu2 from the top down
@@ -20,8 +25,8 @@ sets are tried most slack first: fewest edges inside the set, then the
 largest span cap, then the orbit table's order. Any order is sound, since
 k is refuted only after every set was tried or skipped once; this one
 lets an easy set close the cell before the hard ones are paid. Each is
-decided by a first-solution kernel run that never dooms a vertex of the
-set: it colors the edges at the set's vertices first and, at each of
+decided by a decision run with the set as ``req``, which never dooms a
+vertex of the set: it colors the edges at the set's vertices first and, at each of
 them, tries only the colors that keep the vertex's span within its degree
 (the window mask), so those runs neither make nor count a child that
 would doom one. A refuted run also returns its core, the vertices of the
@@ -208,90 +213,94 @@ def solve(g: Graph, t: int, objective: Objective,
           cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Compute mu1(g,t) or mu2(g,t), exactly when the budget allows.
 
+    The solve works on one score to maximize, f for mu2 and n - f for mu1:
+    the incumbent (-1 for none), the entering bounds and every optimizing
+    run are scores, and (lo, hi) is translated back to f once, at the end.
     Bounds from catalog colorings and structural arguments are installed
-    first; if they already meet, no search runs. Otherwise branch-and-bound
-    refines the open side until it closes or the budget runs out, in which
-    case the outcome carries the tightest (lo, hi) established.
+    first: the incumbent gives lo, and the mu2 caps, or n minus the mu1
+    floors, cut hi from n. If they already meet, no search runs. Otherwise
+    branch-and-bound raises the incumbent toward hi until the two meet or
+    the budget runs out, in which case the outcome carries the tightest
+    (lo, hi) established.
 
     mu2 with symmetry on goes to the split first (``_descend``), which
     applies when the k-sets at hi have an orbit table: k runs from hi
     down, each "f >= k" decided on one k-set per orbit, each refuted k a
     new hi with its evidence, until a witness closes the cell or the
     k-sets grow too many to walk. The plain kernel decides what the split
-    leaves, or the whole cell where it does not apply. Every kernel run of
-    the solve goes through ``run``, which starts no run once the deadline
-    has passed, spends what is left of the one node budget and makes any
-    coloring it finds the witness; a budget or time stop leaves the
-    refuted hi and the incumbent witness.
+    leaves, or the whole cell where it does not apply, in one optimizing
+    run with goal hi. Every kernel run of the solve goes through ``run``,
+    which takes the kernel's job arguments (``req`` for a decision run,
+    the score's ``mu2``, ``best`` and ``goal`` for an optimizing one),
+    starts no run once the deadline has passed, spends what is left of the
+    one node budget and makes any coloring it finds the witness; a budget
+    or time stop leaves the refuted hi and the incumbent witness.
     """
     _require_legal_t(g, t)
-    maximize = objective is Objective.MU2
+    mu2 = objective is Objective.MU2
     n = g.n
     evidence: list[BoundEvidence] = []
 
-    best = -1 if maximize else n + 1
+    # the search works on a score to maximize: f for mu2, n - f for mu1
+    best = -1  # the incumbent's score
     witness: EdgeColoring | None = None
     if cfg.seed_fixtures:
         for name, cert in _fixture_seeds(g, t):
             f = cert.claim_f
-            if f > best if maximize else f < best:
-                best, witness = f, rebind(cert, g)
+            if (score := f if mu2 else n - f) > best:
+                best, witness = score, rebind(cert, g)
                 evidence.append(BoundEvidence(
                     kind=EvidenceKind.CERTIFICATE_LOWER_BOUND,
                     value=f,
                     applies_t=t,
                     detail=f"catalog coloring {name} achieves f={f} at t={t}"))
 
-    # entering bounds: the incumbent on one side; on the other 0 or n,
-    # tightened by the structural floors on mu1 or caps on mu2
-    lo, hi = (max(best, 0), n) if maximize else (0, min(best, n))
+    # entering score bounds: the incumbent below, n above, cut by the
+    # structural caps on mu2 or floors on mu1
+    lo, hi = max(best, 0), n
     if cfg.use_structural_bounds:
-        if maximize:
-            for ev in mu2_caps(g, t):
-                evidence.append(ev)
-                hi = min(hi, ev.value)
-        else:
-            for ev in mu1_floors(g, t):
-                evidence.append(ev)
-                lo = max(lo, ev.value)
-    if lo > hi:  # catalog colorings and structural caps are both sound
-        raise RuntimeError(
-            f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}")
+        for ev in mu2_caps(g, t) if mu2 else mu1_floors(g, t):
+            evidence.append(ev)
+            hi = min(hi, ev.value if mu2 else n - ev.value)
 
-    bound = hi if maximize else lo  # the entering bound a witness can meet
+    bound = hi  # the entering bound a witness can meet
     searched, nodes = lo < hi, 0
     if searched:
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
 
-        def run(best: int, goal: int, req: int = 0):
+        def run(mu2: bool | None = None, best: int = -1, goal: int = 0,
+                req: int = 0):
             """One kernel run on what is left of the node and time budgets;
             none starts once the deadline has passed."""
             nonlocal nodes, witness
             if deadline is not None and time.monotonic() > deadline:
                 return best, 0, "budget", 0
-            f, colors, used, tag, core = _search(
-                g, t, maximize, best, goal, reflect=cfg.use_reflection_symmetry,
+            score, colors, used, tag, core = _search(
+                g, t, mu2, best, goal, reflect=cfg.use_reflection_symmetry,
                 req=req, node_limit=cfg.node_limit - nodes, deadline=deadline)
             nodes += used
             if colors is not None:
                 witness = EdgeColoring(t=t, colors=tuple(colors))
-            return f, used, tag, core
+            return score, used, tag, core
 
         tag = None
-        if maximize and cfg.use_reflection_symmetry:
+        if mu2 and cfg.use_reflection_symmetry:
             best, hi, tag = _descend(g, t, best, hi, run, evidence,
                                      cfg.use_structural_bounds)
         if tag is None:
-            best, _, tag, _ = run(best, hi if maximize else lo)
+            best, _, tag, _ = run(mu2, best, hi)
         if tag != "budget":  # exhausted or bound-met: best is the optimum
             lo = hi = best
-        elif maximize:  # a budget stop leaves best short of hi, so lo < hi
+        else:  # a budget stop leaves best short of hi, so lo < hi
             lo = max(best, 0)
-        else:
-            hi = min(best, n)
     closed_by = ("bounds-closed" if not searched else "budget" if lo < hi
                  else "bound-met" if lo == bound else "exhausted")
+    if not mu2:
+        lo, hi = n - hi, n - lo
+    if lo > hi:  # catalog colorings and structural caps are both sound
+        raise RuntimeError(
+            f"inconsistent bounds [{lo}, {hi}] for {objective.value} at t={t}")
     return _checked(g, SearchOutcome(
         objective=objective, t=t, lo=lo, hi=hi,
         witness=witness, nodes_visited=nodes, closed_by=closed_by,
@@ -308,17 +317,17 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     it: the representatives are the masks that ``_subset_orbits(g, k)``
     maps to themselves, tried most slack first (``_slack_order``: fewest
     edges inside S, then the largest span cap, then the table's order),
-    and each is one ``run`` with ``req=S``, best k-1 and goal k. Any
-    order is sound, since every representative is still tried or skipped
-    exactly once before k is refuted; the order only lets a set that is
-    easy to make interval close the cell before the hard ones are paid.
-    The first coloring found has f = k, since hi is a cap, and closes the
-    cell; when every representative fails, hi drops to k-1 and an
-    interval-set-orbits record lists them, in the order tried, with their
-    nodes. Without an incumbent, a first-solution run supplies
-    one. The split stops at the first k where C(n,k) is too large to walk
-    or g has no edge maps (the table is None), hi included, and leaves the
-    rest to ``solve``'s plain run. It reaches the kernel, the node budget
+    and each is one decision ``run`` with ``req=S``. Any order is sound,
+    since every representative is still tried or skipped exactly once
+    before k is refuted; the order only lets a set that is easy to make
+    interval close the cell before the hard ones are paid. The first
+    coloring found has f = k, since hi is a cap, and closes the cell; when
+    every representative fails, hi drops to k-1 and an interval-set-orbits
+    record lists them, in the order tried, with their nodes. Without an
+    incumbent, a first-solution run (``req=0``) supplies one. The split
+    stops at the first k where C(n,k) is too large to walk or g has no edge
+    maps (the table is None), hi included, and leaves the rest to
+    ``solve``'s plain run. It reaches the kernel, the node budget
     and the clock only through ``run``.
 
     Each exhausted run leaves a core, a subset of its S that no valid
@@ -345,7 +354,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         return best, hi, None
     cores: list[tuple[int, int, int]] = []  # (core, its run's S, its k)
     if best < 0:
-        best, _, tag, _ = run(-1, 0)
+        best, _, tag, _ = run(req=0)
         if tag == "budget":
             return best, hi, tag
     for k in range(hi, best, -1):
@@ -381,7 +390,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
             if spans and t > (cap := span_cap(g, req)):
                 used, core, note = 0, req, {"span_cap": cap}
             else:
-                _, used, tag, core = run(k - 1, k, req)
+                _, used, tag, core = run(req=req)
                 if tag == "budget":
                     return best, k, tag
                 if tag == "bound-met":  # a witness with f = k
@@ -537,12 +546,12 @@ def sample(g: Graph, t: int, seed: int = 0, count: int = 1) -> list[EdgeColoring
         for _attempt in range(32):
             order = list(range(g.m))
             rng.shuffle(order)
-            colors = _search(g, t, True, -1, 0, order=order, rng=rng,
-                             reflect=False, node_limit=100_000)[1]
+            colors = _search(g, t, order=order, rng=rng, reflect=False,
+                             node_limit=100_000)[1]
             if colors is not None:
                 break
         if colors is None:
-            colors = _search(g, t, True, -1, 0)[1]
+            colors = _search(g, t)[1]
         c = EdgeColoring(t=t, colors=tuple(colors))
         require_valid(g, c)
         out.append(c)

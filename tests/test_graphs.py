@@ -287,15 +287,15 @@ class TestSearchKernel:
             order = list(range(g.m))
             rng.shuffle(order)
             for kwargs in ({}, {"order": order, "rng": rng, "reflect": False}):
-                best, colors, _, tag, _ = _search(g, t, True, -1, 0, **kwargs)
+                best, colors, _, tag, _ = _search(g, t, **kwargs)
                 assert tag == "bound-met"
                 c = EdgeColoring(t=t, colors=tuple(colors))
                 assert naive_valid(g, c), (t, kwargs, colors)
                 assert best == analyze(g, c).f
 
     @pytest.mark.parametrize("args, req, nodes", [
-        ((4, True, -1, 0), (), 15),  # a first-solution run
-        ((9, True, 7, 8), ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"),
+        ((4,), (), 15),  # a first-solution run
+        ((9,), ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"),
          6_547),  # a run of the interval-set split
     ])
     def test_budget_is_tested_before_the_leaf(self, P, args, req, nodes):
@@ -308,16 +308,19 @@ class TestSearchKernel:
         assert _search(P, *args, req=req, node_limit=nodes + 1)[2:4] == (
             nodes, "bound-met")
 
-    @pytest.mark.parametrize("maximize, best, goal", [
-        (True, 2, 4),  # goal above |req|
-        (False, 11, 0),  # a minimizing run
+    @pytest.mark.parametrize("mu2, best, goal", [
+        (True, 2, 4),  # an optimizing run of f
+        (False, 2, 4),  # an optimizing run of n - f
     ])
-    def test_req_needs_a_decision_run(self, P, maximize, best, goal):
-        # only a decision run, maximize and best < goal <= |req|, keeps its
-        # req vertices interval; any other run is refused before it starts
+    def test_req_needs_a_decision_run(self, P, mu2, best, goal):
+        # only a decision run (mu2=None) keeps its req vertices interval or
+        # draws colors at random; an optimizing run given req or rng is
+        # refused before it starts
         req = vertex_set(P, ("x1", "x2", "x3"))
         with pytest.raises(ValueError, match="decision run"):
-            _search(P, 9, maximize, best, goal, req=req)
+            _search(P, 9, mu2, best, goal, req=req)
+        with pytest.raises(ValueError, match="decision run"):
+            _search(P, 9, mu2, best, goal, rng=random.Random(0))
 
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [petersen(), complete(5)],
                              ids=lambda g: g.name)

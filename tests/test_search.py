@@ -71,8 +71,7 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                                       e.payload["cores"], strict=True):
             assert len(labels) == k
             s, core = vertex_set(g, labels), vertex_set(g, why["core"])
-            _, colors, nodes, tag, got = _search(g, out.t, True, k - 1, k,
-                                                 req=s)
+            _, colors, nodes, tag, got = _search(g, out.t, req=s)
             assert (colors, tag) == (None, "exhausted")
             source = why.get("learned_from")
             if source is not None:
@@ -90,8 +89,7 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                 assert span_cap(g, core) == why["span_cap"] < out.t
             else:
                 assert (nodes, got) == (spent, core)
-                c = core.bit_count()
-                again = _search(g, out.t, True, c - 1, c, req=core,
+                again = _search(g, out.t, req=core,
                                 order=_most_constrained_order(g, s))
                 assert again[1:4] == (None, spent, "exhausted")
             learned[k, frozenset(labels)] = core
@@ -243,6 +241,16 @@ class TestPetersenSeededRuns:
         with pytest.raises(RuntimeError, match=r"inconsistent bounds \[8, 7\]"):
             solve(P, 4, Objective.MU2)
 
+    def test_crossed_entering_mu1_bounds_are_a_bug(self, P, monkeypatch):
+        # epsilon's f=2 caps mu1 at t=4, so a floor of 3 can only come from
+        # a broken argument; the crossed score bounds print as f bounds
+        bogus = BoundEvidence(kind=EvidenceKind.MATCHING_INTERSECTION,
+                              value=3, detail="unsound floor")
+        monkeypatch.setattr(search_module, "mu1_floors", lambda g, t: [bogus])
+        with pytest.raises(RuntimeError, match=(
+                r"inconsistent bounds \[3, 2\] for mu1 at t=4")):
+            solve(P, 4, Objective.MU1)
+
     def test_exact_outcome_without_a_witness_is_refused(self, P):
         out = SearchOutcome(objective=Objective.MU2, t=4, lo=8, hi=8,
                             witness=None, nodes_visited=0,
@@ -362,8 +370,7 @@ class TestConfig:
             for t in legal_t_range(g):
                 sets = naive_interval_sets(g, t)
                 for s in range(1, 1 << g.n):
-                    k = s.bit_count()
-                    colors = _search(g, t, True, k - 1, k, req=s)[1]
+                    colors = _search(g, t, req=s)[1]
                     want = set(set_labels(g, s))
                     if colors is None:
                         ok = not any(want <= found for found in sets)
@@ -386,14 +393,12 @@ class TestConfig:
                 sets = naive_interval_sets(g, t)
                 for k in range(1, g.n + 1):
                     for s in representatives(_subset_orbits(g, k) or {}):
-                        _, _, nodes, tag, core = _search(g, t, True, k - 1, k,
-                                                         req=s)
+                        _, _, nodes, tag, core = _search(g, t, req=s)
                         if tag != "exhausted":
                             continue
                         runs += 1
                         want = set(set_labels(g, core))
-                        c = core.bit_count()
-                        again = _search(g, t, True, c - 1, c, req=core,
+                        again = _search(g, t, req=core,
                                         order=_most_constrained_order(g, s))
                         if (not core or core & ~s
                                 or any(want <= found for found in sets)
@@ -410,15 +415,36 @@ class TestConfig:
             shuffled = list(range(g.m))
             rng.shuffle(shuffled)
             for t in legal_t_range(g):
-                for maximize in (False, True):
-                    best = -1 if maximize else g.n + 1
-                    got = [_search(g, t, maximize, best, g.n if maximize else 0,
-                                   order=order)[0]
+                for mu2 in (False, True):
+                    # the score: f for mu2, n - f for mu1
+                    got = [_search(g, t, mu2, -1, g.n, order=order)[0]
                            for order in (None, range(g.m), shuffled)]
-                    want = naive_mu(g, t)[maximize]
-                    if got != [want] * 3:
-                        mismatches.append(f"{g.name} t={t} {maximize}: {got}")
+                    f = naive_mu(g, t)[mu2]
+                    if got != [f if mu2 else g.n - f] * 3:
+                        mismatches.append(f"{g.name} t={t} {mu2}: {got}")
         assert mismatches == []
+
+    def test_kernel_entering_incumbents(self):
+        # an optimizing run that enters with the optimal score keeps it and
+        # finds no witness; one that enters a score below it finds the
+        # optimum and its witness. The goal n + 1 is out of reach, so both
+        # runs end "exhausted"
+        runs, mismatches = 0, []
+        for g in ORACLE_CORPUS:
+            for t in legal_t_range(g):
+                for mu2 in (False, True):
+                    f = naive_mu(g, t)[mu2]
+                    score = f if mu2 else g.n - f
+                    for best in (score, score - 1):
+                        runs += 1
+                        got, colors, _, tag, _ = _search(g, t, mu2, best,
+                                                         g.n + 1)
+                        found = (None if colors is None else analyze(
+                            g, EdgeColoring(t=t, colors=tuple(colors))).f)
+                        want = None if best == score else f
+                        if (got, found, tag) != (score, want, "exhausted"):
+                            mismatches.append(f"{g.name} t={t} {mu2} {best}")
+        assert (runs, mismatches) == (364, [])
 
     def test_time_limit_stops_a_deep_search(self, P, monkeypatch):
         # solve reads the clock for its deadline, and each run before it
@@ -554,6 +580,26 @@ class TestProfile:
     def test_family_node_totals_are_pinned(self, g, nodes):
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in profile(g).rows) == nodes
+
+    @pytest.mark.parametrize("g, cfg, nodes, exact", [
+        (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000),
+         100_402, 14),
+        (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
+         158_403, 19),
+        (delete_vertex(petersen(), "x1"), replace(BARE, node_limit=20_000),
+         120_611, 13),
+        (complete_bipartite(4, 4), replace(BARE, node_limit=20_000),
+         180_328, 18),
+    ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
+    def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
+        # P - x1 is not edge-transitive, so each of its mu2 cells is one
+        # optimizing run of f, a loop no Petersen cell takes; K4,4's mu2
+        # cells go to the split and its mu1 cells are optimizing runs of
+        # n - f. Most cells here stop at the budget
+        rows = profile(g, cfg).rows
+        assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
+                   for r in rows) == nodes
+        assert sum(r.mu1.is_exact + r.mu2.is_exact for r in rows) == exact
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
