@@ -33,14 +33,14 @@ would doom one. A refuted run also returns its core, the vertices of the
 set whose window ever cut a color; no valid coloring makes the core
 interval, so a later set of the solve, at any k, whose orbit holds a
 superset of a learned core is skipped without a run. Before its run, a
-set S whose complement is independent is refuted at 0 nodes by the span
-rule when t exceeds ``structural.span_cap(g, S)``: every edge then has an
-endpoint in S, and colors climb by at most deg - 1 across each interval
-vertex of a path in S from the edge colored 1 to the edge colored t. Each
-refuted k is recorded as interval-set-orbits evidence, which names each
-set's core (a span-refuted set is its own core, with its ``span_cap``)
-and, for a skipped set, the superset in its orbit and the run that
-learned the core.
+set S is refuted at 0 nodes by the span rule when t exceeds
+``structural.span_cap(g, S)``: colors climb by at most deg - 1 across
+each interval vertex of a path inside a component of G[S], so the colors
+at each component span a bounded range, and each edge outside S adds
+one color more. Each refuted k is recorded as interval-set-orbits
+evidence, which names each set's core (a span-refuted set is its own
+core, with its ``span_cap``) and, for a skipped set, the superset in its
+orbit and the run that learned the core.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -145,10 +145,12 @@ class SearchOutcome(_Bounds):
     means lo == hi. For mu1 the witness (always present when exact)
     attains hi, for mu2 it attains lo (``witness_f``); either way a
     witness is a valid coloring whose f equals the bound it certifies.
-    ``closed_by`` is read off the bounds: bounds-closed when the entering
-    bounds met (no search), budget while lo < hi, bound-met when the
+    ``closed_by`` is read off the bounds and the runs: budget while
+    lo < hi; bounds-closed when no run reached the kernel, because the
+    entering bounds met or the split refuted every value above the
+    incumbent by span caps and learned cores alone; bound-met when the
     value is the entering bound a witness can meet (hi for mu2, lo for
-    mu1), and exhausted when every better value was refuted.
+    mu1); and exhausted when every better value was refuted.
     """
 
     objective: Objective
@@ -264,8 +266,8 @@ def solve(g: Graph, t: int, objective: Objective,
             hi = min(hi, ev.value if mu2 else n - ev.value)
 
     bound = hi  # the entering bound a witness can meet
-    searched, nodes = lo < hi, 0
-    if searched:
+    searched, nodes = False, 0  # searched: some run reached the kernel
+    if lo < hi:
         deadline = (time.monotonic() + cfg.time_limit_ms / 1000.0
                     if cfg.time_limit_ms is not None else None)
 
@@ -273,9 +275,10 @@ def solve(g: Graph, t: int, objective: Objective,
                 req: int = 0):
             """One kernel run on what is left of the node and time budgets;
             none starts once the deadline has passed."""
-            nonlocal nodes, witness
+            nonlocal searched, nodes, witness
             if deadline is not None and time.monotonic() > deadline:
                 return best, 0, "budget", 0
+            searched = True
             score, colors, used, tag, core = _search(
                 g, t, mu2, best, goal, reflect=cfg.use_reflection_symmetry,
                 req=req, node_limit=cfg.node_limit - nodes, deadline=deadline)
@@ -294,7 +297,7 @@ def solve(g: Graph, t: int, objective: Objective,
             lo = hi = best
         else:  # a budget stop leaves best short of hi, so lo < hi
             lo = max(best, 0)
-    closed_by = ("bounds-closed" if not searched else "budget" if lo < hi
+    closed_by = ("budget" if lo < hi else "bounds-closed" if not searched
                  else "bound-met" if lo == bound else "exhausted")
     if not mu2:
         lo, hi = n - hi, n - lo
@@ -340,11 +343,11 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
 
     With ``spans`` (the solve's ``use_structural_bounds``), a
     representative S that is not skipped is first checked by the span
-    rule, before any run: when t > ``span_cap(g, S)``, finite only
-    if S's complement is independent, no valid t-coloring makes S
-    interval (an endpoint in S of the edge colored 1 and one of the edge
-    colored t are joined by a path in S, and each vertex on it lets the
-    colors climb by at most its degree minus 1). S is refuted at 0 nodes,
+    rule, before any run: when t > ``span_cap(g, S)``, no valid
+    t-coloring makes S interval (along a path inside a component of
+    G[S] each vertex lets the colors climb by at most its degree minus 1,
+    which bounds the colors at that component, and each edge with no
+    endpoint in S holds one color). S is refuted at 0 nodes,
     recorded with ``{"core": S, "span_cap": cap}`` and learned whole.
     Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
     None when the plain kernel must decide f >= hi, and otherwise the
@@ -416,7 +419,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
 
 def _slack_order(g: Graph, reps: list[int]) -> list[int]:
     """The representatives most slack first: fewest edges inside the set,
-    then the largest ``span_cap`` (inf first), then table position.
+    then the largest ``span_cap``, then table position.
 
     An edge with an endpoint outside S meets a vertex whose colors need
     not form an interval, and a larger span cap leaves the colors more

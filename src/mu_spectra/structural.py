@@ -16,10 +16,11 @@ The arguments mechanized here:
 * on a cubic graph with chromatic index 4 whose perfect matchings pairwise
   intersect, f <= 1 at t = 4 would force color classes 1 and 4 to be
   disjoint perfect matchings, so f >= 2;
-* colors climb by at most deg - 1 across an interval vertex, so a vertex
-  set S whose complement is independent is interval under no valid
-  t-coloring once t exceeds ``span_cap(g, S)`` (after Asratian & Kamalian,
-  JCTB 62, 1994); with S = V, f <= |V|-1 there.
+* colors climb by at most deg - 1 across an interval vertex, so the
+  colors at each component of G[S] span a bounded range, and each edge
+  outside S holds one color: a vertex set S is interval under no valid
+  t-coloring once t exceeds ``span_cap(g, S)``, the sum of those (after
+  Asratian & Kamalian, JCTB 62, 1994); with S = V, f <= |V|-1 there.
 """
 
 from __future__ import annotations
@@ -271,25 +272,29 @@ def mu1_floor_from_matchings(g: Graph) -> BoundEvidence:
 
 
 @lru_cache(maxsize=None)
-def span_cap(g: Graph, s: int) -> float:
+def span_cap(g: Graph, s: int) -> int:
     """A bound on t for a valid t-coloring that makes every vertex of the
-    mask ``s`` interval, or inf when no bound follows.
+    mask ``s`` interval.
 
-    Let the complement of s be independent, so every edge has an endpoint
-    in s. Take a valid t-coloring that makes s interval, an endpoint x0 in
-    s of the edge colored 1 and one, xd, of the edge colored t, and a path
-    x0..xd inside G[s]. The colors at x0 lie in [1, deg(x0)], and an
-    interval vertex holding color c holds nothing above c + deg - 1, so
-    the colors at x_i stay <= 1 + sum over j <= i of (deg(x_j) - 1); at xd
-    that is t. The cap is 1 plus the largest, over pairs of edges, of the
-    least such path cost between their endpoints in s: inf when an edge
-    has no endpoint in s or G[s] joins no endpoints of some pair.
-    Cached: it does not depend on t.
+    Take such a coloring and a component K of G[s]. Let a and b be the
+    least and the largest color on the edges with an endpoint in K, x0 a
+    K-endpoint of an edge colored a, xd one of an edge colored b, and
+    x0..xd a path inside K. The colors at x0 lie in [a, a + deg(x0) - 1],
+    and an interval vertex holding color c holds nothing above
+    c + deg - 1, so the colors at x_i stay <= a + sum over j <= i of
+    (deg(x_j) - 1); at xd that bounds b. So the colors on the edges
+    touching K lie within L_K consecutive values, L_K being 1 plus the
+    largest, over pairs of such edges, of the least such path cost between
+    their K-endpoints. Each edge with no endpoint in s holds one color, and
+    the coloring uses every color in 1..t, so t is at most the sum of L_K
+    over the components plus the number of those edges. Cached: it does
+    not depend on t.
     """
     nb, climb, inside = g.neighbors, [d - 1 for d in g.degrees], range(g.n)
     members = [i for i in inside if s >> i & 1]
     # cost[a][b]: the least sum of deg - 1 over a path a..b in G[s], ends
-    # included (Floyd-Warshall, each vertex counted once where paths meet)
+    # included (Floyd-Warshall, each vertex counted once where paths meet);
+    # inf unless a and b lie in one component of G[s]
     cost = [[math.inf if not (s >> a & 1 and s >> b & 1)
              else climb[a] if a == b
              else climb[a] + climb[b] if nb[a] >> b & 1 else math.inf
@@ -301,10 +306,24 @@ def span_cap(g: Graph, s: int) -> float:
             if via < math.inf:
                 cost[a] = [x if x <= via + y else via + y
                            for x, y in zip(cost[a], through)]
-    # a vertex outside s lies on no path: its row and column are inf, and
-    # so is the row of an edge with no endpoint in s
-    near = [list(map(min, cost[u], cost[v])) for u, v in g.edges]
-    return 1 + max(min(row[u], row[v]) for row in near for u, v in g.edges)
+    # the edges touching each component, keyed by its least member (the
+    # first finite entry of a member's row); an edge meets one at most
+    touching: dict[int, list[tuple[int, int]]] = {}
+    outside = 0
+    for u, v in g.edges:
+        x = u if s >> u & 1 else v if s >> v & 1 else None
+        if x is None:
+            outside += 1
+        else:
+            key = next(b for b in members if cost[x][b] < math.inf)
+            touching.setdefault(key, []).append((u, v))
+    spans = 0
+    for edges in touching.values():
+        # a vertex outside s lies on no path: its column is inf, so each
+        # min below is taken over K-endpoints
+        near = [list(map(min, cost[u], cost[v])) for u, v in edges]
+        spans += 1 + max(min(row[u], row[v]) for row in near for u, v in edges)
+    return spans + outside
 
 
 def mu2_span_cap(g: Graph, t: int) -> BoundEvidence:

@@ -1,6 +1,6 @@
 import itertools
 import json
-import math
+import random
 
 import pytest
 
@@ -13,6 +13,7 @@ from mu_spectra import (
     chromatic_index,
     complete,
     cycle,
+    delete_vertex,
     fixtures,
     full_set,
     is_interval_colorable_regular,
@@ -38,6 +39,7 @@ from mu_spectra import (
 from mu_spectra import structural as structural_module
 
 from oracles import ORACLE_CORPUS, naive_interval_sets, naive_mu
+from test_theorems import complete_bipartite
 
 
 def bridge_cubic() -> Graph:
@@ -184,26 +186,20 @@ class TestMatchingFloor:
             mu1_floor_from_matchings(cycle(6))
 
 
-def covers_edges(g: Graph, s: int) -> bool:
-    """Whether every edge has an endpoint in s: its complement is independent."""
-    return all(s >> u & 1 or s >> v & 1 for u, v in g.edges)
-
-
 class TestSpanCap:
     def test_petersen_pins(self, P):
         # diameter 2, degree 3: a path of 3 vertices climbs by 2 at each
         assert span_cap(P, full_set(P)) == 7
         assert span_cap(P, vertex_set(
             P, ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"])) == 9
-        # the complement {y3, y5} holds the edge y3-y5
+        # G[S] is connected, with span 9, and the edge y3-y5 lies outside S
         assert span_cap(P, vertex_set(
-            P, ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y4"])) == math.inf
+            P, ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y4"])) == 10
 
-    def test_unjoined_edges_give_no_cap(self):
-        # {v0, v2} of a 3-vertex path covers both edges but joins neither
-        g = path(3)
-        assert covers_edges(g, 0b101)
-        assert span_cap(g, 0b101) == math.inf
+    def test_unjoined_components_span_apart(self):
+        # {v0, v2} of a 3-vertex path: two singleton components, each of
+        # degree 1, so each spans one color
+        assert span_cap(path(3), 0b101) == 2
 
     def test_refutations_agree_with_enumeration(self):
         # wherever the rule refutes a set, no enumerated valid coloring
@@ -214,11 +210,7 @@ class TestSpanCap:
             for t in legal_t_range(g):
                 for s in range(1, 1 << g.n):
                     cap = span_cap(g, s)
-                    if not covers_edges(g, s):
-                        assert cap == math.inf
-                        continue
-                    if cap == math.inf:  # G[s] leaves two edges unjoined
-                        continue
+                    assert type(cap) is int
                     checks += 1
                     if cap < t:
                         refuted += 1
@@ -226,7 +218,28 @@ class TestSpanCap:
                         if any(want <= found
                                for found in naive_interval_sets(g, t)):
                             wrong.append(f"{g.name} t={t} S={sorted(want)}")
-        assert (checks, refuted, wrong) == (621, 50, [])
+        assert (checks, refuted, wrong) == (5285, 52, [])
+
+    def test_interval_sets_of_sampled_colorings_stay_within_the_cap(self, P):
+        # past the oracle's m <= 7: a sampled coloring's interval set, and
+        # any subset of it, is interval at its t, so the cap never falls
+        # below t; the tight count pins how often the cap is met
+        rng = random.Random(0)
+        checked, tight, wrong = 0, 0, []
+        for g in (P, delete_vertex(P, "x1"), complete_bipartite(4, 4)):
+            for t in legal_t_range(g):
+                for c in sample(g, t, seed=t, count=16):
+                    interval = analyze(g, c).v_int
+                    for s in [interval] + [interval & rng.getrandbits(g.n)
+                                           for _ in range(8)]:
+                        if not s:
+                            continue
+                        checked += 1
+                        tight += (cap := span_cap(g, s)) == t
+                        if cap < t:
+                            wrong.append(f"{g.name} t={t} "
+                                         f"S={set_labels(g, s)}")
+        assert (checked, tight, wrong) == (2046, 102, [])
 
     def test_whole_graph_cap_applies_above_the_span(self, P):
         ev = mu2_span_cap(P, 8)
