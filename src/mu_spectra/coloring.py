@@ -24,13 +24,13 @@ two of its edges share a spelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
 from .graphs import (
     MAX_EDGES,
     Graph,
     GraphError,
+    Record,
     edge_key,
     from_spec,
     graph_from_dict,
@@ -46,19 +46,25 @@ class InvalidColoringError(ValueError):
         super().__init__("; ".join(v.message for v in violations))
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """Total color assignment: ``colors[i]`` is the color of edge ``i``."""
 
-    t: int
-    colors: tuple[int, ...]
+    __slots__ = ("t", "colors")
+
+    def __init__(self, t: int, colors: tuple[int, ...]):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "colors", colors)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str      # "shape" | "range" | "properness" | "surjectivity"
-    where: str     # vertex label, edge description, or color
-    message: str
+class Violation(Record):
+    __slots__ = ("kind",      # "shape" | "range" | "properness" | "surjectivity"
+                 "where",     # vertex label, edge description, or color
+                 "message")
+
+    def __init__(self, kind: str, where: str, message: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "message", message)
 
 
 def is_interval(colors) -> bool:
@@ -180,11 +186,13 @@ def require_valid(g: Graph, c: EdgeColoring) -> None:
         raise InvalidColoringError(violations)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """The interval vertices of one valid coloring."""
 
-    v_int: int  # bitmask over vertex indices
+    __slots__ = ("v_int",)  # bitmask over vertex indices
+
+    def __init__(self, v_int: int):
+        object.__setattr__(self, "v_int", v_int)
 
     @property
     def f(self) -> int:
@@ -239,8 +247,7 @@ def _parse_edge_key(key: str, g: Graph) -> int:
     return ei
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A (graph, t, coloring, claims) bundle for independent re-verification.
 
     ``colors`` is aligned with the graph's edge indices. ``source`` records
@@ -248,12 +255,18 @@ class Certificate:
     round-trips without inlining.
     """
 
-    graph: Graph
-    t: int
-    colors: tuple[int, ...]
-    claim_f: int | None = None
-    claim_intervals: tuple[tuple[str, bool], ...] | None = None
-    source: str | None = None
+    __slots__ = ("graph", "t", "colors", "claim_f", "claim_intervals", "source")
+
+    def __init__(self, graph: Graph, t: int, colors: tuple[int, ...],
+                 claim_f: int | None = None,
+                 claim_intervals: tuple[tuple[str, bool], ...] | None = None,
+                 source: str | None = None):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "claim_f", claim_f)
+        object.__setattr__(self, "claim_intervals", claim_intervals)
+        object.__setattr__(self, "source", source)
 
     def coloring(self) -> EdgeColoring:
         return EdgeColoring(t=self.t, colors=self.colors)
@@ -320,13 +333,16 @@ class Certificate:
                    claim_intervals=claim_intervals, source=source)
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(Record):
     """Outcome of re-verifying a certificate against its own claims."""
 
-    violations: tuple[Violation, ...]
-    f: int | None
-    mismatches: tuple[str, ...] = field(default=())
+    __slots__ = ("violations", "f", "mismatches")
+
+    def __init__(self, violations: tuple[Violation, ...], f: int | None,
+                 mismatches: tuple[str, ...] = ()):
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

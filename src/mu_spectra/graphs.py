@@ -16,9 +16,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 MAX_EDGES = 64
@@ -28,8 +27,57 @@ class GraphError(ValueError):
     """Raised for malformed graph definitions or illegal graph arguments."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__slots__`` (a subclass's fields
+    follow its base's) and sets each once in ``__init__`` through
+    ``object.__setattr__``. Records are equal when they are of one class
+    and their fields are equal in order; they hash by the tuple of their
+    fields and print as ``Name(field=value, ...)``. Assigning or deleting
+    an attribute raises AttributeError; ``replace`` makes a changed copy.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    # what ``__init__`` takes: fewer than the fields when it derives some
+    _params: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(f for f in own if f != "__dict__")
+        code = cls.__init__.__code__
+        cls._params = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return self.__class__(**{**{p: getattr(self, p) for p in self._params},
+                                 **changes})
+
+
+class Graph(Record):
     """Immutable simple connected graph.
 
     ``edges[i]`` is the pair of vertex indices of edge ``i`` with the lower
@@ -37,9 +85,14 @@ class Graph:
     else (colorings, matchings, certificates).
     """
 
-    name: str
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    # __dict__ holds the cached properties
+    __slots__ = ("name", "vertices", "edges", "__dict__")
+
+    def __init__(self, name: str, vertices: tuple[str, ...],
+                 edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_labels(cls, name: str, vertices: Sequence[str],

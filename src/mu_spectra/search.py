@@ -54,13 +54,12 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
                        rebind, require_valid)
-from .graphs import (Graph, GraphError, chromatic_index, is_petersen_labeled,
-                     set_labels)
+from .graphs import (Graph, GraphError, Record, chromatic_index,
+                     is_petersen_labeled, set_labels)
 from .graphs import _search, _subset_orbits
 from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
                          span_cap)
@@ -80,8 +79,7 @@ class SolveStatus(Enum):
     BOUNDS_ONLY = "bounds-only"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Budget and strategy knobs for solve and profile.
 
     ``node_limit`` is the budget of one solve; ``profile`` gives it to each
@@ -89,7 +87,8 @@ class SearchConfig:
     so a full sweep stays fast while single solves default to a deep one.
     ``time_limit_ms`` sets a solve's deadline: no kernel run starts after
     it, and a run reads the clock every 2,048 nodes. Both budgets must be
-    ints, not bools (a nan budget would never stop a search).
+    ints, not bools (a nan budget would never stop a search), and the
+    three switches must be bools.
     ``use_reflection_symmetry`` switches every use of symmetry: both
     first-edge rules of the search kernel (the root orbit rule on
     edge-transitive graphs and the reflection cut elsewhere) and the
@@ -103,26 +102,35 @@ class SearchConfig:
     split's sets are decided by search alone.
     """
 
-    node_limit: int = 10**8
-    time_limit_ms: int | None = None
-    use_reflection_symmetry: bool = True
-    seed_fixtures: bool = True
-    use_structural_bounds: bool = True
+    __slots__ = ("node_limit", "time_limit_ms", "use_reflection_symmetry",
+                 "seed_fixtures", "use_structural_bounds")
 
-    def __post_init__(self):
-        if type(self.node_limit) is not int or self.node_limit < 1:
+    def __init__(self, node_limit: int = 10**8, time_limit_ms: int | None = None,
+                 use_reflection_symmetry: bool = True, seed_fixtures: bool = True,
+                 use_structural_bounds: bool = True):
+        if type(node_limit) is not int or node_limit < 1:
             raise ValueError("node_limit must be an integer >= 1")
-        if self.time_limit_ms is not None and (
-                type(self.time_limit_ms) is not int or self.time_limit_ms < 1):
+        if time_limit_ms is not None and (
+                type(time_limit_ms) is not int or time_limit_ms < 1):
             raise ValueError("time_limit_ms must be an integer >= 1")
+        object.__setattr__(self, "node_limit", node_limit)
+        object.__setattr__(self, "time_limit_ms", time_limit_ms)
+        for name, value in (("use_reflection_symmetry", use_reflection_symmetry),
+                            ("seed_fixtures", seed_fixtures),
+                            ("use_structural_bounds", use_structural_bounds)):
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be a bool")
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class _Bounds:
+class _Bounds(Record):
     """``lo <= value <= hi``; exact, with that value, when they meet."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def status(self) -> SolveStatus:
@@ -137,7 +145,6 @@ class _Bounds:
         return self.lo if self.is_exact else None
 
 
-@dataclass(frozen=True)
 class SearchOutcome(_Bounds):
     """Result of one solve: exact value or certified bounds.
 
@@ -153,12 +160,19 @@ class SearchOutcome(_Bounds):
     mu1); and exhausted when every better value was refuted.
     """
 
-    objective: Objective
-    t: int
-    witness: EdgeColoring | None
-    nodes_visited: int
-    closed_by: str
-    evidence: tuple[BoundEvidence, ...] = ()
+    __slots__ = ("objective", "t", "witness", "nodes_visited", "closed_by",
+                 "evidence")
+
+    def __init__(self, lo: int, hi: int, objective: Objective, t: int,
+                 witness: EdgeColoring | None, nodes_visited: int, closed_by: str,
+                 evidence: tuple[BoundEvidence, ...] = ()):
+        super().__init__(lo, hi)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_visited", nodes_visited)
+        object.__setattr__(self, "closed_by", closed_by)
+        object.__setattr__(self, "evidence", evidence)
 
     @property
     def witness_f(self) -> int:
@@ -449,7 +463,6 @@ def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
     return outcome
 
 
-@dataclass(frozen=True)
 class AggregateBound(_Bounds):
     """Interval for an aggregate extremal value.
 
@@ -457,6 +470,8 @@ class AggregateBound(_Bounds):
     max gives [max lo_i, max hi_i]. Exact when the interval collapses,
     which can happen even when individual rows stay open.
     """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "status": self.status.value,
@@ -468,27 +483,26 @@ def _aggregate(rows: list[SearchOutcome], pick) -> AggregateBound:
     return AggregateBound(lo=pick(r.lo for r in rows), hi=pick(r.hi for r in rows))
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    t: int
-    mu1: SearchOutcome
-    mu2: SearchOutcome
+class ProfileRow(Record):
+    __slots__ = ("t", "mu1", "mu2")
+
+    def __init__(self, t: int, mu1: SearchOutcome, mu2: SearchOutcome):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2)
 
 
-@dataclass(frozen=True)
-class MuProfile:
-    """Per-t outcomes for both objectives plus the four aggregates."""
+class MuProfile(Record):
+    """Per-t outcomes for both objectives plus the four aggregates, which
+    ``__init__`` computes from the rows."""
 
-    graph: Graph
-    rows: tuple[ProfileRow, ...]
-    mu11: AggregateBound = field(init=False)
-    mu12: AggregateBound = field(init=False)
-    mu21: AggregateBound = field(init=False)
-    mu22: AggregateBound = field(init=False)
+    __slots__ = ("graph", "rows", "mu11", "mu12", "mu21", "mu22")
 
-    def __post_init__(self):
-        mu1s = [r.mu1 for r in self.rows]
-        mu2s = [r.mu2 for r in self.rows]
+    def __init__(self, graph: Graph, rows: tuple[ProfileRow, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "rows", rows)
+        mu1s = [r.mu1 for r in rows]
+        mu2s = [r.mu2 for r in rows]
         object.__setattr__(self, "mu11", _aggregate(mu1s, min))
         object.__setattr__(self, "mu12", _aggregate(mu1s, max))
         object.__setattr__(self, "mu21", _aggregate(mu2s, min))

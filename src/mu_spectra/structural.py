@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .graphs import (
     Graph,
     GraphError,
+    Record,
     all_perfect_matchings,
     chromatic_index,
     contains_induced_c6,
@@ -58,20 +58,24 @@ class EvidenceKind(Enum):
     SPAN_CAP = "span-cap"
 
 
-@dataclass(frozen=True)
-class BoundEvidence:
+class BoundEvidence(Record):
     """A certified bound on f with its justification.
 
     ``applies_t`` is the single t the bound is valid at, or None when it
     holds at every legal t. Caps bound f from above, floors from below;
-    which one is fixed by ``kind``.
+    which one is fixed by ``kind``. ``payload`` defaults to a fresh
+    empty dict.
     """
 
-    kind: EvidenceKind
-    value: int
-    detail: str
-    applies_t: int | None = None
-    payload: dict = field(default_factory=dict)
+    __slots__ = ("kind", "value", "detail", "applies_t", "payload")
+
+    def __init__(self, kind: EvidenceKind, value: int, detail: str,
+                 applies_t: int | None = None, payload: dict | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "applies_t", applies_t)
+        object.__setattr__(self, "payload", {} if payload is None else payload)
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind.value, "value": self.value, "detail": self.detail}

@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -210,9 +209,9 @@ class TestPetersenSeededRuns:
     @pytest.mark.parametrize("g, t, objective, cfg, want", [
         # one plain optimizing run each: no seed, no bound, no split
         (petersen(), 4, Objective.MU1,
-         replace(BARE, use_reflection_symmetry=False), (2, 26_273, "exhausted")),
+         BARE.replace(use_reflection_symmetry=False), (2, 26_273, "exhausted")),
         (petersen(), 4, Objective.MU2,
-         replace(BARE, use_reflection_symmetry=False), (8, 21_396, "exhausted")),
+         BARE.replace(use_reflection_symmetry=False), (8, 21_396, "exhausted")),
         # P - x1 is not edge-transitive, so mu2 takes the plain run too
         (delete_vertex(petersen(), "x1"), 7, Objective.MU2, SearchConfig(),
          (8, 1_765, "bound-met")),
@@ -330,7 +329,11 @@ class TestConfig:
         {"node_limit": -1}, {"time_limit_ms": 0},
         # a budget that is not an int never bounds: nan < 1 is False
         *({field: bad} for field in ("node_limit", "time_limit_ms")
-          for bad in (float("nan"), 2.5, True))])
+          for bad in (float("nan"), 2.5, True)),
+        # a switch that is not a bool would read as its truth value
+        *({field: bad} for field in ("use_reflection_symmetry",
+                                     "seed_fixtures", "use_structural_bounds")
+          for bad in ("no", None, 0))])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
@@ -591,9 +594,9 @@ class TestProfile:
          100_402, 14),
         (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
          98_518, 22),
-        (delete_vertex(petersen(), "x1"), replace(BARE, node_limit=20_000),
+        (delete_vertex(petersen(), "x1"), BARE.replace(node_limit=20_000),
          120_611, 13),
-        (complete_bipartite(4, 4), replace(BARE, node_limit=20_000),
+        (complete_bipartite(4, 4), BARE.replace(node_limit=20_000),
          180_328, 18),
     ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
     def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
@@ -651,9 +654,9 @@ class TestProfile:
                  for labels, why in zip(e.payload["representatives"],
                                         e.payload["cores"])]
         assert cores != e.payload["cores"]
-        moved = replace(e, payload={**e.payload, "cores": cores})
-        bad = replace(out, evidence=tuple(moved if x is e else x
-                                          for x in out.evidence))
+        moved = e.replace(payload={**e.payload, "cores": cores})
+        bad = out.replace(evidence=tuple(moved if x is e else x
+                                         for x in out.evidence))
         with pytest.raises(AssertionError):
             replay_orbit_evidence(petersen_profile.graph, bad)
 
