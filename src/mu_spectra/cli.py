@@ -189,68 +189,64 @@ def cmd_profile(args) -> int:
     return 0
 
 
+#: The counts each lemma check of the Petersen graph must replay.
+_PETERSEN_FACTS = {
+    "chromatic-index": {"chromatic_index": 4},
+    "not-interval-colorable": {"cap": 9},
+    "matchings-intersect": {"matchings": 6, "pairs": 15,
+                            "intersecting_pairs": 15},
+    "large-subsets-obstructed": {"subsets": 176, "obstructed": 176},
+    "vertex-deletions-chromatic-index": {"deletions": 10,
+                                         "with_chromatic_index_4": 10},
+    "max-path-forest": {"max_subset": 6},
+}
+
+
 def _petersen_checks(g: Graph) -> list[dict]:
-    """Replay the structural facts; counts come from the evidence payloads."""
+    """Replay the structural facts; counts come from the evidence payloads,
+    and a check passes when they are its counts in ``_PETERSEN_FACTS``."""
     checks: list[dict] = []
+
+    def check(name: str, detail: str, **counts: int) -> None:
+        checks.append({"name": name, "ok": counts == _PETERSEN_FACTS[name],
+                       "detail": detail, "counts": counts})
 
     noninterval = mu22_cap_from_noninterval(g)
     chi = noninterval.payload["chromatic_index"]
-    checks.append({
-        "name": "chromatic-index",
-        "ok": chi == 4,
-        "detail": f"chromatic index is {chi} (degree 3 plus 1)",
-        "counts": {"chromatic_index": chi},
-    })
+    check("chromatic-index", f"chromatic index is {chi} (degree 3 plus 1)",
+          chromatic_index=chi)
 
     cap = noninterval.value
-    checks.append({
-        "name": "not-interval-colorable",
-        "ok": cap == 9,
-        "detail": ("no coloring makes every spectrum an interval; "
-                   f"f <= {cap} at every t"),
-        "counts": {"cap": cap},
-    })
+    check("not-interval-colorable",
+          f"no coloring makes every spectrum an interval; f <= {cap} at every t",
+          cap=cap)
 
     # the argument raises on the first disjoint pair, so every pair intersects
     matching = mu1_floor_from_matchings(g).payload
     matchings = len(matching["perfect_matchings"])
     pairs = matching["pairs_checked"]
-    checks.append({
-        "name": "matchings-intersect",
-        "ok": matchings == 6 and pairs == 15,
-        "detail": f"{matchings} perfect matchings; {pairs}/{pairs} pairs intersect",
-        "counts": {"matchings": matchings, "pairs": pairs,
-                   "intersecting_pairs": pairs},
-    })
+    check("matchings-intersect",
+          f"{matchings} perfect matchings; {pairs}/{pairs} pairs intersect",
+          matchings=matchings, pairs=pairs, intersecting_pairs=pairs)
 
     obstructions = mu2_top_cap_from_obstructions(g, 7).payload
     total, obstructed = obstructions["subsets"], obstructions["obstructed"]
-    checks.append({
-        "name": "large-subsets-obstructed",
-        "ok": total == 176 and obstructed == total,
-        "detail": f"{obstructed}/{total} subsets with >= 7 vertices contain "
-                  f"an induced claw or 6-cycle",
-        "counts": {"subsets": total, "obstructed": obstructed},
-    })
+    check("large-subsets-obstructed",
+          f"{obstructed}/{total} subsets with >= 7 vertices contain an "
+          f"induced claw or 6-cycle",
+          subsets=total, obstructed=obstructed)
 
     deletions = mu22_cap_cubic(g).payload["deletion_chromatic_indices"]
     good = sum(1 for v in deletions.values() if v == 4)
-    checks.append({
-        "name": "vertex-deletions-chromatic-index",
-        "ok": good == len(deletions) == 10,
-        "detail": f"{good}/{len(deletions)} single-vertex deletions have "
-                  f"chromatic index 4",
-        "counts": {"deletions": len(deletions), "with_chromatic_index_4": good},
-    })
+    check("vertex-deletions-chromatic-index",
+          f"{good}/{len(deletions)} single-vertex deletions have chromatic "
+          f"index 4",
+          deletions=len(deletions), with_chromatic_index_4=good)
 
     forest = mu2_top_cap(g).value
-    checks.append({
-        "name": "max-path-forest",
-        "ok": forest == 6,
-        "detail": f"largest vertex subset inducing a path forest has "
-                  f"{forest} vertices",
-        "counts": {"max_subset": forest},
-    })
+    check("max-path-forest",
+          f"largest vertex subset inducing a path forest has {forest} vertices",
+          max_subset=forest)
     return checks
 
 
@@ -339,7 +335,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (GraphError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a graph or vertex name may hold a newline: keep the message on one
+        # line by escaping each unprintable character as repr would
+        message = "".join(ch if ch.isprintable() else repr(ch)[1:-1]
+                          for ch in str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

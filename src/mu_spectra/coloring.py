@@ -16,10 +16,12 @@ names each clash, out-of-range color and unused color runs only when the
 pass fails, to explain the failure; a color not equal to an integer in
 [1,t] is out of range, so every valid coloring passes.
 
-Certificate edge keys ("a-b", either endpoint order) are resolved by one
-lookup in ``Graph.edge_keys``; a key that spells two different edges is an
-input error, and a certificate that ``to_dict`` writes reads back unless
-two of its edges share a spelling.
+Edge keys ("a-b", either endpoint order) reach edge indices one way, by a
+lookup in ``Graph.edge_keys``: certificates, the catalog's patches and the
+catalog seeds that ``rebind`` carries onto a graph all resolve through it.
+A key that spells two different edges is an input error, and a
+certificate that ``to_dict`` writes reads back unless two of its edges
+share a spelling.
 """
 
 from __future__ import annotations
@@ -247,6 +249,28 @@ def _parse_edge_key(key: str, g: Graph) -> int:
     return ei
 
 
+def _aligned(g: Graph, keyed: Mapping) -> tuple[int, ...]:
+    """Colors keyed by edge key, aligned with g's edge indices: each key
+    must name one edge of g, each edge be colored once, and each color be
+    an int."""
+    colors = [0] * g.m
+    seen = [False] * g.m
+    for key, value in keyed.items():
+        ei = _parse_edge_key(str(key), g)
+        if seen[ei]:
+            raise GraphError(f"edge {key!r} colored twice")
+        seen[ei] = True
+        if type(value) is not int:  # inline: this loop is the hot path of verify
+            raise GraphError(f"color of edge {key!r} must be an integer, "
+                             f"got {value!r}")
+        colors[ei] = value
+    if not all(seen):
+        missing = [edge_key(a, b) for i, (a, b) in enumerate(g.edge_labels)
+                   if not seen[i]]
+        raise GraphError(f"certificate misses edges: {', '.join(missing)}")
+    return tuple(colors)
+
+
 class Certificate(Record):
     """A (graph, t, coloring, claims) bundle for independent re-verification.
 
@@ -301,22 +325,7 @@ class Certificate(Record):
             graph = graph_from_dict(gfield)
             source = None
         t = _json_int(doc["t"], "certificate t")
-        raw = _json_object(doc["colors"], "certificate colors")
-        colors = [0] * graph.m
-        seen = [False] * graph.m
-        for key, value in raw.items():
-            ei = _parse_edge_key(str(key), graph)
-            if seen[ei]:
-                raise GraphError(f"edge {key!r} colored twice")
-            seen[ei] = True
-            if type(value) is not int:  # inline: this loop is the hot path of verify
-                raise GraphError(f"color of edge {key!r} must be an integer, "
-                                 f"got {value!r}")
-            colors[ei] = value
-        if not all(seen):
-            missing = [edge_key(a, b) for i, (a, b) in enumerate(graph.edge_labels)
-                       if not seen[i]]
-            raise GraphError(f"certificate misses edges: {', '.join(missing)}")
+        colors = _aligned(graph, _json_object(doc["colors"], "certificate colors"))
         claims = _json_object(doc.get("claims", {}), "certificate claims")
         claim_f = None
         if "f" in claims:
@@ -329,7 +338,7 @@ class Certificate(Record):
                     raise GraphError(f"interval flag of {k!r} must be a boolean, "
                                      f"got {v!r}")
             claim_intervals = tuple(sorted((str(k), v) for k, v in flags.items()))
-        return cls(graph=graph, t=t, colors=tuple(colors), claim_f=claim_f,
+        return cls(graph=graph, t=t, colors=colors, claim_f=claim_f,
                    claim_intervals=claim_intervals, source=source)
 
 
@@ -371,14 +380,8 @@ def check_certificate(cert: Certificate) -> CertificateCheck:
 def rebind(cert: Certificate, g: Graph) -> EdgeColoring:
     """Carry a certificate's coloring onto a graph with the same labeled edges.
 
-    Matching is by label pair, so the target's edge indexing may differ.
+    Matching is by edge key, as a certificate document is read, so the
+    target's edge indexing may differ.
     """
-    colors = [0] * g.m
-    for i, pair in enumerate(cert.graph.edge_labels):
-        key = frozenset(pair)
-        if key not in g.edge_index:
-            raise GraphError(f"{g.name} lacks edge {pair}")
-        colors[g.edge_index[key]] = cert.colors[i]
-    if len(cert.graph.edges) != g.m:
-        raise GraphError("edge sets differ")
-    return EdgeColoring(t=cert.t, colors=tuple(colors))
+    return EdgeColoring(t=cert.t,
+                        colors=_aligned(g, _keyed_colors(cert.graph, cert.colors)))

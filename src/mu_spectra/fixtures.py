@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 
 from .coloring import Certificate, check_certificate
-from .graphs import petersen
+from .graphs import edge_key, petersen
 
 _Patch = Mapping[tuple[str, str], int]
 
@@ -101,7 +101,7 @@ def _apply(patch: _Patch, colors=(0,) * 15) -> list[int]:
     g = petersen()
     out = list(colors)
     for (a, b), col in patch.items():
-        out[g.edge_index[frozenset((a, b))]] = col
+        out[g.edge_keys[edge_key(a, b)]] = col
     if 0 in out:
         raise RuntimeError("fixture table misses an edge")
     return out

@@ -16,7 +16,7 @@ import json
 import math
 import random
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 
 MAX_VERTICES = 64
@@ -161,15 +161,10 @@ class Graph(Record):
         return tuple((self.vertices[u], self.vertices[v]) for u, v in self.edges)
 
     @cached_property
-    def edge_index(self) -> dict[frozenset[str], int]:
-        """Label pair (order-insensitive) -> edge index."""
-        return {frozenset(pair): i for i, pair in enumerate(self.edge_labels)}
-
-    @cached_property
     def edge_keys(self) -> dict[str, int]:
         """Edge key -> edge index, for both spellings ``edge_key(a, b)`` and
-        ``edge_key(b, a)`` of every edge; the one resolver of certificate
-        edge keys.
+        ``edge_key(b, a)`` of every edge; the one way a label pair reaches
+        an edge index.
 
         A string that spells two different edges, as "a-b-c" does for the
         edges (a, b-c) and (a-b, c), maps to -1. An edge that spells itself
@@ -246,6 +241,12 @@ def set_labels(g: Graph, mask: int) -> tuple[str, ...]:
 def full_set(g: Graph) -> int:
     return (1 << g.n) - 1
 
+def _subsets(mask: int, k: int) -> Iterator[int]:
+    """The k-subset masks of ``mask``, in ``itertools.combinations`` order
+    over its indices: none when k exceeds its bit count, one (0) at k=0."""
+    return map(sum, itertools.combinations(
+        [1 << i for i in range(mask.bit_length()) if mask >> i & 1], k))
+
 
 # ---------------------------------------------------------------------------
 # catalog graphs
@@ -314,10 +315,12 @@ def from_spec(spec: str) -> Graph:
 
 
 def is_petersen_labeled(g: Graph) -> bool:
-    """True when g is the Petersen graph under its catalog labeling."""
-    return (set(g.vertices) == set(PETERSEN_VERTICES)
-            and {frozenset(e) for e in g.edge_labels}
-            == {frozenset(e) for e in PETERSEN_EDGES})
+    """True when g is the Petersen graph under its catalog labeling: each
+    catalog edge's key resolves to an edge of g, and g has no other edge.
+    A connected g then has no other vertex either."""
+    keys = g.edge_keys
+    return (g.m == len(PETERSEN_EDGES)
+            and all(edge_key(a, b) in keys for a, b in PETERSEN_EDGES))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +386,8 @@ def contains_induced_c6(g: Graph, s) -> bool:
     mask = vertex_set(g, s)
     nb = g.neighbors
     ids = [i for i in range(g.n) if mask >> i & 1]
-    for six in itertools.combinations(ids, 6):
-        sm = 0
-        for i in six:
-            sm |= 1 << i
-        if (all((nb[i] & sm).bit_count() == 2 for i in six)
+    for sm in _subsets(mask, 6):
+        if (all((nb[i] & sm).bit_count() == 2 for i in ids if sm >> i & 1)
                 and _reach(g, sm & -sm, sm) == sm):
             return True
     return False
@@ -531,8 +531,7 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     if maps is None or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
     rep_of: dict[int, int] = {}
-    for combo in itertools.combinations(range(g.n), k):
-        rep = sum(1 << i for i in combo)
+    for rep in _subsets(full_set(g), k):
         if rep in rep_of:
             continue
         rep_of[rep] = rep

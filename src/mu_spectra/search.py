@@ -51,16 +51,15 @@ can certify an aggregate exactly even when middle rows stay open.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from enum import Enum
 
 from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
                        rebind, require_valid)
-from .graphs import (Graph, GraphError, Record, chromatic_index,
+from .graphs import (Graph, GraphError, Record, chromatic_index, full_set,
                      is_petersen_labeled, set_labels)
-from .graphs import _search, _subset_orbits
+from .graphs import _search, _subset_orbits, _subsets
 from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
                          span_cap)
 
@@ -386,9 +385,8 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
             core = learned[0]
             if core.bit_count() > k:
                 return
-            rest = [i for i in range(g.n) if not core >> i & 1]
-            for extra in itertools.combinations(rest, k - core.bit_count()):
-                superset = core | sum(1 << i for i in extra)
+            for extra in _subsets(full_set(g) & ~core, k - core.bit_count()):
+                superset = core | extra
                 dead.setdefault(orbit_of[superset], (superset, learned))
 
         for learned in cores:

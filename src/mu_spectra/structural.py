@@ -42,7 +42,9 @@ from .graphs import (
     edge_key,
     full_set,
     is_path_forest,
+    set_labels,
 )
+from .graphs import _subsets
 
 # 2^|V| subset scans stay fast up to here
 _SUBSET_SCAN_LIMIT = 20
@@ -137,12 +139,9 @@ def _require_cubic_class_two(g: Graph) -> None:
 def _max_path_forest_with_witness(g: Graph) -> tuple[int, tuple[str, ...]]:
     _require_subset_scan(g)
     for size in range(g.n, 0, -1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
+        for mask in _subsets(full_set(g), size):
             if is_path_forest(g, mask):
-                return size, tuple(g.vertices[v] for v in combo)
+                return size, set_labels(g, mask)
     return 0, ()  # unreachable: any single vertex induces a path forest
 
 
@@ -185,13 +184,10 @@ def mu2_top_cap_from_obstructions(g: Graph, size: int) -> BoundEvidence:
     _require_subset_scan(g)
     subsets = 0
     for k in range(size, g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
+        for mask in _subsets(full_set(g), k):
             if not (contains_induced_claw(g, mask) or contains_induced_c6(g, mask)):
                 raise GraphError(
-                    f"{{{', '.join(g.vertices[v] for v in combo)}}} contains "
+                    f"{{{', '.join(set_labels(g, mask))}}} contains "
                     f"no induced claw or 6-cycle")
             subsets += 1
     return BoundEvidence(

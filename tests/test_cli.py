@@ -419,6 +419,25 @@ class TestLemmas:
         assert "petersen" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--graph", "@{graph}", "--t", "9", "--objective", "mu1"],
+    ["lemmas", "--graph", "@{graph}"],
+    ["verify", "{certificate}"],
+])
+def test_input_errors_stay_on_one_line(capsys, tmp_path, command):
+    # each message names the graph, whose name holds a newline
+    g = {"name": "a\nb", "vertices": ["u", "v", "w"],
+         "edges": [["u", "v"], ["v", "w"]]}
+    paths = {"graph": tmp_path / "g.json", "certificate": tmp_path / "cert.json"}
+    paths["graph"].write_text(json.dumps(g))
+    paths["certificate"].write_text(json.dumps(
+        {"graph": g, "t": 2, "colors": {"u-v": 1, "bogus": 2}}))
+    code, out, err = run_cli(capsys, *[a.format(**paths) for a in command])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" a\\nb\n")
+    assert err.count("\n") == 1
+
+
 class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -198,7 +198,7 @@ def _rotate_petersen(g, c):
     succ |= {f"y{i}": f"y{i % 5 + 1}" for i in range(1, 6)}
     out = [0] * g.m
     for i, (a, b) in enumerate(g.edge_labels):
-        out[g.edge_index[frozenset((succ[a], succ[b]))]] = c.colors[i]
+        out[g.edge_keys[f"{succ[a]}-{succ[b]}"]] = c.colors[i]
     return EdgeColoring(t=c.t, colors=tuple(out))
 
 
@@ -207,7 +207,7 @@ class TestAutomorphismInvariance:
         succ = {f"x{i}": f"x{i % 5 + 1}" for i in range(1, 6)}
         succ |= {f"y{i}": f"y{i % 5 + 1}" for i in range(1, 6)}
         for a, b in P.edge_labels:
-            assert frozenset((succ[a], succ[b])) in P.edge_index
+            assert f"{succ[a]}-{succ[b]}" in P.edge_keys
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10**6), st.integers(4, 15))
@@ -301,6 +301,21 @@ class TestCertificates:
     def test_rebind_requires_same_edges(self, catalog):
         with pytest.raises(GraphError):
             rebind(catalog["sigma"], cycle(5))
+
+    def test_rebind_reports_an_edge_the_certificate_misses(self, P, catalog):
+        extra = Graph.from_labels("petersen+1", P.vertices,
+                                  P.edge_labels + (("x1", "y2"),))
+        with pytest.raises(GraphError, match="misses edges: x1-y2"):
+            rebind(catalog["sigma"], extra)
+
+    def test_rebind_refuses_an_ambiguous_target(self):
+        # "a-b-c" names both (a, b-c) and (a-b, c) on the target
+        g = Graph.from_labels("g", ["a", "b-c", "x"], [("a", "b-c"), ("b-c", "x")])
+        target = Graph.from_labels("h", ["a", "b-c", "x", "c", "a-b"],
+                                   [*g.edge_labels, ("x", "c"), ("a-b", "c")])
+        cert = Certificate(graph=g, t=2, colors=(1, 2))
+        with pytest.raises(GraphError, match="names more than one edge"):
+            rebind(cert, target)
 
     def test_inline_graph_survives_json(self, tmp_path):
         g = cycle(4)

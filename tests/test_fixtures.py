@@ -50,14 +50,14 @@ def test_first_recoloring_step_touches_one_edge(P, catalog):
     base = catalog["psi0"].colors
     step = catalog["psi1"].colors
     diffs = [i for i in range(P.m) if base[i] != step[i]]
-    assert diffs == [P.edge_index[frozenset(("y1", "y4"))]]
+    assert diffs == [P.edge_keys["y1-y4"]]
     assert step[diffs[0]] == 2
 
 
 def test_first_merge_step_pairs_two_edges_on_color_five(P, catalog):
     c = catalog["lambda1"].colors
-    assert c[P.edge_index[frozenset(("x2", "x3"))]] == 5
-    assert c[P.edge_index[frozenset(("y2", "y5"))]] == 5
+    assert c[P.edge_keys["x2-x3"]] == 5
+    assert c[P.edge_keys["y2-y5"]] == 5
     base = catalog["lambda0"].colors
     diffs = [i for i in range(P.m) if base[i] != c[i]]
     assert len(diffs) == 2

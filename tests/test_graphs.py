@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -36,6 +37,7 @@ from mu_spectra.graphs import (
     _most_constrained_order,
     _search,
     _subset_orbits,
+    _subsets,
 )
 
 from oracles import (
@@ -71,6 +73,15 @@ class TestConstruction:
         assert petersen() is P
         assert is_petersen_labeled(P)
         assert not is_petersen_labeled(cycle(5))
+        # edge order and endpoint order are free; the labeled edges are not
+        flipped = Graph.from_labels("p", reversed(P.vertices),
+                                    [(b, a) for a, b in reversed(P.edge_labels)])
+        assert is_petersen_labeled(flipped)
+        extra = Graph.from_labels("p", P.vertices, P.edge_labels + (("x1", "y2"),))
+        assert not is_petersen_labeled(extra)
+        moved = dict(zip(P.vertices, P.vertices[1:] + P.vertices[:1]))
+        assert not is_petersen_labeled(Graph.from_labels(
+            "p", P.vertices, [(moved[a], moved[b]) for a, b in P.edge_labels]))
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(GraphError, match="duplicate vertex"):
@@ -175,6 +186,16 @@ class TestVertexSets:
             vertex_set(P, 1 << 10)
         with pytest.raises(GraphError):
             vertex_set(P, ["nope"])
+
+    @pytest.mark.parametrize("mask", [0, 0b1, 0b1011010, (1 << 10) - 1,
+                                      1 << 63 | 1 << 5 | 1])
+    def test_subsets_follow_combinations_order(self, mask):
+        # orbit representatives and the path-forest witness rest on this order
+        ids = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for k in range(len(ids) + 2):  # k=0 gives the empty set; the last none
+            assert list(_subsets(mask, k)) == [
+                sum(1 << i for i in combo)
+                for combo in itertools.combinations(ids, k)]
 
     @given(st.sets(st.sampled_from(
         ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3", "y4", "y5"])))

@@ -95,19 +95,20 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     return replayed
 
 
-def expire_clock_after(monkeypatch, reads: int) -> None:
+def expire_clock_after(monkeypatch, reads: float) -> SimpleNamespace:
     """Give the search a clock that reads 0.0 for its first `reads` reads
-    and 1.0 after, past any deadline under one second."""
-    count = 0
+    and 1.0 after, past any deadline under one second. Returns the clock;
+    its `count` is the number of reads so far."""
+    clock = SimpleNamespace(count=0)
 
     def monotonic() -> float:
-        nonlocal count
-        count += 1
-        return 0.0 if count <= reads else 1.0
+        clock.count += 1
+        return 0.0 if clock.count <= reads else 1.0
 
-    clock = SimpleNamespace(monotonic=monotonic)
+    clock.monotonic = monotonic
     monkeypatch.setattr(search_module, "time", clock)
     monkeypatch.setattr(graphs_module, "time", clock)
+    return clock
 
 
 # spot values frozen from full enumeration (oracle sweep lives in the
@@ -476,6 +477,18 @@ class TestConfig:
         out = solve(P, 10, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert (out.closed_by, out.nodes_visited) == ("budget", nodes)
+
+    def test_deadline_read_mid_run_does_not_stop_it(self, P, monkeypatch):
+        # a clock that never passes the deadline: read for the deadline,
+        # before the one run, and at nodes 2,048, 4,096, 6,144 and 8,192
+        clock = expire_clock_after(monkeypatch, float("inf"))
+        cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False,
+                           use_structural_bounds=False)
+        out = solve(P, 4, Objective.MU1, cfg)
+        assert clock.count == 6
+        assert (out.nodes_visited, out.value, out.closed_by) == (
+            8_507, 2, "exhausted")
+        assert out == solve(P, 4, Objective.MU1, cfg.replace(time_limit_ms=None))
 
 
 @pytest.fixture(scope="module")
