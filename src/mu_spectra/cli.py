@@ -5,6 +5,10 @@ coloring, claim mismatch, failed check), 2 input error (unparseable file,
 unknown graph, illegal t). Reports are deterministic for fixed inputs;
 wall-clock timing is only attached on request so that default output is
 byte-identical across runs.
+
+``main(argv)`` may be called repeatedly in one process. It builds its
+parser once, on the first call, and dispatches each command to
+``cmd_<command>``, looked up in this module when the call runs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from .coloring import Certificate, check_certificate
@@ -295,7 +300,10 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
                         "cut) and the split of mu2 by interval-set orbits")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use. It holds
+    no handler: ``main`` looks up ``cmd_<command>`` when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="mu-spectra",
         description="Extremal counts of interval-spectrum vertices in proper "
@@ -306,34 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate",
                    help="path or catalog name (e.g. psi, sigma.json)")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="compute mu1 or mu2 at one t")
     _add_budget(p, node_limit=None)
     p.add_argument("--t", type=int, required=True, help="number of colors")
     p.add_argument("--objective", choices=["mu1", "mu2"], required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="sweep all legal t and aggregate")
     _add_budget(p, node_limit=PROFILE_NODE_LIMIT)
     _add_common(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("lemmas", help="replay the structural checks")
     p.add_argument("--graph", default="petersen",
                    help="must resolve to the petersen graph")
     _add_common(p)
-    p.set_defaults(func=cmd_lemmas)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (GraphError, FileNotFoundError, ValueError) as exc:
         # a graph or vertex name may hold a newline: keep the message on one
         # line by escaping each unprintable character as repr would

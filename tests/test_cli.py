@@ -458,6 +458,52 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["profile", flag, "2"])
 
+    @staticmethod
+    def outcome(capsys, argv):
+        """(exit code, stdout, stderr) of one call; a ``--timing`` report
+        is compared without its ``elapsed_ms``."""
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        if "--timing" in argv:
+            out = json.loads(out)
+            del out["elapsed_ms"]
+        return code, out, err
+
+    def test_shared_parser_carries_nothing_between_calls(self, capsys):
+        calls = [
+            ["solve", "--graph", "cycle:4", "--t", "3", "--objective", "mu2",
+             "--node-limit", "5", "--json", "--timing"],
+            ["profile", "--graph", "cycle:4"],
+            ["verify", "psi"],
+            ["solve", "--t", "x"],
+            ["lemmas", "--json"],
+        ]
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        shared = [self.outcome(capsys, argv) for argv in calls]
+        assert cli.build_parser() is parser
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+        for argv, got in zip(calls, shared):
+            cli.build_parser.cache_clear()
+            assert self.outcome(capsys, argv) == got, argv
+
+    def test_dispatch_looks_the_command_up_at_call_time(self, capsys,
+                                                        monkeypatch):
+        assert cli.main(["verify", "psi"]) == 0
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert cli.main(["verify", "psi"]) == 7
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.main(["verify", "psi"]) == 0
+        assert cli.main(["solve", "--graph", "cycle:4", "--t", "3",
+                         "--objective", "mu2"]) == 0
+        assert cli.main(["lemmas"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
 
 def test_installed_entry_point():
     exe = shutil.which("mu-spectra")
