@@ -6,9 +6,11 @@ unknown graph, illegal t). Reports are deterministic for fixed inputs;
 wall-clock timing is only attached on request so that default output is
 byte-identical across runs.
 
-``main(argv)`` may be called repeatedly in one process. It builds its
-parser once, on the first call, and dispatches each command to
-``cmd_<command>``, looked up in this module when the call runs.
+``main(argv)`` may be called repeatedly in one process, as the tests and
+the benchmark do. It builds its parser once, on the first call, and
+dispatches each command to ``cmd_<command>``, looked up in this module when
+the call runs. A single ``mu-spectra`` command builds the parser once either
+way.
 """
 
 from __future__ import annotations
@@ -303,7 +305,8 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The parser every ``main`` call shares, built on first use. It holds
-    no handler: ``main`` looks up ``cmd_<command>`` when it dispatches."""
+    no handler: ``main`` looks up ``cmd_<command>`` when it dispatches.
+    Callers must not modify it: a change would reach every later call."""
     parser = argparse.ArgumentParser(
         prog="mu-spectra",
         description="Extremal counts of interval-spectrum vertices in proper "

@@ -496,6 +496,13 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
         assert cli.main(["verify", "psi"]) == 7
 
+    def test_every_command_has_a_handler(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if a.dest == "command"]
+        assert set(sub.choices) == {name.removeprefix("cmd_")
+                                    for name in dir(cli)
+                                    if name.startswith("cmd_")}
+
     def test_parser_is_built_once_per_process(self, capsys):
         cli.build_parser.cache_clear()
         assert cli.main(["verify", "psi"]) == 0
