@@ -560,6 +560,18 @@ def _random_bit(mask: int, rng: random.Random) -> int:
     return mask & -mask
 
 
+def _window(mask: int, d: int) -> int:
+    """The colors that keep the span of a nonzero color mask within d.
+
+    With lowest color bit ``low`` and highest ``high`` in ``mask``, a color
+    keeps the span, highest minus lowest plus one, within d exactly when it
+    is below ``low << d`` and not below ``high >> (d - 1)``; the ``or 1``
+    stands for color 1 when that shift runs off the bottom.
+    """
+    return (((mask & -mask) << d) - 1) & -(
+        (1 << mask.bit_length() - 1 >> d - 1) or 1)
+
+
 def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
     """Edges in the kernel's default order: most constrained first.
 
@@ -632,17 +644,22 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     run given either raises ValueError. They go through ``decide``.
 
     * The window mask keeps every ``req`` vertex undoomed. At an edge whose
-      endpoint x is in ``req`` and already has a colored edge, with lowest
-      color bit ``low`` and highest ``high`` on x, the colors tried are cut
-      to ``((low << d) - 1) & -((high >> (d - 1)) or 1)`` for d = deg(x):
-      exactly the colors that keep x's span within d. The colors it removes
-      are the children that would doom x, each a dead end, so the run
-      explores, in the same order, the tree that pruning each such child
-      would leave, and does not count those children in ``nodes``.
+      endpoint x is in ``req`` and already has a colored edge, the colors
+      tried are cut to ``_window(used, d)`` for x's color mask ``used`` and
+      d = deg(x): exactly the colors that keep x's span within d. The
+      window depends on those two alone, so each run looks it up in a
+      table of its own per degree, keyed by color mask and filled from
+      ``_window`` on first use; a run without ``req`` builds no table. The
+      colors it removes are the children that would doom x, each a dead
+      end, so the run explores, in the same order, the tree that pruning
+      each such child would leave, and does not count those children in
+      ``nodes``.
     * So the first leaf makes all of ``req`` interval and ends the run
       "bound-met". ``best`` leaves as its f, counted once at the leaf as
       the vertices whose colors are one run of bits, or as its default -1
-      when the run finds no coloring.
+      when the run finds no coloring. Each level writes its color into
+      ``colors`` only as the run returns through it, so ``colors`` holds a
+      complete witness only after a "bound-met" return.
     * ``core`` is the set of ``req`` vertices whose window mask removed at
       least one color at some node of the run (0 without ``req``). When
       the run ends "exhausted", no valid t-coloring makes the core
@@ -729,12 +746,15 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         last_at[u] = last_at[v] = d
+    windows: dict[int, dict[int, int]] = {}  # per degree: mask -> window
     steps = []  # rec watches mu2 endpoints at every edge, mu1 at their last
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
+        tu = windows.setdefault(deg[u], {}) if req >> u & 1 else None
+        tv = windows.setdefault(deg[v], {}) if req >> v & 1 else None
         steps.append((bi, u, v, deg[u], deg[v], first_mask if d == 0 else full,
                       mu2 or last_at[u] == d, mu2 or last_at[v] == d, m - d,
-                      req & 1 << u, req & 1 << v))
+                      tu, tv))
     used = [0] * n
     colors = [0] * m  # color bits; a witness holds the colors 1..t
     leaf = m - 1
@@ -754,25 +774,30 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         return False
 
     def decide(depth: int, unused: int, unused_bits: int) -> str | None:
-        # a decision run: the window mask keeps req undoomed, and the first
-        # leaf ends the run
+        # a decision run: the window mask, looked up in the run's table for
+        # the endpoint's degree, keeps req undoomed; the first leaf ends the
+        # run, and each level writes its color only as the run returns
         nonlocal nodes, core
-        bi, u, v, du, dv, top, _, _, remaining, ru, rv = steps[depth]
+        bi, u, v, du, dv, top, _, _, remaining, tu, tv = steps[depth]
         uu, uv = used[u], used[v]
         avail = top & ~(uu | uv)
         if unused == remaining:
             avail &= unused_bits
-        if ru and uu:  # the window mask: keep u's span within du
-            window = (((uu & -uu) << du) - 1) & -(
-                (1 << uu.bit_length() - 1 >> du - 1) or 1)
+        if tu is not None and uu:  # the window mask: keep u's span within du
+            try:
+                window = tu[uu]
+            except KeyError:
+                window = tu[uu] = _window(uu, du)
             if avail & ~window:
-                core |= ru
+                core |= 1 << u
             avail &= window
-        if rv and uv:
-            window = (((uv & -uv) << dv) - 1) & -(
-                (1 << uv.bit_length() - 1 >> dv - 1) or 1)
+        if tv is not None and uv:
+            try:
+                window = tv[uv]
+            except KeyError:
+                window = tv[uv] = _window(uv, dv)
             if avail & ~window:
-                core |= rv
+                core |= 1 << v
             avail &= window
         while avail:
             bit = avail & -avail if rng is None else _random_bit(avail, rng)
@@ -780,15 +805,16 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
             nodes += 1
             if nodes >= check and over():
                 return "budget"
-            colors[bi] = bit
             used[u], used[v] = uu | bit, uv | bit
             if depth == leaf:  # proper, and surjective as unused hit 0
+                colors[bi] = bit
                 return "bound-met"
             if unused_bits & bit:
                 tag = decide(depth + 1, unused - 1, unused_bits ^ bit)
             else:
                 tag = decide(depth + 1, unused, unused_bits)
             if tag:
+                colors[bi] = bit
                 return tag
         used[u], used[v] = uu, uv
         return None

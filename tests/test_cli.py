@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import shutil
@@ -361,6 +362,15 @@ class TestProfile:
         _, first, _ = run_cli(capsys, "profile", "--graph", "cycle:4", "--json")
         _, second, _ = run_cli(capsys, "profile", "--graph", "cycle:4", "--json")
         assert first == second
+
+    def test_petersen_json_output_is_pinned(self, capsys):
+        # the paper's command, byte for byte: values, bounds, witnesses,
+        # cores, evidence and node counts of every cell
+        code, out, _ = run_cli(capsys, "profile", "--graph", "petersen",
+                               "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b46c58f58359dd0957e7187b083d4945c0793bbab9da19485662bbb2f7359b6d")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

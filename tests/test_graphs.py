@@ -38,6 +38,7 @@ from mu_spectra.graphs import (
     _search,
     _subset_orbits,
     _subsets,
+    _window,
 )
 
 from oracles import (
@@ -321,13 +322,21 @@ class TestSearchKernel:
     ])
     def test_budget_is_tested_before_the_leaf(self, P, args, req, nodes):
         # the node that reaches the first leaf is counted, then budgeted:
-        # a limit of exactly that many nodes stops the run short of it
+        # a limit of exactly that many nodes stops the run short of it. A
+        # decision run writes its colors only as it returns from a leaf, so
+        # a stopped run has no witness and a completed one a whole coloring
         req = vertex_set(P, req)
-        assert _search(P, *args, req=req)[2:4] == (nodes, "bound-met")
-        assert _search(P, *args, req=req, node_limit=nodes)[2:4] == (
-            nodes, "budget")
-        assert _search(P, *args, req=req, node_limit=nodes + 1)[2:4] == (
-            nodes, "bound-met")
+        best, colors, *rest = _search(P, *args, req=req)
+        assert rest[:2] == [nodes, "bound-met"]
+        assert len(colors) == P.m and set(colors) <= set(range(1, args[0] + 1))
+        c = EdgeColoring(t=args[0], colors=tuple(colors))
+        assert naive_valid(P, c)
+        assert best == analyze(P, c).f
+        assert analyze(P, c).v_int & req == req
+        stopped = _search(P, *args, req=req, node_limit=nodes)
+        assert stopped[:4] == (-1, None, nodes, "budget")
+        assert _search(P, *args, req=req, node_limit=nodes + 1)[:4] == (
+            best, colors, nodes, "bound-met")
 
     @pytest.mark.parametrize("mu2, best, goal", [
         (True, 2, 4),  # an optimizing run of f
@@ -371,6 +380,28 @@ K33 = Graph.from_labels("K3,3", list("abcdef"),
 
 
 TRANSITIVITY_GRAPHS = ORACLE_GRAPHS + [complete(4), K23, PAW, PRISM, K33]
+
+
+class TestWindow:
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_window_is_the_colors_that_keep_the_span(self, d):
+        # every nonempty mask over colors 1..10 that a vertex of degree d
+        # can hold undoomed; the window is exactly the colors c with
+        # span(mask + {c}) <= d, none beyond color 20
+        def span(cs):
+            return max(cs) - min(cs) + 1
+
+        masks = 0
+        for mask in range(1, 1 << 10):
+            cs = [c for c in range(1, 11) if mask >> c - 1 & 1]
+            if span(cs) > d:
+                continue
+            masks += 1
+            want = sum(1 << c - 1 for c in range(1, 21)
+                       if span(cs + [c]) <= d)
+            assert _window(mask, d) == want, (bin(mask), d)
+        assert masks == sum(2 ** max(s - 2, 0) * (10 - s + 1)
+                            for s in range(1, d + 1))
 
 
 def _edge_transitive(g):

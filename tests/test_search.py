@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import random
 from types import SimpleNamespace
 
@@ -623,6 +624,15 @@ class TestProfile:
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in rows) == nodes
         assert sum(r.mu1.is_exact + r.mu2.is_exact for r in rows) == exact
+
+    def test_frontier_profile_is_pinned(self):
+        # K4,4's whole profile, witnesses, cores and evidence with it, not
+        # only its node total
+        doc = profile(complete_bipartite(4, 4),
+                      SearchConfig(node_limit=20_000)).to_dict()
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
+                              ).hexdigest() == (
+            "7cbf3304ec5e0fdce29f1c434ce36f3f9c24af76125a307de942da4626bf2f31")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
