@@ -433,8 +433,9 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-#: Candidate placements ``_edge_automorphisms`` tries per graph before it
-#: gives up; Petersen needs 116 and complete:11 needs 486.
+#: Candidate placements ``_edge_orbit`` tries per graph and vertex mask
+#: before it gives up; Petersen needs 116 and complete:11 needs 486 for
+#: the whole group.
 _AUTOMORPHISM_BUDGET = 1_000_000
 
 #: Largest C(n,k) for which ``_subset_orbits`` walks the k-subsets.
@@ -442,24 +443,25 @@ _SUBSET_ORBIT_BUDGET = 10_000
 
 
 @lru_cache(maxsize=None)
-def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """One automorphism of g per edge after the first, or None.
-
-    Map i sends edge 0 onto edge i+1, as a tuple of vertex images. They
-    lie in one group, so when every edge has one, every edge is in edge
-    0's orbit and the automorphisms act transitively on the edges. The
-    group itself is never listed (Aut(K_11) has 11! elements).
+def _edge_orbit(g: Graph, req: int = 0) -> dict[int, tuple[int, ...]]:
+    """Edge 0's orbit under the automorphisms of g that fix the vertex mask
+    ``req`` setwise (all of Aut(g) at ``req=0``), as far as the budget
+    reaches: each edge found maps to one such automorphism that sends edge
+    0 onto it, as a tuple of vertex images, edge 0 to the identity, in
+    edge order. The group itself is never listed (Aut(K_11) has 11!
+    elements).
 
     Vertices are placed breadth-first from edge 0, so each vertex after
     the first two has an earlier neighbor (``back[i]`` lists them), and its
     image is a free neighbor of that neighbor's image. A candidate is taken
-    when its degree matches and its neighbors among the images placed so
-    far are exactly the images of ``back[i]``; adjacency is then preserved
-    both ways between every pair of placed vertices. At most
-    ``_AUTOMORPHISM_BUDGET`` candidates are tried over all edges; when they
-    run out the answer is None, as for an edge with no map, which only
-    keeps the search kernel from its root rule and ``search.solve`` from
-    its interval-set split.
+    when its degree and its membership of ``req`` match and its neighbors
+    among the images placed so far are exactly the images of ``back[i]``;
+    adjacency is then preserved both ways between every pair of placed
+    vertices. At most ``_AUTOMORPHISM_BUDGET`` candidates are tried over
+    all edges; when they run out the edges not yet reached are left out.
+    A subset of the orbit is all that its users need: the search kernel's
+    orbit floor is sound on any subset, and ``_subset_orbits`` walks only
+    a graph whose orbit holds every edge.
     """
     deg = g.degrees
     nb = g.neighbors
@@ -474,6 +476,9 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
             for i, x in enumerate(order)]
     img = [0] * g.n
     left = _AUTOMORPHISM_BUDGET
+
+    def fits(x: int, y: int) -> bool:
+        return deg[y] == deg[x] and (req >> y & 1) == (req >> x & 1)
 
     def extend(i: int, taken: int) -> bool:
         nonlocal left
@@ -491,7 +496,7 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
             if left < 0:
                 return False
             y = bit.bit_length() - 1
-            if deg[y] == deg[x] and nb[y] & taken == want:
+            if fits(x, y) and nb[y] & taken == want:
                 img[x] = y
                 if extend(i + 1, taken | bit):
                     return True
@@ -500,21 +505,22 @@ def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     def maps_onto(a: int, b: int) -> bool:
         """Whether some automorphism sends order[0], order[1] to a, b."""
         img[order[0]], img[order[1]] = a, b
-        return (deg[a] == deg[order[0]] and deg[b] == deg[order[1]]
+        return (fits(order[0], a) and fits(order[1], b)
                 and extend(2, 1 << a | 1 << b))
 
-    maps = []
-    for a, b in g.edges[1:]:
-        if not (maps_onto(a, b) or maps_onto(b, a)):
-            return None
-        maps.append(tuple(img))
-    return tuple(maps)
+    found = {0: tuple(range(g.n))}
+    for ei, (a, b) in enumerate(g.edges):
+        if ei and (maps_onto(a, b) or maps_onto(b, a)):
+            found[ei] = tuple(img)
+        if left < 0:
+            break
+    return found
 
 
 @lru_cache(maxsize=None)
 def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
-    maps of ``_edge_automorphisms``, or None.
+    maps of ``_edge_orbit(g)``, or None.
 
     A walk from each subset not yet reached applies every map to every
     subset it reaches, which closes its orbit; the group is never listed.
@@ -524,12 +530,14 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     least index set of its orbit. The maps may generate only a subgroup of
     Aut(g), whose orbits can be finer: more representatives, each still
     one per orbit of that subgroup, so every k-subset is an automorphic
-    image of one of them. None when g has no maps or C(n,k) exceeds
+    image of one of them. None when edge 0's orbit misses an edge (g is
+    not edge-transitive, or the finder's budget ran out) or C(n,k) exceeds
     ``_SUBSET_ORBIT_BUDGET``.
     """
-    maps = _edge_automorphisms(g)
-    if maps is None or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
+    orbit = _edge_orbit(g)
+    if len(orbit) < g.m or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
+    maps = [orbit[ei] for ei in range(1, g.m)]
     rep_of: dict[int, int] = {}
     for rep in _subsets(full_set(g), k):
         if rep in rep_of:
@@ -617,7 +625,8 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     edges. Those scores count colored edges, not their colors, and every
     node at depth d has colored the same d edges, so the choice depends on
     d alone: ``_most_constrained_order(g, req)`` makes each choice once,
-    before the search, with the same tie-break. Colors free at
+    before the search, with the same tie-break. At depth 0 every score
+    ties, so that order starts at edge 0. Colors free at
     both endpoints are tried lowest first, or in random order when ``rng``
     is given. Returns ``(best, witness_colors, nodes, tag, core)``, tag
     "exhausted", "bound-met" or "budget", core as below.
@@ -661,24 +670,31 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
       ``colors`` only as the run returns through it, so ``colors`` holds a
       complete witness only after a "bound-met" return.
     * ``core`` is the set of ``req`` vertices whose window mask removed at
-      least one color at some node of the run (0 without ``req``). When
-      the run ends "exhausted", no valid t-coloring makes the core
-      interval, nor any set that contains the core or an automorphic image
-      of it:
+      least one color at some node of the run (0 without ``req``), or all
+      of ``req`` when the orbit floor below cut a color. When the run ends
+      "exhausted", no valid t-coloring makes the core interval, nor any set
+      that contains the core or an automorphic image of it:
 
-      1. The run reached no leaf, since its first leaf would end it.
+      1. The run reached no leaf, since its first leaf would end it. When
+         the floor cut a color, the core is ``req``, and the floor keeps a
+         coloring for every one that makes ``req`` interval; the rest of
+         this argument is for a run with no floor.
       2. A ``req`` vertex whose window never cut a color never constrained
          the run. Take the decision run ``req=core`` in the same edge
-         order: at each node it sees the same colors, so the core's windows
-         cut what they cut before and no other window cuts. It makes the
-         same children and reaches no leaf either, and its window masks and
-         reflection cut keep every coloring that makes the core interval.
-         At a legal t a valid coloring exists, so the core is not empty;
-         ``req`` stays nonzero, and the root rule stays off in both runs.
+         order, with the reflection cut alone at e: at each node it sees the
+         same colors, so the core's windows cut what they cut before and no
+         other window cuts. It makes the same children and reaches no leaf
+         either, and its window masks and reflection cut keep every
+         coloring that makes the core interval. At a legal t a valid
+         coloring exists, so the core is not empty. The kernel's own run
+         ``req=core`` may also apply a floor under the core's stabilizer,
+         which only prunes that tree: it exhausts in at most as many nodes.
       3. Automorphisms carry this to every image of the core, at every k.
 
       Any later prune that depends on ``req`` must add the ``req`` vertices
       it relied on to the core, or the core run would make other children.
+      The floor rests on the automorphisms that fix ``req``, which the
+      core's run does not share; hence core = ``req`` when it cuts.
 
     *Optimizing runs*, ``mu2`` True or False, are ``solve``'s plain mu2 and
     mu1 runs. They maximize a score, f when ``mu2`` and n - f otherwise,
@@ -696,36 +712,49 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     cannot beat ``best`` and skips a leaf that does not. ``best`` leaves as
     the best score over the explored space and the entering incumbent.
 
-    ``reflect`` turns on two rules for the first edge e = ``order[0]``;
-    each keeps, for every valid coloring, one with the same f.
+    ``reflect`` turns on one symmetry rule, the orbit floor, at the first
+    edge e = ``order[0]``. Let O be e's orbit under the automorphisms of g
+    that fix ``req`` setwise (all of Aut(g) at ``req=0``): the edges
+    ``_edge_orbit(g, req)`` finds when e is among them, else e alone. Then
+    e takes colors <= ceil(t/2) only, and each other edge of O only colors
+    >= the one e took, its floor. (A lex-leader symmetry-breaking
+    constraint, as in Crawford, Ginsberg, Luks and Roy, KR 1996.) For
+    every valid coloring c with interval set T, some valid c' obeying the
+    rule has an automorphic image of T as its interval set, by an
+    automorphism that fixes ``req``; so c' keeps f and keeps ``req``
+    interval when c does:
 
-    * Root rule, when ``_edge_automorphisms(g)`` finds a map for every
-      edge and ``req`` is 0: e gets color 1 alone. A valid c is
-      surjective, so c(f) = 1 on some edge f, and some
-      automorphism s of g maps e onto f. Then c' = c o s is valid (s maps
-      edges sharing a vertex to edges sharing a vertex, and all edges onto
-      all edges), c'(e) = 1, and the spectrum of v under c' is that of
-      s(v) under c, so f(c') = f(c). Every f value of a valid coloring is
-      thus reached below color 1, which holds for minimizing, maximizing
-      and first-solution searches alike, and for any edge order. It is
-      off under ``req``: c' makes s^-1(T) interval where c makes T
-      interval, so it keeps f but moves the interval set off ``req``.
-    * Otherwise, and always under ``req``, the reflection cut: e gets
-      colors <= ceil(t/2). k -> t+1-k maps valid colorings to valid
-      colorings and each spectrum to its mirror image, an interval exactly
-      when the spectrum is one, so the interval set stays, and one of k,
-      t+1-k is <= ceil(t/2). No other color permutation preserves f.
+    * Reflection, k -> t+1-k, maps valid colorings to valid colorings and
+      each spectrum to its mirror image, an interval exactly when the
+      spectrum is one, so T stays. If min_O c > ceil(t/2), then max_O c >=
+      floor(t/2) + 1, so the reflected coloring has min_O <= ceil(t/2);
+      take it for c. No other color permutation preserves f.
+    * Some automorphism s fixing ``req`` maps e onto an edge of O where c
+      is least. Then c' = c o s is valid (s maps edges sharing a vertex to
+      edges sharing a vertex, and all edges onto all edges), c'(e) =
+      min_O c <= ceil(t/2), and c' >= c'(e) on O, which s maps onto
+      itself. The spectrum of v under c' is that of s(v) under c, so c'
+      has interval set s^-1(T), and s^-1(``req``) = ``req``.
 
-    Color 1 is <= ceil(t/2), so where the root rule applies the reflection
-    cut would remove nothing more. Both rules only drop root subtrees
-    after the color-1 one, and without ``rng`` colors are tried lowest
-    first, so a search that ends inside that subtree, or finds its optimum
-    there, runs and returns exactly as it would under the other rule.
+    The same c' obeys the floors on any subset of the true orbit, so a
+    finder that runs out of budget and drops edges stays sound. The
+    colors below c'(e) lie outside O, so c'(e) <= m - |O| + 1 as well:
+    when O is every edge, e gets color 1 alone, the root rule. The run
+    colors e in its own loop, one color at a time, and writes that
+    color's floor into the color masks of the other O edges before it
+    descends, so no node below pays for the rule. The floor cuts a color
+    exactly when e has an orbit-mate and t >= 3, since the reflection cut
+    then leaves e two colors or more. It holds for minimizing,
+    maximizing and first-solution searches alike, and for any edge order.
+    The color-1 subtree of e keeps every child, and without ``rng`` colors
+    are tried lowest first, so a search that ends inside that subtree, or
+    finds its optimum there, runs and returns exactly as it would with the
+    reflection cut alone.
 
     ``chromatic_index`` asks for any proper coloring in [1,t] at t = max
     degree. Surjectivity pruning loses none there, since a max-degree
-    vertex sees all t colors, and neither rule loses one, since both keep
-    colorings proper.
+    vertex sees all t colors, and the rule loses none, since reflection
+    and automorphisms keep colorings proper.
     """
     n, m = g.n, g.m
     if mu2 is not None and (req or rng is not None):
@@ -736,12 +765,14 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         order = _most_constrained_order(g, req)
     deg = g.degrees
     full = (1 << t) - 1
+    mates: list[int] = []  # depths of the other edges of e's orbit O
     if not reflect:
         first_mask = full
-    elif not req and _edge_automorphisms(g) is not None:
-        first_mask = 1
     else:
-        first_mask = (1 << ((t + 1) // 2)) - 1
+        orbit = _edge_orbit(g, req)
+        if order[0] in orbit:
+            mates = [d for d, bi in enumerate(order) if d and bi in orbit]
+        first_mask = (1 << min((t + 1) // 2, m - len(mates))) - 1
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
@@ -862,12 +893,24 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         used[u], used[v] = uu, uv
         return None
 
-    if mu2 is not None:
-        tag = rec(0, 0, t, full)
-    elif (tag := decide(0, t, full)) == "bound-met":
+    tag, left = None, first_mask
+    while left and not tag:
+        bit = left  # without orbit-mates, one pass over all of e's colors
+        if mates:
+            # one pass per color of e, its floor written into the mates'
+            # color masks (step field 5), so no node below pays for the rule
+            bit = left & -left if rng is None else _random_bit(left, rng)
+            steps[0] = (*steps[0][:5], bit, *steps[0][6:])
+            for d in mates:
+                steps[d] = (*steps[d][:5], full & -bit, *steps[d][6:])
+        left ^= bit
+        tag = rec(0, 0, t, full) if mu2 is not None else decide(0, t, full)
+    if tag == "bound-met" and mu2 is None:
         # f: the vertices whose colors are one run
         best = sum(not (x + (x & -x)) & x for x in used)
         witness = [c.bit_length() for c in colors]
+    if mates and t > 2:  # the rule cut colors: see the core rule
+        core = req
     return best, witness, nodes, tag or "exhausted", core
 
 

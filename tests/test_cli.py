@@ -370,7 +370,7 @@ class TestProfile:
                                "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b46c58f58359dd0957e7187b083d4945c0793bbab9da19485662bbb2f7359b6d")
+            "da787e880e3eefdea45970d029356aa17dee94ea1a327f51e45f9324e203ea37")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

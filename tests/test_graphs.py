@@ -33,7 +33,7 @@ from mu_spectra import (
 )
 from mu_spectra import graphs as graphs_module
 from mu_spectra.graphs import (
-    _edge_automorphisms,
+    _edge_orbit,
     _most_constrained_order,
     _search,
     _subset_orbits,
@@ -318,7 +318,7 @@ class TestSearchKernel:
     @pytest.mark.parametrize("args, req, nodes", [
         ((4,), (), 15),  # a first-solution run
         ((9,), ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"),
-         6_547),  # a run of the interval-set split
+         3_847),  # a run of the interval-set split
     ])
     def test_budget_is_tested_before_the_leaf(self, P, args, req, nodes):
         # the node that reaches the first leaf is counted, then budgeted:
@@ -405,7 +405,7 @@ class TestWindow:
 
 
 def _edge_transitive(g):
-    return _edge_automorphisms(g) is not None
+    return len(_edge_orbit(g)) == g.m
 
 
 def _apply(perm, mask):
@@ -419,15 +419,52 @@ class TestEdgeTransitivity:
 
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_maps_are_automorphisms_onto_each_edge(self, g):
-        maps = _edge_automorphisms(g)
-        if maps is None:
-            return
-        assert len(maps) == g.m - 1
+        orbit = _edge_orbit(g)
+        assert list(orbit) == sorted(orbit) and orbit[0] == tuple(range(g.n))
         autos = set(naive_automorphisms(g))
         u0, v0 = g.edges[0]
-        for (a, b), img in zip(g.edges[1:], maps):
+        for ei, img in orbit.items():
             assert img in autos
-            assert {img[u0], img[v0]} == {a, b}
+            assert {img[u0], img[v0]} == set(g.edges[ei])
+
+    @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
+    def test_stabilizer_orbits_against_the_full_group(self, g):
+        # for every vertex mask req: each map fixes req setwise and sends
+        # edge 0, the kernel's order[0], onto its edge, and the edges are
+        # exactly edge 0's orbit under the automorphisms that fix req
+        autos = naive_automorphisms(g)
+        u0, v0 = g.edges[0]
+        assert all(_most_constrained_order(g, req)[0] == 0
+                   for req in range(1 << g.n))
+        wrong = []
+        for req in range(1 << g.n):
+            stab = [p for p in autos if _apply(p, req) == req]
+            want = {g.edges.index(tuple(sorted((p[u0], p[v0])))) for p in stab}
+            orbit = _edge_orbit(g, req)
+            if set(orbit) != want or any(
+                    img not in stab or {img[u0], img[v0]} != set(g.edges[ei])
+                    for ei, img in orbit.items()):
+                wrong.append(req)
+        assert wrong == []
+
+    def test_budget_cut_orbit_is_a_subset(self, monkeypatch):
+        # a budget stop drops the edges not yet reached; what is left is
+        # still part of the orbit, with a map for each edge
+        monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
+        cut = 0
+        for g in TRANSITIVITY_GRAPHS:
+            autos = naive_automorphisms(g)
+            u0, v0 = g.edges[0]
+            for req in range(1 << g.n):
+                stab = [p for p in autos if _apply(p, req) == req]
+                want = {frozenset((p[u0], p[v0])) for p in stab}
+                orbit = _edge_orbit.__wrapped__(g, req)
+                assert 0 in orbit
+                for ei, img in orbit.items():
+                    assert img in stab
+                    assert {img[u0], img[v0]} == set(g.edges[ei])
+                cut += len(orbit) < len(want)
+        assert cut > 0
 
     def test_pinned_cases(self, P):
         assert _edge_transitive(P)
@@ -440,12 +477,13 @@ class TestEdgeTransitivity:
         # Aut(K_11) has 39,916,800 elements; one automorphism per edge is
         # enough
         start = time.perf_counter()
-        assert _edge_automorphisms.__wrapped__(complete(11)) is not None
+        g = complete(11)
+        assert len(_edge_orbit.__wrapped__(g, 0)) == g.m
         assert time.perf_counter() - start < 2.0
 
     def test_exhausted_budget_answers_false(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
-        assert _edge_automorphisms.__wrapped__(P) is None
+        assert len(_edge_orbit.__wrapped__(P, 0)) < P.m
 
 
 def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
@@ -457,11 +495,11 @@ def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
 class TestSubsetOrbits:
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_representatives_against_the_full_group(self, g):
-        maps = _edge_automorphisms(g)
+        maps = list(_edge_orbit(g).values())[1:]
         autos = naive_automorphisms(g)
         for k in range(1, g.n + 1):
             orbits = _subset_orbits(g, k)
-            if maps is None:
+            if not _edge_transitive(g):
                 assert orbits is None
                 continue
             reps = representatives(orbits)

@@ -10,6 +10,7 @@ from mu_spectra import (
     BoundEvidence,
     EdgeColoring,
     EvidenceKind,
+    Graph,
     GraphError,
     Objective,
     SearchConfig,
@@ -30,7 +31,8 @@ from mu_spectra import (
     span_cap,
     vertex_set,
 )
-from mu_spectra.graphs import _most_constrained_order, _search, _subset_orbits
+from mu_spectra.graphs import (_edge_orbit, _most_constrained_order, _search,
+                                _subset_orbits)
 from mu_spectra.search import PROFILE_NODE_LIMIT
 
 from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
@@ -44,14 +46,23 @@ graphs_module = importlib.import_module("mu_spectra.graphs")
 
 BARE = SearchConfig(seed_fixtures=False, use_structural_bounds=False)
 
+#: The Heawood graph: a 14-cycle with chords i ~ i+5 at even i.
+HEAWOOD = Graph.from_labels(
+    "heawood", [f"h{i}" for i in range(14)],
+    [(f"h{i}", f"h{(i + 1) % 14}") for i in range(14)]
+    + [(f"h{i}", f"h{(i + 5) % 14}") for i in range(0, 14, 2)])
+
 
 def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     """Replay each interval-set-orbits record of a mu2 outcome.
 
     Every listed representative's default-order req search must find no
     witness. One that ran must spend the recorded nodes and return the
-    recorded core, and that core, searched in the representative's edge
-    order, must exhaust in the same nodes. One refuted by the span rule
+    recorded core. Where its run applied an orbit floor (``floored``), the
+    core must be the representative itself; otherwise that core, searched
+    in the representative's edge order, must exhaust in at most the same
+    nodes, since the core run's own floors only prune the floor-free tree
+    the two runs share. One refuted by the span rule
     must have spent 0 nodes, name itself as its core, and have a
     ``span_cap`` that recomputes to the recorded value, below t. One that
     was skipped must have spent 0 nodes and name a k-set ``within`` that
@@ -88,12 +99,23 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                 assert span_cap(g, core) == why["span_cap"] < out.t
             else:
                 assert (nodes, got) == (spent, core)
-                again = _search(g, out.t, req=core,
-                                order=_most_constrained_order(g, s))
-                assert again[1:4] == (None, spent, "exhausted")
+                if floored(g, out.t, s):
+                    assert core == s
+                else:
+                    _, colors, nodes, tag, _ = _search(
+                        g, out.t, req=core, order=_most_constrained_order(g, s))
+                    assert (colors, tag) == (None, "exhausted")
+                    assert nodes <= spent
             learned[k, frozenset(labels)] = core
         replayed.append((k, len(e.payload["representatives"])))
     return replayed
+
+
+def floored(g, t, req) -> bool:
+    """Whether a decision run with ``req`` applies the kernel's orbit floor:
+    edge 0, its first edge, has an orbit-mate under the automorphisms that
+    fix req, and the reflection cut leaves it two colors or more."""
+    return t > 2 and len(_edge_orbit(g, req)) > 1
 
 
 def expire_clock_after(monkeypatch, reads: float) -> SimpleNamespace:
@@ -199,14 +221,16 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        # mu2: the 10-set is refuted in 959 nodes, and its core lies in
-        # the one 9-set orbit, which is skipped
-        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 1_000)
+        # mu2: after a 15-node first solution, the 10-set is refuted in 295
+        # nodes under the root rule and the one 9-set orbit in 570 under
+        # its orbit floor, so both cores are the whole sets; the first
+        # 8-set is then made interval in 26 nodes
+        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 906)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
-        assert out.nodes_visited == 2_251
+        assert out.nodes_visited == 545
 
     @pytest.mark.parametrize("g, t, objective, cfg, want", [
         # one plain optimizing run each: no seed, no bound, no split
@@ -280,12 +304,14 @@ class TestPetersenSeededRuns:
         orbits.cache_clear()
         try:
             out = solve(P, 4, Objective.MU2, SearchConfig(
-                node_limit=992, seed_fixtures=False,
+                node_limit=890, seed_fixtures=False,
                 use_structural_bounds=False))
         finally:
             orbits.cache_clear()
+        # the split spends 15 + 295 + 570 = 880 nodes, and the plain run
+        # would close the cell at 899
         assert (out.lo, out.hi, out.closed_by, out.nodes_visited) == (
-            6, 8, "budget", 992)
+            6, 8, "budget", 890)
         assert [e.payload["k"] for e in out.evidence] == [10, 9]
         assert analyze(P, out.witness).f == 6
 
@@ -370,12 +396,16 @@ class TestConfig:
 
     def test_req_search_matches_enumeration(self):
         # a req=S search finds a coloring exactly when some valid coloring
-        # makes every vertex of S interval, and the one it finds does
-        mismatches = []
+        # makes every vertex of S interval, and the one it finds does. Many
+        # of these runs write an orbit floor that cuts colors: edge 0 has
+        # an orbit-mate under the stabilizer of S, not every edge is one,
+        # and edge 0 may take a color above 1
+        mismatches, fired = [], 0
         for g in ORACLE_CORPUS:
             for t in legal_t_range(g):
                 sets = naive_interval_sets(g, t)
                 for s in range(1, 1 << g.n):
+                    fired += t > 2 and 1 < len(_edge_orbit(g, s)) < g.m
                     colors = _search(g, t, req=s)[1]
                     want = set(set_labels(g, s))
                     if colors is None:
@@ -387,6 +417,7 @@ class TestConfig:
                     if not ok:
                         mismatches.append(f"{g.name} t={t} S={sorted(want)}")
         assert mismatches == []
+        assert fired > 0
 
     def test_req_cores_are_refuted(self):
         # every exhausted run of the split's kind on the edge-transitive
@@ -589,13 +620,13 @@ class TestProfile:
         # t=12. At t=13 and 14 every 7-set is span-refuted too
         assert [r.mu1.nodes_visited for r in petersen_profile.rows] == [0] * 12
         assert [r.mu2.nodes_visited for r in petersen_profile.rows] == [
-            0, 26, 171, 1_494, 4_630, 6_547, 7_083, 501, 5_407, 0, 0, 0]
+            0, 26, 171, 1_192, 3_019, 3_847, 5_681, 423, 2_362, 0, 0, 0]
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 25_859
+                   for r in petersen_profile.rows) == 16_721
 
     @pytest.mark.parametrize("g, nodes", [
-        (hypercube(3), 7_128),  # 9,468 in table order
-        (complete_bipartite(3, 4), 35_791),  # 41,088 in table order
+        (hypercube(3), 2_908),  # 5,498 in table order
+        (complete_bipartite(3, 4), 12_806),  # 16,883 in table order
     ], ids=["Q3", "K3,4"])
     def test_family_node_totals_are_pinned(self, g, nodes):
         # the split's span rule refutes sets at 0 nodes, also where an
@@ -605,13 +636,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("g, cfg, nodes, exact", [
         (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000),
-         100_402, 14),
+         95_515, 14),
         (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
-         98_518, 22),
+         95_216, 22),
         (delete_vertex(petersen(), "x1"), BARE.replace(node_limit=20_000),
-         120_611, 13),
+         110_701, 13),
         (complete_bipartite(4, 4), BARE.replace(node_limit=20_000),
-         180_328, 18),
+         166_215, 19),
     ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
     def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
         # P - x1 is not edge-transitive, so each of its mu2 cells is one
@@ -625,6 +656,21 @@ class TestProfile:
                    for r in rows) == nodes
         assert sum(r.mu1.is_exact + r.mu2.is_exact for r in rows) == exact
 
+    @pytest.mark.parametrize("g, t, value, nodes", [
+        (HEAWOOD, 7, 13, 17_295),
+        (complete_bipartite(4, 4), 9, 6, 66_681),
+    ], ids=["heawood-t7", "K4,4-t9"])
+    def test_frontier_cells_close_at_the_profile_budget(self, g, t, value,
+                                                        nodes):
+        # values cross-checked with symmetry off; the orbit floor of the
+        # split's decision runs closes both cells inside one profile cell's
+        # budget, each with a witness checked from the definition
+        out = solve(g, t, Objective.MU2,
+                    SearchConfig(node_limit=PROFILE_NODE_LIMIT))
+        assert (out.lo, out.hi, out.nodes_visited) == (value, value, nodes)
+        assert naive_valid(g, out.witness)
+        assert naive_f(g, out.witness) == value
+
     def test_frontier_profile_is_pinned(self):
         # K4,4's whole profile, witnesses, cores and evidence with it, not
         # only its node total
@@ -632,7 +678,7 @@ class TestProfile:
                       SearchConfig(node_limit=20_000)).to_dict()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == (
-            "7cbf3304ec5e0fdce29f1c434ce36f3f9c24af76125a307de942da4626bf2f31")
+            "6b165f8c7184e355a25f2cbc681bbd4d0ca02771703a85edeca29718f68db367")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -665,15 +711,28 @@ class TestProfile:
                             12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
                             14: [(8, 2), (7, 4)]}
 
-    def test_replay_refuses_a_within_that_misses_the_core(self,
-                                                         petersen_profile):
-        # at t=12 the skipped 7-set's core lies in another member of its
-        # orbit; naming the representative itself as `within` must fail
-        out = petersen_profile.row(12).mu2
+    def test_replay_refuses_a_within_that_misses_the_core(self, P):
+        # bare, at t=13 the 7-set {x1..x5, y1, y3} is skipped: the core
+        # {x1..x5} learned from {x1..x5, y1, y2} lies in it. The run of
+        # {x1..x5, y1, y2} applies no floor, since edge x1-x2 has no
+        # orbit-mate under its stabilizer. Naming as `within` another
+        # member of the skipped set's orbit, one that misses the core,
+        # must fail
+        out = solve(P, 13, Objective.MU2, BARE)
+        replay_orbit_evidence(P, out)
         (e,) = [e for e in out.evidence
                 if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
                 and e.payload["k"] == 7]
-        cores = [dict(why, within=labels) if "learned_from" in why else why
+        orbit_of = _subset_orbits(P, 7)
+
+        def missing(labels, why):
+            if "learned_from" not in why:
+                return why
+            s, core = vertex_set(P, labels), vertex_set(P, why["core"])
+            other = next(x for x, r in orbit_of.items() if r == s and core & ~x)
+            return dict(why, within=list(set_labels(P, other)))
+
+        cores = [missing(labels, why)
                  for labels, why in zip(e.payload["representatives"],
                                         e.payload["cores"])]
         assert cores != e.payload["cores"]
@@ -681,7 +740,7 @@ class TestProfile:
         bad = out.replace(evidence=tuple(moved if x is e else x
                                          for x in out.evidence))
         with pytest.raises(AssertionError):
-            replay_orbit_evidence(petersen_profile.graph, bad)
+            replay_orbit_evidence(P, bad)
 
     def test_headline_follows_from_search_alone(self, petersen_profile):
         # no catalog coloring and no structural bound: every cell comes out
@@ -700,20 +759,24 @@ class TestProfile:
                 assert naive_valid(bare.graph, out.witness)
                 assert naive_f(bare.graph, out.witness) == attained
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in bare.rows) == 135_649
+                   for r in bare.rows) == 94_324
 
     def test_theorem_family_skips_replay(self):
-        # the split skips representatives on these graphs; every record,
-        # skipped entries included, replays
+        # every record of these cells replays, floored runs, core runs and
+        # skipped entries included. A run learns a core smaller than its
+        # set only where it applies no floor; on the families two Q3 runs
+        # do (their core runs take 114 <= 367 and 40 <= 141 nodes), and no
+        # later set holds either core. So the skips all come from bare
+        # Petersen, one each at t=13..15
+        cells = [(g, t) for g, _ in FAMILIES for t in legal_t_range(g)]
         skips = 0
-        for g, _ in FAMILIES:
-            for t in legal_t_range(g):
-                out = solve(g, t, Objective.MU2, BARE)
-                replay_orbit_evidence(g, out)
-                skips += sum("learned_from" in why for e in out.evidence
-                             if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
-                             for why in e.payload["cores"])
-        assert skips == 21
+        for g, t in cells + [(petersen(), t) for t in (13, 14, 15)]:
+            out = solve(g, t, Objective.MU2, BARE)
+            replay_orbit_evidence(g, out)
+            skips += sum("learned_from" in why for e in out.evidence
+                         if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
+                         for why in e.payload["cores"])
+        assert skips == 3
 
     @pytest.mark.parametrize("cfg", [BARE, SearchConfig()],
                              ids=["bare", "default"])
