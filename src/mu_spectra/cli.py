@@ -297,12 +297,13 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
                    help="search time budget in milliseconds of each solve "
                         "(profile runs one per t and objective)")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable every use of symmetry: the orbit floor at "
-                        "the first edge (reflection caps its color at "
-                        "ceil(t/2), and each edge of its orbit under the "
-                        "automorphisms fixing the required vertex set "
-                        "takes no lower color) and the split of mu2 by "
-                        "interval-set orbits")
+                   help="disable every use of symmetry: the symmetry "
+                        "chain (reflection caps the first edge's color at "
+                        "ceil(t/2), and at each depth every edge of the "
+                        "depth's edge's orbit under the automorphisms "
+                        "fixing the required vertex set and the earlier "
+                        "edges takes no lower color) and the split of mu2 "
+                        "by interval-set orbits")
 
 
 @lru_cache(maxsize=None)

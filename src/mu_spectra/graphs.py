@@ -433,62 +433,83 @@ def all_perfect_matchings(g: Graph) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-#: Candidate placements ``_edge_orbit`` tries per graph and vertex mask
-#: before it gives up; Petersen needs 116 and complete:11 needs 486 for
-#: the whole group.
+#: Candidate placements ``_orbit_chain`` tries per call before it gives
+#: up; the whole chain of the kernel's default order tries 148 on
+#: Petersen and 891 on complete:11 (level 0 alone: 116 and 486).
 _AUTOMORPHISM_BUDGET = 1_000_000
 
 #: Largest C(n,k) for which ``_subset_orbits`` walks the k-subsets.
 _SUBSET_ORBIT_BUDGET = 10_000
 
 
+def _refine(g: Graph, color: list[int]) -> list[int]:
+    """Color refinement: each vertex's color joined with the sorted colors
+    of its neighbors, as one new color per distinct pair, until no class
+    splits. The result is a function of ``color`` and g alone, so every
+    automorphism that keeps ``color`` keeps it too."""
+    adj = g.adjacency
+    count = len(set(color))
+    while True:
+        sig = [(c, tuple(sorted([color[y] for y, _ in a])))
+               for c, a in zip(color, adj)]
+        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
+        color = [ids[s] for s in sig]
+        if len(ids) == count:
+            return color
+        count = len(ids)
+
+
 @lru_cache(maxsize=None)
-def _edge_orbit(g: Graph, req: int = 0) -> dict[int, tuple[int, ...]]:
-    """Edge 0's orbit under the automorphisms of g that fix the vertex mask
-    ``req`` setwise (all of Aut(g) at ``req=0``), as far as the budget
-    reaches: each edge found maps to one such automorphism that sends edge
-    0 onto it, as a tuple of vertex images, edge 0 to the identity, in
-    edge order. The group itself is never listed (Aut(K_11) has 11!
-    elements).
+def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
+                 levels: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """The edge orbits along the stabilizer chain of an edge order.
 
-    Vertices are placed breadth-first from edge 0, so each vertex after
-    the first two has an earlier neighbor (``back[i]`` lists them), and its
-    image is a free neighbor of that neighbor's image. A candidate is taken
-    when its degree and its membership of ``req`` match and its neighbors
-    among the images placed so far are exactly the images of ``back[i]``;
-    adjacency is then preserved both ways between every pair of placed
-    vertices. At most ``_AUTOMORPHISM_BUDGET`` candidates are tried over
-    all edges; when they run out the edges not yet reached are left out.
-    A subset of the orbit is all that its users need: the search kernel's
-    orbit floor is sound on any subset, and ``_subset_orbits`` walks only
-    a graph whose orbit holds every edge.
+    Level l, for l < ``levels``, is the orbit of ``order[l]`` under G_l,
+    the automorphisms of g that fix the vertex mask ``req`` setwise and
+    each of ``order[0..l-1]`` setwise: a dict from the depth of each edge
+    of the orbit to one map of G_l that sends ``order[l]`` onto it, as a
+    tuple of vertex images, in depth order; depth l maps to the identity,
+    and every other depth is above l, since G_l fixes the earlier edges.
+    Level 0 at ``req=0`` is edge ``order[0]``'s orbit under all of Aut(g).
+    The group itself is never listed (Aut(K_11) has 11! elements).
+
+    Each vertex may take only the images in its class under color
+    refinement (``_refine``) of its degree, its membership of ``req`` and
+    the fixed edges it lies on. Every map of G_l keeps each class, so
+    fixing one more edge splits the classes at its two ends, then refines.
+    An edge is tried only when the classes of its ends are those of
+    ``order[l]``'s. A try is a breadth-first backtracking from the ends of
+    ``order[l]``: each later vertex has an earlier neighbor, and its image
+    is a free neighbor of that neighbor's image, in its class, whose
+    neighbors among the images placed so far are exactly the images of
+    its placed neighbors; adjacency is then kept both ways between every
+    pair of placed vertices. A branch that the classes cut holds no
+    automorphism, so each map found is the first that the same search
+    without classes would find.
+
+    The chain ends early in two ways. When refinement leaves every vertex
+    a class of its own, G_l fixes every vertex, and this level and every
+    later one is its edge alone; those levels are left out. When
+    ``_AUTOMORPHISM_BUDGET`` candidate placements have been tried, the
+    level under way keeps the edges found so far and is the last: only
+    the last level may hold part of its orbit. Levels past the end hold
+    their edge alone. A part of an orbit is all the users need: the
+    search kernel's floors are sound on any part (see ``_search``), and
+    ``_subset_orbits`` walks only a graph whose level 0 holds every edge.
     """
-    deg = g.degrees
-    nb = g.neighbors
-    order = list(g.edges[0])
-    pos = {x: i for i, x in enumerate(order)}
-    for x in order:
-        for y, _ in g.adjacency[x]:
-            if y not in pos:
-                pos[y] = len(order)
-                order.append(y)
-    back = [[w for w, _ in g.adjacency[x] if pos[w] < i]
-            for i, x in enumerate(order)]
-    img = [0] * g.n
+    n, nb, edges = g.n, g.neighbors, g.edges
+    img = [0] * n
     left = _AUTOMORPHISM_BUDGET
-
-    def fits(x: int, y: int) -> bool:
-        return deg[y] == deg[x] and (req >> y & 1) == (req >> x & 1)
 
     def extend(i: int, taken: int) -> bool:
         nonlocal left
-        if i == g.n:
+        if i == n:
             return True
-        x = order[i]
+        x = vorder[i]
         want = 0
         for w in back[i]:
             want |= 1 << img[w]
-        cands = nb[img[back[i][0]]] & ~taken
+        cands = nb[img[back[i][0]]] & ~taken & allow[x]
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -496,31 +517,65 @@ def _edge_orbit(g: Graph, req: int = 0) -> dict[int, tuple[int, ...]]:
             if left < 0:
                 return False
             y = bit.bit_length() - 1
-            if fits(x, y) and nb[y] & taken == want:
+            if nb[y] & taken == want:
                 img[x] = y
                 if extend(i + 1, taken | bit):
                     return True
         return False
 
-    def maps_onto(a: int, b: int) -> bool:
-        """Whether some automorphism sends order[0], order[1] to a, b."""
-        img[order[0]], img[order[1]] = a, b
-        return (fits(order[0], a) and fits(order[1], b)
-                and extend(2, 1 << a | 1 << b))
+    def maps_onto(c: int, e: int) -> bool:
+        """Whether some map of the level's group sends a, b to c, e."""
+        img[a], img[b] = c, e
+        return (allow[a] >> c & 1 and allow[b] >> e & 1
+                and extend(2, 1 << c | 1 << e))
 
-    found = {0: tuple(range(g.n))}
-    for ei, (a, b) in enumerate(g.edges):
-        if ei and (maps_onto(a, b) or maps_onto(b, a)):
-            found[ei] = tuple(img)
-        if left < 0:
-            break
-    return found
+    color = _refine(g, [2 * g.degrees[x] + (req >> x & 1) for x in range(n)])
+    identity = tuple(range(n))
+    chain: list[dict[int, tuple[int, ...]]] = []
+    for lvl in range(min(levels, len(order))):
+        if lvl:  # G_lvl also fixes order[lvl-1] setwise
+            p, q = edges[order[lvl - 1]]
+            color = _refine(g, [2 * c + (x == p or x == q)
+                                for x, c in enumerate(color)])
+            if len(set(color)) == n:
+                break
+        a, b = edges[order[lvl]]
+        # equal sets of end classes mean equal pairs, also when both ends
+        # of an edge share a class
+        pair = {color[a], color[b]}
+        tries = [d for d in range(lvl + 1, len(order))
+                 if {color[x] for x in edges[order[d]]} == pair]
+        found = {lvl: identity}
+        chain.append(found)
+        if not tries:
+            continue
+        cls: dict[int, int] = {}
+        for x, c in enumerate(color):
+            cls[c] = cls.get(c, 0) | 1 << x
+        allow = [cls[c] for c in color]
+        vorder = [a, b]  # breadth-first from a, b
+        seen = 1 << a | 1 << b
+        for x in vorder:
+            for y, _ in g.adjacency[x]:
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    vorder.append(y)
+        rank = {x: i for i, x in enumerate(vorder)}
+        back = [[w for w, _ in g.adjacency[x] if rank[w] < i]
+                for i, x in enumerate(vorder)]
+        for d in tries:
+            c, e = edges[order[d]]
+            if maps_onto(c, e) or maps_onto(e, c):
+                found[d] = tuple(img)
+            if left < 0:
+                return tuple(chain)
+    return tuple(chain)
 
 
 @lru_cache(maxsize=None)
 def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
-    maps of ``_edge_orbit(g)``, or None.
+    maps of level 0 of ``_orbit_chain`` in edge order, or None.
 
     A walk from each subset not yet reached applies every map to every
     subset it reaches, which closes its orbit; the group is never listed.
@@ -534,7 +589,7 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     not edge-transitive, or the finder's budget ran out) or C(n,k) exceeds
     ``_SUBSET_ORBIT_BUDGET``.
     """
-    orbit = _edge_orbit(g)
+    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
     if len(orbit) < g.m or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
     maps = [orbit[ei] for ei in range(1, g.m)]
@@ -671,30 +726,32 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
       complete witness only after a "bound-met" return.
     * ``core`` is the set of ``req`` vertices whose window mask removed at
       least one color at some node of the run (0 without ``req``), or all
-      of ``req`` when the orbit floor below cut a color. When the run ends
-      "exhausted", no valid t-coloring makes the core interval, nor any set
-      that contains the core or an automorphic image of it:
+      of ``req`` when a floor of the symmetry chain below cut a color at
+      some node. When the run ends "exhausted", no valid t-coloring makes
+      the core interval, nor any set that contains the core or an
+      automorphic image of it:
 
       1. The run reached no leaf, since its first leaf would end it. When
-         the floor cut a color, the core is ``req``, and the floor keeps a
+         a floor cut a color, the core is ``req``, and the floors keep a
          coloring for every one that makes ``req`` interval; the rest of
-         this argument is for a run with no floor.
+         this argument is for a run in which no floor cut one, which made
+         the children it would make with the reflection cut alone.
       2. A ``req`` vertex whose window never cut a color never constrained
          the run. Take the decision run ``req=core`` in the same edge
-         order, with the reflection cut alone at e: at each node it sees the
-         same colors, so the core's windows cut what they cut before and no
-         other window cuts. It makes the same children and reaches no leaf
-         either, and its window masks and reflection cut keep every
-         coloring that makes the core interval. At a legal t a valid
-         coloring exists, so the core is not empty. The kernel's own run
-         ``req=core`` may also apply a floor under the core's stabilizer,
+         order, with the reflection cut alone at ``order[0]``: at each node
+         it sees the same colors, so the core's windows cut what they cut
+         before and no other window cuts. It makes the same children and
+         reaches no leaf either, and its window masks and reflection cut
+         keep every coloring that makes the core interval. At a legal t a
+         valid coloring exists, so the core is not empty. The kernel's own
+         run ``req=core`` also applies the chain of the core's stabilizer,
          which only prunes that tree: it exhausts in at most as many nodes.
       3. Automorphisms carry this to every image of the core, at every k.
 
       Any later prune that depends on ``req`` must add the ``req`` vertices
       it relied on to the core, or the core run would make other children.
-      The floor rests on the automorphisms that fix ``req``, which the
-      core's run does not share; hence core = ``req`` when it cuts.
+      The floors rest on the automorphisms that fix ``req``, which the
+      core's run does not share; hence core = ``req`` once one cuts.
 
     *Optimizing runs*, ``mu2`` True or False, are ``solve``'s plain mu2 and
     mu1 runs. They maximize a score, f when ``mu2`` and n - f otherwise,
@@ -712,48 +769,68 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     cannot beat ``best`` and skips a leaf that does not. ``best`` leaves as
     the best score over the explored space and the entering incumbent.
 
-    ``reflect`` turns on one symmetry rule, the orbit floor, at the first
-    edge e = ``order[0]``. Let O be e's orbit under the automorphisms of g
-    that fix ``req`` setwise (all of Aut(g) at ``req=0``): the edges
-    ``_edge_orbit(g, req)`` finds when e is among them, else e alone. Then
-    e takes colors <= ceil(t/2) only, and each other edge of O only colors
-    >= the one e took, its floor. (A lex-leader symmetry-breaking
-    constraint, as in Crawford, Ginsberg, Luks and Roy, KR 1996.) For
-    every valid coloring c with interval set T, some valid c' obeying the
-    rule has an automorphic image of T as its interval set, by an
-    automorphism that fixes ``req``; so c' keeps f and keeps ``req``
-    interval when c does:
+    ``reflect`` turns on the symmetry chain: a lex-leader symmetry-breaking
+    constraint (Crawford, Ginsberg, Luks and Roy, KR 1996) carried down a
+    stabilizer chain. Let G_l be the automorphisms of g that fix ``req``
+    setwise and each of ``order[0..l-1]`` setwise (G_0 is all of Aut(g) at
+    ``req=0``), and O_l the orbit of ``order[l]`` under G_l, level l of
+    ``_orbit_chain(g, req, order, m)``. At level 0, ``order[0]`` takes
+    colors <= ceil(t/2) only, the reflection cut; at each level l, the
+    color ``order[l]`` takes is a floor for every other edge of O_l, its
+    mates: the colors >= it are ANDed into each mate's step mask as the
+    run descends, and the masks are restored as it backs up. For every valid
+    coloring c with interval set T, some valid c' obeying the cut and
+    every floor has an automorphic image of T as its interval set, by an
+    automorphism that fixes ``req``; so c' keeps f, and keeps ``req``
+    interval when c does. By induction over the levels:
 
-    * Reflection, k -> t+1-k, maps valid colorings to valid colorings and
-      each spectrum to its mirror image, an interval exactly when the
-      spectrum is one, so T stays. If min_O c > ceil(t/2), then max_O c >=
-      floor(t/2) + 1, so the reflected coloring has min_O <= ceil(t/2);
-      take it for c. No other color permutation preserves f.
-    * Some automorphism s fixing ``req`` maps e onto an edge of O where c
-      is least. Then c' = c o s is valid (s maps edges sharing a vertex to
-      edges sharing a vertex, and all edges onto all edges), c'(e) =
-      min_O c <= ceil(t/2), and c' >= c'(e) on O, which s maps onto
-      itself. The spectrum of v under c' is that of s(v) under c, so c'
-      has interval set s^-1(T), and s^-1(``req``) = ``req``.
+    * Before level 0, reflection: k -> t+1-k maps valid colorings to valid
+      colorings and each spectrum to its mirror image, an interval exactly
+      when the spectrum is one, so T stays. If min c > ceil(t/2) on O_0,
+      then max c >= floor(t/2) + 1 there, so the reflected coloring has
+      its minimum on O_0 <= ceil(t/2); take it for c. No other color
+      permutation preserves f.
+    * Level l, for a c that obeys the floors of the levels before l: some
+      s in G_l maps ``order[l]`` onto an edge of O_l where c is least.
+      Then c' = c o s is valid (s maps edges sharing a vertex to edges
+      sharing a vertex, and all edges onto all edges), and c' >=
+      c'(``order[l]``) on O_l, which s maps onto itself. The spectrum of v
+      under c' is that of s(v) under c, so c' has interval set s^-1(T),
+      and s^-1(``req``) = ``req``. Each earlier level j keeps its floor:
+      s lies in G_l, within G_j, so it fixes ``order[j]`` setwise and maps
+      O_j onto itself, and c' agrees with c on ``order[j]`` and takes on
+      O_j the colors c takes there. At l = 0, c'(``order[0]``) is the
+      least color on O_0, so <= ceil(t/2); later levels fix ``order[0]``
+      and keep its color.
 
-    The same c' obeys the floors on any subset of the true orbit, so a
-    finder that runs out of budget and drops edges stays sound. The
-    colors below c'(e) lie outside O, so c'(e) <= m - |O| + 1 as well:
-    when O is every edge, e gets color 1 alone, the root rule. The run
-    colors e in its own loop, one color at a time, and writes that
-    color's floor into the color masks of the other O edges before it
-    descends, so no node below pays for the rule. The floor cuts a color
-    exactly when e has an orbit-mate and t >= 3, since the reflection cut
-    then leaves e two colors or more. It holds for minimizing,
-    maximizing and first-solution searches alike, and for any edge order.
-    The color-1 subtree of e keeps every child, and without ``rng`` colors
-    are tried lowest first, so a search that ends inside that subtree, or
-    finds its optimum there, runs and returns exactly as it would with the
+    The c' of the last level obeys every floor on all of each O_l, so the
+    floors may name any part of an orbit: a finder that runs out of budget
+    and ends the chain at part of a level stays sound, and the levels past
+    its end hold no floor. The colors below c'(``order[0]``) lie outside
+    O_0, so c'(``order[0]``) <= m - |O_0| + 1 as well: when O_0 is every
+    edge, ``order[0]`` gets color 1 alone, the root rule. The kernel takes
+    that cap with the reflection cut into the first step mask. A level
+    with mates is searched by ``floored``, one color of its edge at a time,
+    each written into the mates' step masks before the pass; the step
+    before it names ``floored`` as the loop of the next depth, and every
+    other step names the job's own loop, ``decide`` or ``rec``. So a level
+    without mates, and a run without the chain, goes through that loop
+    alone, with no floor test at any node. A floor cuts a color when it
+    removes one from a mate's mask; so does the m - |O_0| + 1 cap when it
+    is below ceil(t/2). The chain holds for minimizing, maximizing and
+    first-solution searches alike, and for any edge order.
+
+    A first-solution run (``mu2=None`` with ``req=0``) ends at its first
+    leaf, so deeper floors could only move that leaf; it takes level 0
+    alone, the levels of any prefix being sound by the same induction.
+    Its color-1 subtree of ``order[0]`` keeps every child, and without
+    ``rng`` colors are tried lowest first, so a first-solution run that
+    ends inside that subtree runs and returns exactly as it would with the
     reflection cut alone.
 
     ``chromatic_index`` asks for any proper coloring in [1,t] at t = max
     degree. Surjectivity pruning loses none there, since a max-degree
-    vertex sees all t colors, and the rule loses none, since reflection
+    vertex sees all t colors, and the chain loses none, since reflection
     and automorphisms keep colorings proper.
     """
     n, m = g.n, g.m
@@ -765,27 +842,19 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         order = _most_constrained_order(g, req)
     deg = g.degrees
     full = (1 << t) - 1
-    mates: list[int] = []  # depths of the other edges of e's orbit O
-    if not reflect:
-        first_mask = full
-    else:
-        orbit = _edge_orbit(g, req)
-        if order[0] in orbit:
-            mates = [d for d, bi in enumerate(order) if d and bi in orbit]
-        first_mask = (1 << min((t + 1) // 2, m - len(mates))) - 1
+    first_mask, cut = full, False  # cut: some floor cut a color
+    mates: list[tuple[int, ...]] = []  # per level, the depths of its mates
+    if reflect:
+        levels = 1 if mu2 is None and not req else m  # first solution: 1
+        mates = [tuple(level)[1:]
+                 for level in _orbit_chain(g, req, tuple(order), levels)]
+        cap = m - len(mates[0])  # m - |O_0| + 1
+        first_mask = (1 << min((t + 1) // 2, cap)) - 1
+        cut = cap < (t + 1) // 2
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
         last_at[u] = last_at[v] = d
-    windows: dict[int, dict[int, int]] = {}  # per degree: mask -> window
-    steps = []  # rec watches mu2 endpoints at every edge, mu1 at their last
-    for d, bi in enumerate(order):
-        u, v = g.edges[bi]
-        tu = windows.setdefault(deg[u], {}) if req >> u & 1 else None
-        tv = windows.setdefault(deg[v], {}) if req >> v & 1 else None
-        steps.append((bi, u, v, deg[u], deg[v], first_mask if d == 0 else full,
-                      mu2 or last_at[u] == d, mu2 or last_at[v] == d, m - d,
-                      tu, tv))
     used = [0] * n
     colors = [0] * m  # color bits; a witness holds the colors 1..t
     leaf = m - 1
@@ -809,7 +878,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         # the endpoint's degree, keeps req undoomed; the first leaf ends the
         # run, and each level writes its color only as the run returns
         nonlocal nodes, core
-        bi, u, v, du, dv, top, _, _, remaining, tu, tv = steps[depth]
+        bi, u, v, du, dv, top, _, _, remaining, tu, tv, down = steps[depth]
         uu, uv = used[u], used[v]
         avail = top & ~(uu | uv)
         if unused == remaining:
@@ -841,9 +910,9 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
                 colors[bi] = bit
                 return "bound-met"
             if unused_bits & bit:
-                tag = decide(depth + 1, unused - 1, unused_bits ^ bit)
+                tag = down(depth + 1, unused - 1, unused_bits ^ bit)
             else:
-                tag = decide(depth + 1, unused, unused_bits)
+                tag = down(depth + 1, unused, unused_bits)
             if tag:
                 colors[bi] = bit
                 return tag
@@ -854,7 +923,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
             unused_bits: int) -> str | None:
         # an optimizing run: maximize the score, f for mu2, n - f for mu1
         nonlocal best, witness, nodes
-        bi, u, v, du, dv, top, wu, wv, remaining, _, _ = steps[depth]
+        bi, u, v, du, dv, top, wu, wv, remaining, _, _, down = steps[depth]
         uu, uv = used[u], used[v]
         avail = top & ~(uu | uv)
         if unused == remaining:
@@ -885,31 +954,61 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
                 continue
             used[u], used[v] = a, b
             if unused_bits & bit:
-                tag = rec(depth + 1, s, unused - 1, unused_bits ^ bit)
+                tag = down(depth + 1, s, unused - 1, unused_bits ^ bit)
             else:
-                tag = rec(depth + 1, s, unused, unused_bits)
+                tag = down(depth + 1, s, unused, unused_bits)
             if tag:
                 return tag
         used[u], used[v] = uu, uv
         return None
 
-    tag, left = None, first_mask
-    while left and not tag:
-        bit = left  # without orbit-mates, one pass over all of e's colors
-        if mates:
-            # one pass per color of e, its floor written into the mates'
-            # color masks (step field 5), so no node below pays for the rule
+    def floored(depth: int, *args) -> str | None:
+        # a level with mates: one pass of the job's loop per color of its
+        # edge, that color first written as the mates' floor; the level's
+        # own mask and its mates' are restored as the run leaves it
+        nonlocal cut
+        step = steps[depth]
+        saved = [(d, steps[d]) for d in mates[depth]]
+        left = step[5] & ~(used[step[1]] | used[step[2]])
+        tag = None
+        while left and not tag:
             bit = left & -left if rng is None else _random_bit(left, rng)
-            steps[0] = (*steps[0][:5], bit, *steps[0][6:])
-            for d in mates:
-                steps[d] = (*steps[d][:5], full & -bit, *steps[d][6:])
-        left ^= bit
-        tag = rec(0, 0, t, full) if mu2 is not None else decide(0, t, full)
+            left ^= bit
+            steps[depth] = (*step[:5], bit, *step[6:])
+            for d, s in saved:
+                if s[5] & (bit - 1):
+                    cut = True
+                steps[d] = (*s[:5], s[5] & -bit, *s[6:])
+            tag = job(depth, *args)
+        steps[depth] = step
+        for d, s in saved:
+            steps[d] = s
+        return tag
+
+    job = decide if mu2 is None else rec
+    windows: dict[int, dict[int, int]] = {}  # per degree: mask -> window
+    steps = []  # rec watches mu2 endpoints at every edge, mu1 at their last
+    for d, bi in enumerate(order):
+        u, v = g.edges[bi]
+        tu = windows.setdefault(deg[u], {}) if req >> u & 1 else None
+        tv = windows.setdefault(deg[v], {}) if req >> v & 1 else None
+        steps.append((bi, u, v, deg[u], deg[v], first_mask if d == 0 else full,
+                      mu2 or last_at[u] == d, mu2 or last_at[v] == d, m - d,
+                      tu, tv, job))
+    start = job
+    for lvl, mine in enumerate(mates):
+        # a level with mates is entered through floored, from the step
+        # before it or at the start
+        if mine and lvl:
+            steps[lvl - 1] = (*steps[lvl - 1][:11], floored)
+        elif mine:
+            start = floored
+    tag = start(0, t, full) if mu2 is None else start(0, 0, t, full)
     if tag == "bound-met" and mu2 is None:
         # f: the vertices whose colors are one run
         best = sum(not (x + (x & -x)) & x for x in used)
         witness = [c.bit_length() for c in colors]
-    if mates and t > 2:  # the rule cut colors: see the core rule
+    if cut:  # a floor cut a color: see the core rule
         core = req
     return best, witness, nodes, tag or "exhausted", core
 

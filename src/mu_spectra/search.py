@@ -4,15 +4,17 @@
 t-colorings of G. ``sample`` draws seeded random members of that space.
 Both walk it with the one search kernel, ``graphs._search``, which also
 decides ``chromatic_index``: a depth-first search over edges with color
-bitmasks, pruned by properness, surjectivity feasibility, a symmetry rule
-at the first edge and bounds on f. The symmetry rule, the orbit floor,
-gives the first edge colors <= ceil(t/2) only (the reflection
-k -> t+1-k), and every other edge of its orbit, under the automorphisms
-that fix the run's required vertex set, only colors >= the one it took.
-Reflection and an automorphism that moves the least-colored orbit edge
-first turn any valid coloring into one that obeys the rule and keeps its
-interval set up to that automorphism. When the orbit is every edge, the
-first edge gets color 1 alone.
+bitmasks, pruned by properness, surjectivity feasibility, a symmetry
+chain and bounds on f. The symmetry chain gives the first edge colors
+<= ceil(t/2) only (the reflection k -> t+1-k), and at each depth makes
+the color of that depth's edge a floor for the other edges of its orbit
+under the automorphisms that fix the run's required vertex set and every
+earlier edge. Reflection, then at each depth an automorphism that moves
+the least-colored orbit edge onto that depth's edge, turn any valid
+coloring into one that obeys every floor and keeps its interval set up
+to those automorphisms: each fixes the earlier edges and maps their
+orbits onto themselves. When the first orbit is every edge, the first
+edge gets color 1 alone.
 A kernel run has one of two jobs, named in the call. An optimizing run
 maximizes one score, f for mu2 and n - f for mu1, bounded by the vertices
 already settled against it: for mu2 a vertex whose colors already span
@@ -35,8 +37,8 @@ vertex of the set: it colors the edges at the set's vertices first and, at each 
 them, tries only the colors that keep the vertex's span within its degree
 (the window mask), so those runs neither make nor count a child that
 would doom one. A refuted run also returns its core, the vertices of the
-set whose window ever cut a color, or the whole set when its orbit floor
-cut a color, since the floor rests on the set's own stabilizer; no valid
+set whose window ever cut a color, or the whole set when a floor of its
+chain cut a color, since the floors rest on the set's own stabilizer; no valid
 coloring makes the core interval, so a later set of the solve, at any k,
 whose orbit holds a superset of a learned core is skipped without a run.
 Before its run, a set S is refuted at 0 nodes by the span rule when t
@@ -95,12 +97,13 @@ class SearchConfig(Record):
     ints, not bools (a nan budget would never stop a search), and the
     three switches must be bools.
     ``use_reflection_symmetry`` switches every use of symmetry: the search
-    kernel's orbit floor (the first edge limited to colors <= ceil(t/2) by
-    reflection, each other edge of its orbit under the automorphisms that
-    fix the run's required set held at or above the first edge's color,
-    and color 1 alone when that orbit is every edge) and the interval-set
-    split of mu2 on edge-transitive graphs. A refuted split run whose
-    floor cut a color learns its whole set as its core.
+    kernel's symmetry chain (the first edge limited to colors <= ceil(t/2)
+    by reflection, and at each depth every other edge of that depth's
+    edge's orbit, under the automorphisms that fix the run's required set
+    and the earlier edges, held at or above that edge's color; color 1
+    alone when the first orbit is every edge) and the interval-set split
+    of mu2 on edge-transitive graphs. A refuted split run in which a floor
+    cut a color learns its whole set as its core.
     ``seed_fixtures`` and ``use_structural_bounds`` install the entering
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every

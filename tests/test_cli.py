@@ -370,7 +370,7 @@ class TestProfile:
                                "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "da787e880e3eefdea45970d029356aa17dee94ea1a327f51e45f9324e203ea37")
+            "c128eaede06aea4c6ba9b55a62400f48465e4044c04e124afff489c13a9ef626")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

@@ -33,8 +33,8 @@ from mu_spectra import (
 )
 from mu_spectra import graphs as graphs_module
 from mu_spectra.graphs import (
-    _edge_orbit,
     _most_constrained_order,
+    _orbit_chain,
     _search,
     _subset_orbits,
     _subsets,
@@ -318,7 +318,7 @@ class TestSearchKernel:
     @pytest.mark.parametrize("args, req, nodes", [
         ((4,), (), 15),  # a first-solution run
         ((9,), ("x1", "x2", "x3", "x4", "x5", "y1", "y2", "y3"),
-         3_847),  # a run of the interval-set split
+         1_938),  # a run of the interval-set split
     ])
     def test_budget_is_tested_before_the_leaf(self, P, args, req, nodes):
         # the node that reaches the first leaf is counted, then budgeted:
@@ -404,12 +404,33 @@ class TestWindow:
                             for s in range(1, d + 1))
 
 
+def edge_orbit(g, req=0):
+    """Level 0 of the chain for the edge order 0..m-1: edge 0's orbit
+    under the automorphisms that fix req, depth and edge index alike."""
+    return _orbit_chain(g, req, tuple(range(g.m)), 1)[0]
+
+
 def _edge_transitive(g):
-    return len(_edge_orbit(g)) == g.m
+    return len(edge_orbit(g)) == g.m
 
 
 def _apply(perm, mask):
     return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def stabilizer_levels(g, autos, req, order):
+    """Per depth l of ``order``, from the listed group: the automorphisms
+    that fix req and each of order[0..l-1] setwise, and the depths they
+    map order[l] onto."""
+    stab = [p for p in autos if _apply(p, req) == req]
+    levels = []
+    for ei in order:
+        a, b = g.edges[ei]
+        levels.append((stab, {
+            order.index(g.edges.index(tuple(sorted((p[a], p[b])))))
+            for p in stab}))
+        stab = [p for p in stab if {p[a], p[b]} == {a, b}]
+    return levels
 
 
 class TestEdgeTransitivity:
@@ -419,7 +440,7 @@ class TestEdgeTransitivity:
 
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_maps_are_automorphisms_onto_each_edge(self, g):
-        orbit = _edge_orbit(g)
+        orbit = edge_orbit(g)
         assert list(orbit) == sorted(orbit) and orbit[0] == tuple(range(g.n))
         autos = set(naive_automorphisms(g))
         u0, v0 = g.edges[0]
@@ -429,23 +450,31 @@ class TestEdgeTransitivity:
 
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_stabilizer_orbits_against_the_full_group(self, g):
-        # for every vertex mask req: each map fixes req setwise and sends
-        # edge 0, the kernel's order[0], onto its edge, and the edges are
-        # exactly edge 0's orbit under the automorphisms that fix req
+        # for every vertex mask req, in the kernel's edge order for req, at
+        # every level l: the depths are exactly order[l]'s orbit under the
+        # automorphisms that fix req and order[0..l-1] setwise, each with a
+        # map in that stabilizer sending order[l] onto its edge; a level
+        # past the chain's end holds order[l] alone
         autos = naive_automorphisms(g)
-        u0, v0 = g.edges[0]
         assert all(_most_constrained_order(g, req)[0] == 0
                    for req in range(1 << g.n))
-        wrong = []
+        wrong, deep = [], 0
         for req in range(1 << g.n):
-            stab = [p for p in autos if _apply(p, req) == req]
-            want = {g.edges.index(tuple(sorted((p[u0], p[v0])))) for p in stab}
-            orbit = _edge_orbit(g, req)
-            if set(orbit) != want or any(
-                    img not in stab or {img[u0], img[v0]} != set(g.edges[ei])
-                    for ei, img in orbit.items()):
-                wrong.append(req)
+            order = tuple(_most_constrained_order(g, req))
+            chain = _orbit_chain(g, req, order, g.m)
+            levels = stabilizer_levels(g, autos, req, order)
+            for lvl, (stab, want) in enumerate(levels):
+                a, b = g.edges[order[lvl]]
+                level = chain[lvl] if lvl < len(chain) else {lvl: None}
+                if set(level) != want or list(level)[0] != lvl or any(
+                        img is not None and (img not in stab or {
+                            img[a], img[b]} != set(g.edges[order[d]]))
+                        for d, img in level.items()):
+                    wrong.append((req, lvl))
+                deep += lvl > 0 and len(want) > 1
         assert wrong == []
+        if g in (complete(4), K23, K33, PRISM):
+            assert deep > 0
 
     def test_budget_cut_orbit_is_a_subset(self, monkeypatch):
         # a budget stop drops the edges not yet reached; what is left is
@@ -458,7 +487,7 @@ class TestEdgeTransitivity:
             for req in range(1 << g.n):
                 stab = [p for p in autos if _apply(p, req) == req]
                 want = {frozenset((p[u0], p[v0])) for p in stab}
-                orbit = _edge_orbit.__wrapped__(g, req)
+                orbit = _orbit_chain.__wrapped__(g, req, tuple(range(g.m)), 1)[0]
                 assert 0 in orbit
                 for ei, img in orbit.items():
                     assert img in stab
@@ -466,24 +495,54 @@ class TestEdgeTransitivity:
                 cut += len(orbit) < len(want)
         assert cut > 0
 
+    def test_budget_cut_chain_ends_at_its_level(self, monkeypatch):
+        # when the budget runs out, the level under way is the chain's
+        # last: every level before it is a whole orbit, and only the last
+        # may hold part of its orbit. Some chains end this way past level 0
+        monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 10)
+        ended, wrong = 0, []
+        for g in TRANSITIVITY_GRAPHS:
+            autos = naive_automorphisms(g)
+            for req in range(1 << g.n):
+                order = tuple(_most_constrained_order(g, req))
+                chain = _orbit_chain.__wrapped__(g, req, order, g.m)
+                levels = [want for _, want in
+                          stabilizer_levels(g, autos, req, order)]
+                *whole, last = [set(level) for level in chain]
+                if (whole != levels[:len(whole)]
+                        or not last <= levels[len(whole)]):
+                    wrong.append(req)
+                ended += len(chain) > 1 and (
+                    last != levels[len(whole)]
+                    or any(len(x) > 1 for x in levels[len(chain):]))
+        assert (wrong, ended > 0) == ([], True)
+
     def test_pinned_cases(self, P):
         assert _edge_transitive(P)
         for label in P.vertices:
             assert not _edge_transitive(delete_vertex(P, label))
         assert _edge_transitive(K23)
         assert not _edge_transitive(PAW)
+        # P: edge 0's stabilizer, of order 8, has orbits of 4 and 2 edges
+        # on the other edges, and order[1] lies in the one of 4
+        order = tuple(_most_constrained_order(P))
+        assert [len(level) for level in _orbit_chain(P, 0, order, P.m)] == [
+            15, 4, 1, 2]
 
     def test_complete_11_without_listing_the_group(self):
-        # Aut(K_11) has 39,916,800 elements; one automorphism per edge is
-        # enough
+        # Aut(K_11) has 39,916,800 elements; one map per orbit edge at
+        # each level is enough, for level 0 alone and for the whole chain
         start = time.perf_counter()
         g = complete(11)
-        assert len(_edge_orbit.__wrapped__(g, 0)) == g.m
+        assert len(_orbit_chain.__wrapped__(g, 0, tuple(range(g.m)), 1)[0]) == g.m
+        chain = _orbit_chain.__wrapped__(
+            g, 0, tuple(_most_constrained_order(g)), g.m)
+        assert [len(level) for level in chain] == [55, 18, 8, 7, 6, 5, 4, 3, 2]
         assert time.perf_counter() - start < 2.0
 
     def test_exhausted_budget_answers_false(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
-        assert len(_edge_orbit.__wrapped__(P, 0)) < P.m
+        assert len(_orbit_chain.__wrapped__(P, 0, tuple(range(P.m)), 1)[0]) < P.m
 
 
 def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
@@ -495,7 +554,7 @@ def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
 class TestSubsetOrbits:
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_representatives_against_the_full_group(self, g):
-        maps = list(_edge_orbit(g).values())[1:]
+        maps = list(edge_orbit(g).values())[1:]
         autos = naive_automorphisms(g)
         for k in range(1, g.n + 1):
             orbits = _subset_orbits(g, k)

@@ -31,7 +31,7 @@ from mu_spectra import (
     span_cap,
     vertex_set,
 )
-from mu_spectra.graphs import (_edge_orbit, _most_constrained_order, _search,
+from mu_spectra.graphs import (_most_constrained_order, _orbit_chain, _search,
                                 _subset_orbits)
 from mu_spectra.search import PROFILE_NODE_LIMIT
 
@@ -39,7 +39,8 @@ from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
                      naive_interval_sets, naive_mu, naive_valid,
                      random_connected_graph)
 from test_graphs import representatives
-from test_theorems import FAMILIES, complete_bipartite, hypercube
+from test_theorems import (FAMILIES, complete_bipartite, generalized_petersen,
+                           hypercube)
 
 search_module = importlib.import_module("mu_spectra.search")
 graphs_module = importlib.import_module("mu_spectra.graphs")
@@ -58,11 +59,12 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
 
     Every listed representative's default-order req search must find no
     witness. One that ran must spend the recorded nodes and return the
-    recorded core. Where its run applied an orbit floor (``floored``), the
-    core must be the representative itself; otherwise that core, searched
-    in the representative's edge order, must exhaust in at most the same
-    nodes, since the core run's own floors only prune the floor-free tree
-    the two runs share. One refuted by the span rule
+    recorded core. A core that is the whole representative is refuted by
+    that run itself (which it is whenever a floor of the run's symmetry
+    chain cut a color); a smaller core, searched in the representative's
+    edge order, must exhaust in at most the same nodes, since the core
+    run's own floors only prune the floor-free tree the two runs share.
+    One refuted by the span rule
     must have spent 0 nodes, name itself as its core, and have a
     ``span_cap`` that recomputes to the recorded value, below t. One that
     was skipped must have spent 0 nodes and name a k-set ``within`` that
@@ -99,9 +101,7 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                 assert span_cap(g, core) == why["span_cap"] < out.t
             else:
                 assert (nodes, got) == (spent, core)
-                if floored(g, out.t, s):
-                    assert core == s
-                else:
+                if core != s:
                     _, colors, nodes, tag, _ = _search(
                         g, out.t, req=core, order=_most_constrained_order(g, s))
                     assert (colors, tag) == (None, "exhausted")
@@ -111,11 +111,14 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     return replayed
 
 
-def floored(g, t, req) -> bool:
-    """Whether a decision run with ``req`` applies the kernel's orbit floor:
-    edge 0, its first edge, has an orbit-mate under the automorphisms that
-    fix req, and the reflection cut leaves it two colors or more."""
-    return t > 2 and len(_edge_orbit(g, req)) > 1
+def chained(g, t, req) -> bool:
+    """Whether a decision run with ``req`` has a floor that may cut a
+    color: some level of its symmetry chain past 0 has mates, or level 0
+    has mates but is not every edge, and t >= 3 leaves the edge of that
+    level a color above 1."""
+    chain = _orbit_chain(g, req, tuple(_most_constrained_order(g, req)), g.m)
+    return t > 2 and (1 < len(chain[0]) < g.m
+                      or any(len(level) > 1 for level in chain[1:]))
 
 
 def expire_clock_after(monkeypatch, reads: float) -> SimpleNamespace:
@@ -221,16 +224,16 @@ class TestPetersenSeededRuns:
         o2 = solve(P, 4, Objective.MU2, BARE)
         assert (o1.value, o1.closed_by) == (2, "exhausted")
         assert (o2.value, o2.closed_by) == (8, "exhausted")
-        # mu2: after a 15-node first solution, the 10-set is refuted in 295
-        # nodes under the root rule and the one 9-set orbit in 570 under
-        # its orbit floor, so both cores are the whole sets; the first
-        # 8-set is then made interval in 26 nodes
-        assert (o1.nodes_visited, o2.nodes_visited) == (8_507, 906)
+        # mu2: after a 15-node first solution, the 10-set is refuted in 78
+        # nodes and the one 9-set orbit in 488, each under its symmetry
+        # chain, so both cores are the whole sets; the first 8-set is then
+        # made interval in 26 nodes
+        assert (o1.nodes_visited, o2.nodes_visited) == (1_910, 607)
 
     def test_bare_complete_graph_search_is_pinned(self):
         out = solve(complete(5), 8, Objective.MU2, BARE)
         assert (out.value, out.closed_by) == (3, "exhausted")
-        assert out.nodes_visited == 545
+        assert out.nodes_visited == 251
 
     @pytest.mark.parametrize("g, t, objective, cfg, want", [
         # one plain optimizing run each: no seed, no bound, no split
@@ -304,14 +307,14 @@ class TestPetersenSeededRuns:
         orbits.cache_clear()
         try:
             out = solve(P, 4, Objective.MU2, SearchConfig(
-                node_limit=890, seed_fixtures=False,
+                node_limit=590, seed_fixtures=False,
                 use_structural_bounds=False))
         finally:
             orbits.cache_clear()
-        # the split spends 15 + 295 + 570 = 880 nodes, and the plain run
-        # would close the cell at 899
+        # the split spends 15 + 78 + 488 = 581 nodes, and the plain run
+        # would close the cell at 600
         assert (out.lo, out.hi, out.closed_by, out.nodes_visited) == (
-            6, 8, "budget", 890)
+            6, 8, "budget", 590)
         assert [e.payload["k"] for e in out.evidence] == [10, 9]
         assert analyze(P, out.witness).f == 6
 
@@ -328,9 +331,9 @@ class TestPetersenSeededRuns:
 
     def test_budget_witness_attains_the_lower_bound(self, P):
         # unseeded, the incumbent is the first coloring found; the cell
-        # closes at 6,562 nodes, so this budget stops it while deciding
+        # closes at 1,953 nodes, so this budget stops it while deciding
         # f >= 8
-        cfg = SearchConfig(node_limit=2_000, seed_fixtures=False)
+        cfg = SearchConfig(node_limit=1_000, seed_fixtures=False)
         out = solve(P, 9, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert out.witness is not None
@@ -397,15 +400,14 @@ class TestConfig:
     def test_req_search_matches_enumeration(self):
         # a req=S search finds a coloring exactly when some valid coloring
         # makes every vertex of S interval, and the one it finds does. Many
-        # of these runs write an orbit floor that cuts colors: edge 0 has
-        # an orbit-mate under the stabilizer of S, not every edge is one,
-        # and edge 0 may take a color above 1
+        # of these runs have a floor of their symmetry chain that may cut
+        # colors (``chained``)
         mismatches, fired = [], 0
         for g in ORACLE_CORPUS:
             for t in legal_t_range(g):
                 sets = naive_interval_sets(g, t)
                 for s in range(1, 1 << g.n):
-                    fired += t > 2 and 1 < len(_edge_orbit(g, s)) < g.m
+                    fired += chained(g, t, s)
                     colors = _search(g, t, req=s)[1]
                     want = set(set_labels(g, s))
                     if colors is None:
@@ -494,6 +496,8 @@ class TestConfig:
         assert (out.closed_by, out.nodes_visited, out.hi) == ("budget", 15, 8)
 
     @pytest.mark.parametrize("symmetry, reads, nodes", [
+        # at t=12 the split span-refutes both 8-sets, so its first run is a
+        # 7-set's, of 2,178 nodes
         (True, 3, 15 + 2_048),  # inside the first req run of the split
         (False, 2, 2_048),  # inside the plain kernel
         (True, 1, 0),  # no run starts after the deadline
@@ -506,20 +510,23 @@ class TestConfig:
         expire_clock_after(monkeypatch, reads)
         cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False,
                            use_reflection_symmetry=symmetry)
-        out = solve(P, 10, Objective.MU2, cfg)
+        out = solve(P, 12, Objective.MU2, cfg)
         assert out.status is SolveStatus.BOUNDS_ONLY
         assert (out.closed_by, out.nodes_visited) == ("budget", nodes)
 
     def test_deadline_read_mid_run_does_not_stop_it(self, P, monkeypatch):
         # a clock that never passes the deadline: read for the deadline,
-        # before the one run, and at nodes 2,048, 4,096, 6,144 and 8,192
+        # before the one run, and at nodes 2,048, 4,096, ..., 24,576. With
+        # symmetry on, this cell's run ends at 1,910 nodes, before the
+        # first read inside it, so it runs with symmetry off
         clock = expire_clock_after(monkeypatch, float("inf"))
         cfg = SearchConfig(time_limit_ms=30, seed_fixtures=False,
-                           use_structural_bounds=False)
+                           use_structural_bounds=False,
+                           use_reflection_symmetry=False)
         out = solve(P, 4, Objective.MU1, cfg)
-        assert clock.count == 6
+        assert clock.count == 14
         assert (out.nodes_visited, out.value, out.closed_by) == (
-            8_507, 2, "exhausted")
+            26_273, 2, "exhausted")
         assert out == solve(P, 4, Objective.MU1, cfg.replace(time_limit_ms=None))
 
 
@@ -620,13 +627,13 @@ class TestProfile:
         # t=12. At t=13 and 14 every 7-set is span-refuted too
         assert [r.mu1.nodes_visited for r in petersen_profile.rows] == [0] * 12
         assert [r.mu2.nodes_visited for r in petersen_profile.rows] == [
-            0, 26, 171, 1_192, 3_019, 3_847, 5_681, 423, 2_362, 0, 0, 0]
+            0, 26, 75, 569, 1_488, 1_938, 1_817, 401, 2_178, 0, 0, 0]
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 16_721
+                   for r in petersen_profile.rows) == 8_492
 
     @pytest.mark.parametrize("g, nodes", [
-        (hypercube(3), 2_908),  # 5,498 in table order
-        (complete_bipartite(3, 4), 12_806),  # 16,883 in table order
+        (hypercube(3), 2_570),  # 3,453 in table order
+        (complete_bipartite(3, 4), 5_162),  # 6,397 in table order
     ], ids=["Q3", "K3,4"])
     def test_family_node_totals_are_pinned(self, g, nodes):
         # the split's span rule refutes sets at 0 nodes, also where an
@@ -636,13 +643,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("g, cfg, nodes, exact", [
         (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000),
-         95_515, 14),
+         92_786, 14),
         (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
-         95_216, 22),
+         52_640, 25),
         (delete_vertex(petersen(), "x1"), BARE.replace(node_limit=20_000),
-         110_701, 13),
+         106_201, 13),
         (complete_bipartite(4, 4), BARE.replace(node_limit=20_000),
-         166_215, 19),
+         110_968, 23),
     ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
     def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
         # P - x1 is not edge-transitive, so each of its mu2 cells is one
@@ -657,19 +664,40 @@ class TestProfile:
         assert sum(r.mu1.is_exact + r.mu2.is_exact for r in rows) == exact
 
     @pytest.mark.parametrize("g, t, value, nodes", [
-        (HEAWOOD, 7, 13, 17_295),
-        (complete_bipartite(4, 4), 9, 6, 66_681),
-    ], ids=["heawood-t7", "K4,4-t9"])
+        (HEAWOOD, 7, 13, 2_996),
+        (complete_bipartite(4, 4), 9, 6, 10_821),
+        (complete_bipartite(4, 4), 10, 5, 25_208),
+        (HEAWOOD, 13, 10, 185_594),
+    ], ids=["heawood-t7", "K4,4-t9", "K4,4-t10", "heawood-t13"])
     def test_frontier_cells_close_at_the_profile_budget(self, g, t, value,
                                                         nodes):
-        # values cross-checked with symmetry off; the orbit floor of the
-        # split's decision runs closes both cells inside one profile cell's
-        # budget, each with a witness checked from the definition
+        # the first two values were cross-checked with symmetry off; the
+        # kernel without the symmetry chain's deeper levels (only the orbit
+        # floor at the first edge) finds the last two as well, but only
+        # past this budget: with no node limit, in 297,468 and 206,905
+        # nodes. The chain of the split's decision runs closes each cell
+        # inside one profile cell's budget, each with a witness checked
+        # from the definition
         out = solve(g, t, Objective.MU2,
                     SearchConfig(node_limit=PROFILE_NODE_LIMIT))
         assert (out.lo, out.hi, out.nodes_visited) == (value, value, nodes)
         assert naive_valid(g, out.witness)
         assert naive_f(g, out.witness) == value
+
+    def test_frontier_cell_closes_past_the_profile_budget(self):
+        # mu2(GP(8,3),8) = 15: the 16-set is refuted in 46,978 nodes and
+        # the one 15-set orbit made interval in 168,820, 215,822 nodes in
+        # all with the first solution, so the profile budget leaves the
+        # cell at [11, 15]. Without the chain's deeper levels it takes
+        # 261,189 nodes
+        g = generalized_petersen(8, 3)
+        cut = solve(g, 8, Objective.MU2,
+                    SearchConfig(node_limit=PROFILE_NODE_LIMIT))
+        assert (cut.lo, cut.hi, cut.closed_by) == (11, 15, "budget")
+        out = solve(g, 8, Objective.MU2, SearchConfig(node_limit=250_000))
+        assert (out.lo, out.hi, out.nodes_visited) == (15, 15, 215_822)
+        assert naive_valid(g, out.witness)
+        assert naive_f(g, out.witness) == 15
 
     def test_frontier_profile_is_pinned(self):
         # K4,4's whole profile, witnesses, cores and evidence with it, not
@@ -678,7 +706,7 @@ class TestProfile:
                       SearchConfig(node_limit=20_000)).to_dict()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == (
-            "6b165f8c7184e355a25f2cbc681bbd4d0ca02771703a85edeca29718f68db367")
+            "0dae95ac0c65daff1117ce55d6612ab9375be1aac7e733be3904f1a4a9aed7d1")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -711,36 +739,37 @@ class TestProfile:
                             12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
                             14: [(8, 2), (7, 4)]}
 
-    def test_replay_refuses_a_within_that_misses_the_core(self, P):
-        # bare, at t=13 the 7-set {x1..x5, y1, y3} is skipped: the core
-        # {x1..x5} learned from {x1..x5, y1, y2} lies in it. The run of
-        # {x1..x5, y1, y2} applies no floor, since edge x1-x2 has no
-        # orbit-mate under its stabilizer. Naming as `within` another
-        # member of the skipped set's orbit, one that misses the core,
-        # must fail
-        out = solve(P, 13, Objective.MU2, BARE)
-        replay_orbit_evidence(P, out)
+    def test_replay_refuses_a_within_that_misses_the_core(self):
+        # bare GP(8,3) at t=24, 20,000 nodes: the run of the first 13-set,
+        # {u0..u6, v0..v4, v7}, cuts no color by a floor of its chain and
+        # learns the core {u1..u4, v1, v4} in 675 nodes; the other nine
+        # 13-sets are skipped, each orbit holding a superset of that core.
+        # Naming as `within` another member of a skipped set's orbit, one
+        # that misses the core, must fail
+        g = generalized_petersen(8, 3)
+        out = solve(g, 24, Objective.MU2, BARE.replace(node_limit=20_000))
+        replay_orbit_evidence(g, out)
         (e,) = [e for e in out.evidence
                 if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
-                and e.payload["k"] == 7]
-        orbit_of = _subset_orbits(P, 7)
+                and e.payload["k"] == 13]
+        orbit_of = _subset_orbits(g, 13)
 
         def missing(labels, why):
             if "learned_from" not in why:
                 return why
-            s, core = vertex_set(P, labels), vertex_set(P, why["core"])
+            s, core = vertex_set(g, labels), vertex_set(g, why["core"])
             other = next(x for x, r in orbit_of.items() if r == s and core & ~x)
-            return dict(why, within=list(set_labels(P, other)))
+            return dict(why, within=list(set_labels(g, other)))
 
         cores = [missing(labels, why)
                  for labels, why in zip(e.payload["representatives"],
                                         e.payload["cores"])]
-        assert cores != e.payload["cores"]
+        assert sum(x != y for x, y in zip(cores, e.payload["cores"])) == 9
         moved = e.replace(payload={**e.payload, "cores": cores})
         bad = out.replace(evidence=tuple(moved if x is e else x
                                          for x in out.evidence))
         with pytest.raises(AssertionError):
-            replay_orbit_evidence(P, bad)
+            replay_orbit_evidence(g, bad)
 
     def test_headline_follows_from_search_alone(self, petersen_profile):
         # no catalog coloring and no structural bound: every cell comes out
@@ -759,24 +788,29 @@ class TestProfile:
                 assert naive_valid(bare.graph, out.witness)
                 assert naive_f(bare.graph, out.witness) == attained
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in bare.rows) == 94_324
+                   for r in bare.rows) == 53_909
 
     def test_theorem_family_skips_replay(self):
         # every record of these cells replays, floored runs, core runs and
         # skipped entries included. A run learns a core smaller than its
-        # set only where it applies no floor; on the families two Q3 runs
-        # do (their core runs take 114 <= 367 and 40 <= 141 nodes), and no
-        # later set holds either core. So the skips all come from bare
-        # Petersen, one each at t=13..15
-        cells = [(g, t) for g, _ in FAMILIES for t in legal_t_range(g)]
-        skips = 0
-        for g, t in cells + [(petersen(), t) for t in (13, 14, 15)]:
-            out = solve(g, t, Objective.MU2, BARE)
+        # set only where no floor of its chain cut a color; on the families
+        # none does, so no set is skipped there. Bare GP(8,3), at 20,000
+        # nodes per cell, learns such cores at t=23 and t=24 and skips 9
+        # and 38 sets with them
+        cells = [(g, t, BARE) for g, _ in FAMILIES for t in legal_t_range(g)]
+        gp = generalized_petersen(8, 3)
+        cells += [(gp, t, BARE.replace(node_limit=20_000))
+                  for t in legal_t_range(gp)]
+        skips = {}
+        for g, t, cfg in cells:
+            out = solve(g, t, Objective.MU2, cfg)
             replay_orbit_evidence(g, out)
-            skips += sum("learned_from" in why for e in out.evidence
-                         if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
-                         for why in e.payload["cores"])
-        assert skips == 3
+            skips[g.name, t] = sum(
+                "learned_from" in why for e in out.evidence
+                if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
+                for why in e.payload["cores"])
+        assert {cell: n for cell, n in skips.items() if n} == {
+            ("GP(8,3)", 23): 9, ("GP(8,3)", 24): 38}
 
     @pytest.mark.parametrize("cfg", [BARE, SearchConfig()],
                              ids=["bare", "default"])

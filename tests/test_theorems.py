@@ -19,6 +19,18 @@ def complete_bipartite(a: int, b: int) -> Graph:
                              [(x, y) for x in left for y in right])
 
 
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n,k): an outer cycle u_i, spokes u_i v_i, and inner edges
+    v_i ~ v_{i+k}, indices mod n, for 1 <= k < n/2."""
+    outer = [f"u{i}" for i in range(n)]
+    inner = [f"v{i}" for i in range(n)]
+    return Graph.from_labels(
+        f"GP({n},{k})", outer + inner,
+        [(outer[i], outer[(i + 1) % n]) for i in range(n)]
+        + [(outer[i], inner[i]) for i in range(n)]
+        + [(inner[i], inner[(i + k) % n]) for i in range(n)])
+
+
 def hypercube(d: int) -> Graph:
     labels = [format(i, f"0{d}b") for i in range(2**d)]
     return Graph.from_labels(f"Q{d}", labels, [
