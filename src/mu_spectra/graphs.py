@@ -17,7 +17,8 @@ import math
 import random
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
+from operator import or_
 
 MAX_VERTICES = 64
 MAX_EDGES = 64
@@ -573,26 +574,61 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
+def _chunk_images(g: Graph) -> tuple[tuple[int, list[tuple[int, ...]]], ...]:
+    """The maps of level 0 of ``_orbit_chain`` in edge order, as lookup
+    tables on 6-bit chunks of a vertex mask: one ``(shift, table)`` per
+    chunk, where entry c of the table holds the images of the mask
+    ``c << shift`` under the maps for edges 1..m-1, in that order.
+
+    A map permutes the vertices, so the images of disjoint chunks are
+    disjoint and their OR is the image of the whole mask. Built once per
+    graph and shared by every k; the caller checks that level 0 holds
+    every edge. A table has at most 64 entries, built bit by bit: the
+    entries with a bit set are those without it, each with the images of
+    that bit added.
+    """
+    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
+    maps = [orbit[ei] for ei in range(1, g.m)]
+    chunks = []
+    for shift in range(0, g.n, 6):
+        table = [(0,) * len(maps)]
+        for x in range(shift, min(shift + 6, g.n)):
+            bits = [1 << img[x] for img in maps]
+            table += [tuple(map(or_, row, bits)) for row in table]
+        chunks.append((shift, table))
+    return tuple(chunks)
+
+
+#: Two rows of ``_chunk_images`` OR-ed map by map: the images of the
+#: union of their chunks.
+_or_rows = partial(map, or_)
+
+
+@lru_cache(maxsize=None)
 def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
     maps of level 0 of ``_orbit_chain`` in edge order, or None.
 
     A walk from each subset not yet reached applies every map to every
     subset it reaches, which closes its orbit; the group is never listed.
-    Subsets are tried in ``itertools.combinations`` order, and each walk
-    starts at its representative, so the representatives, the masks that
-    map to themselves, come in that order, each the lexicographically
-    least index set of its orbit. The maps may generate only a subgroup of
-    Aut(g), whose orbits can be finer: more representatives, each still
-    one per orbit of that subgroup, so every k-subset is an automorphic
-    image of one of them. None when edge 0's orbit misses an edge (g is
-    not edge-transitive, or the finder's budget ran out) or C(n,k) exceeds
-    ``_SUBSET_ORBIT_BUDGET``.
+    The images of a subset under all maps come from ``_chunk_images``,
+    one row per 6-bit chunk of the mask, OR-ed together, in place of one
+    image bit set per vertex and map: the images are the same, in the
+    same map order, and so is the walk, so the dict is the same, in the
+    same order. Subsets are tried in ``itertools.combinations`` order, and
+    each walk starts at its representative, so the representatives, the
+    masks that map to themselves, come in that order, each the
+    lexicographically least index set of its orbit. The maps may generate
+    only a subgroup of Aut(g), whose orbits can be finer: more
+    representatives, each still one per orbit of that subgroup, so every
+    k-subset is an automorphic image of one of them. None when edge 0's
+    orbit misses an edge (g is not edge-transitive, or the finder's budget
+    ran out) or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
     """
     orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
     if len(orbit) < g.m or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
-    maps = [orbit[ei] for ei in range(1, g.m)]
+    chunks = _chunk_images(g)
     rep_of: dict[int, int] = {}
     for rep in _subsets(full_set(g), k):
         if rep in rep_of:
@@ -601,12 +637,8 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
         stack = [rep]
         while stack:
             s = stack.pop()
-            for img in maps:
-                image, rest = 0, s  # s moved by the map img
-                while rest:
-                    low = rest & -rest
-                    image |= 1 << img[low.bit_length() - 1]
-                    rest ^= low
+            rows = [table[s >> shift & 63] for shift, table in chunks]
+            for image in reduce(_or_rows, rows):
                 if image not in rep_of:
                     rep_of[image] = rep
                     stack.append(image)
@@ -640,29 +672,39 @@ def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
 
     Each step takes the edge, among those not yet taken, with the most
     taken edges at its endpoints in the vertex mask ``req``, then with the
-    most taken edges at its endpoints; ``max`` keeps the first maximum, so
-    ties go to the lowest index. With ``req=0`` the first count is always
-    0 and the second decides alone. A nonzero ``req`` thus goes on at the
-    ``req`` vertices already reached, whose colors the window mask of
-    ``_search`` cuts down.
+    most taken edges at its endpoints; ties go to the lowest index. With
+    ``req=0`` the first count is always 0 and the second decides alone. A
+    nonzero ``req`` thus goes on at the ``req`` vertices already reached,
+    whose colors the window mask of ``_search`` cuts down. A fresh list
+    each call, copied from the cached ``_constrained_order``, so a caller
+    that changes it changes no later caller's.
     """
-    cnt = [0] * g.n
+    return list(_constrained_order(g, req))
 
-    def score(i: int) -> tuple[int, int]:
-        u, v = g.edges[i]
-        return ((req >> u & 1) * cnt[u] + (req >> v & 1) * cnt[v],
-                cnt[u] + cnt[v])
 
-    left = list(range(g.m))
+@lru_cache(maxsize=None)
+def _constrained_order(g: Graph, req: int) -> tuple[int, ...]:
+    """The order of ``_most_constrained_order``, built once per (g, req).
+
+    Each edge keeps both counts in one integer, the first times 2m + 1
+    plus the second; the second is below 2m + 1, so integers compare as
+    the pairs do, and ``index`` finds the first maximum, the lowest index.
+    Taking an edge raises the counts of the edges at its two ends only,
+    so the scores are updated there and nowhere else; a taken edge's
+    score drops far below any count, out of every later maximum.
+    """
+    wide, taken = 2 * g.m + 1, -1 << 64
+    score = [0] * g.m
     order = []
     for _ in range(g.m):
-        bi = max(left, key=score)
-        left.remove(bi)
+        bi = score.index(max(score))
         order.append(bi)
-        u, v = g.edges[bi]
-        cnt[u] += 1
-        cnt[v] += 1
-    return order
+        for x in g.edges[bi]:
+            step = (req >> x & 1) * wide + 1
+            for ei in g.incident[x]:
+                score[ei] += step
+        score[bi] = taken
+    return tuple(order)
 
 
 def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,

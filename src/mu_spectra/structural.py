@@ -26,7 +26,6 @@ The arguments mechanized here:
 from __future__ import annotations
 
 import itertools
-import math
 from enum import Enum
 from functools import lru_cache
 
@@ -44,7 +43,7 @@ from .graphs import (
     is_path_forest,
     set_labels,
 )
-from .graphs import _subsets
+from .graphs import _reach, _subsets
 
 # 2^|V| subset scans stay fast up to here
 _SUBSET_SCAN_LIMIT = 20
@@ -289,41 +288,66 @@ def span_cap(g: Graph, s: int) -> int:
     the coloring uses every color in 1..t, so t is at most the sum of L_K
     over the components plus the number of those edges. Cached: it does
     not depend on t.
+
+    The least path costs come from one bucketed search per edge touching
+    K (after Dial, CACM 12(11), 1969), started at that edge's K-endpoints,
+    each at its own deg - 1. The search keeps a vertex mask per cost: it
+    settles the least cost's mask whole, and the new neighbors in K of
+    what it settled join the mask of that cost plus their deg - 1, one
+    mask operation per climb value. Costs are settled in increasing
+    order, so each vertex is settled at its least path cost from the
+    start edge, and each edge at the least over its K-endpoints. A pair
+    costs the same from either edge, so the search from edge i waits only
+    for the edges touching K from index i on; it stops when the last of
+    them is settled, at the largest of their pair costs with edge i. The
+    largest over start edges is then the largest over all pairs, so L_K
+    is the one the definition gives.
     """
-    nb, climb, inside = g.neighbors, [d - 1 for d in g.degrees], range(g.n)
-    members = [i for i in inside if s >> i & 1]
-    # cost[a][b]: the least sum of deg - 1 over a path a..b in G[s], ends
-    # included (Floyd-Warshall, each vertex counted once where paths meet);
-    # inf unless a and b lie in one component of G[s]
-    cost = [[math.inf if not (s >> a & 1 and s >> b & 1)
-             else climb[a] if a == b
-             else climb[a] + climb[b] if nb[a] >> b & 1 else math.inf
-             for b in inside] for a in inside]
-    for c in members:
-        through = cost[c]
-        for a in members:
-            via = cost[a][c] - climb[c]
-            if via < math.inf:
-                cost[a] = [x if x <= via + y else via + y
-                           for x, y in zip(cost[a], through)]
-    # the edges touching each component, keyed by its least member (the
-    # first finite entry of a member's row); an edge meets one at most
-    touching: dict[int, list[tuple[int, int]]] = {}
-    outside = 0
-    for u, v in g.edges:
-        x = u if s >> u & 1 else v if s >> v & 1 else None
-        if x is None:
-            outside += 1
-        else:
-            key = next(b for b in members if cost[x][b] < math.inf)
-            touching.setdefault(key, []).append((u, v))
-    spans = 0
-    for edges in touching.values():
-        # a vertex outside s lies on no path: its column is inf, so each
-        # min below is taken over K-endpoints
-        near = [list(map(min, cost[u], cost[v])) for u, v in edges]
-        spans += 1 + max(min(row[u], row[v]) for row in near for u, v in edges)
-    return spans + outside
+    nb, edges, climb = g.neighbors, g.edges, [d - 1 for d in g.degrees]
+    at = [sum(1 << ei for ei in es) for es in g.incident]  # edge masks
+    spans = sum(not (s >> u & 1 or s >> v & 1) for u, v in edges)
+    rest = s
+    while rest:
+        comp = _reach(g, rest & -rest, s)
+        rest ^= comp
+        touch, by_climb, bits = 0, {}, comp
+        while bits:
+            x = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            touch |= at[x]
+            by_climb[climb[x]] = by_climb.get(climb[x], 0) | 1 << x
+        far, starts = 0, touch
+        while starts:
+            ei = (starts & -starts).bit_length() - 1
+            starts &= starts - 1
+            front: dict[int, int] = {}
+            for x in edges[ei]:
+                if comp >> x & 1:
+                    front[climb[x]] = front.get(climb[x], 0) | 1 << x
+            cost, done, left = min(front), 0, touch >> ei << ei
+            while True:
+                new = front.pop(cost, 0) & ~done
+                if not new:
+                    cost += 1
+                    continue
+                done |= new
+                near = 0
+                while new:
+                    x = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    left &= ~at[x]
+                    near |= nb[x]
+                if not left:
+                    break
+                near &= comp & ~done
+                # a deg-1 vertex climbs by 0 and joins the cost just
+                # settled, which the next pass settles again
+                for c, group in by_climb.items():
+                    if near & group:
+                        front[cost + c] = front.get(cost + c, 0) | near & group
+            far = max(far, cost)
+        spans += 1 + far
+    return spans
 
 
 def mu2_span_cap(g: Graph, t: int) -> BoundEvidence:

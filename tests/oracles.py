@@ -9,10 +9,13 @@ of neighbor masks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
-from mu_spectra import EdgeColoring, Graph, complete, cycle, path
+from mu_spectra import EdgeColoring, Graph, complete, cycle, full_set, path
+from mu_spectra import graphs as graphs_module
+from mu_spectra.graphs import _orbit_chain, _subsets
 
 
 def naive_valid(g: Graph, c: EdgeColoring) -> bool:
@@ -171,6 +174,76 @@ def naive_edge_transitive(g: Graph) -> bool:
     u0, v0 = g.edges[0]
     images = {frozenset((perm[u0], perm[v0])) for perm in naive_automorphisms(g)}
     return images == {frozenset(e) for e in g.edges}
+
+
+def naive_subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
+    """``graphs._subset_orbits`` as a walk that moves a mask one bit at a
+    time: every k-subset mask mapped to the first subset, in combinations
+    order, of its orbit under the maps of level 0 of ``_orbit_chain`` in
+    edge order. None when that level misses an edge or C(n,k) exceeds the
+    package's ``_SUBSET_ORBIT_BUDGET``."""
+    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
+    if len(orbit) < g.m or math.comb(g.n, k) > graphs_module._SUBSET_ORBIT_BUDGET:
+        return None
+    maps = [orbit[ei] for ei in range(1, g.m)]
+    rep_of: dict[int, int] = {}
+    for rep in _subsets(full_set(g), k):
+        if rep in rep_of:
+            continue
+        rep_of[rep] = rep
+        stack = [rep]
+        while stack:
+            s = stack.pop()
+            for img in maps:
+                image, rest = 0, s  # s moved by the map img
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << img[low.bit_length() - 1]
+                    rest ^= low
+                if image not in rep_of:
+                    rep_of[image] = rep
+                    stack.append(image)
+    return rep_of
+
+
+def floyd_span_cap(g: Graph, s: int) -> int:
+    """``structural.span_cap`` from an all-pairs table: Floyd-Warshall
+    over G[s] for the least path costs, then every pair of edges touching
+    each component."""
+    nb, climb, inside = g.neighbors, [d - 1 for d in g.degrees], range(g.n)
+    members = [i for i in inside if s >> i & 1]
+    # cost[a][b]: the least sum of deg - 1 over a path a..b in G[s], ends
+    # included (each vertex counted once where paths meet); inf unless a
+    # and b lie in one component of G[s]
+    cost = [[math.inf if not (s >> a & 1 and s >> b & 1)
+             else climb[a] if a == b
+             else climb[a] + climb[b] if nb[a] >> b & 1 else math.inf
+             for b in inside] for a in inside]
+    for c in members:
+        through = cost[c]
+        for a in members:
+            via = cost[a][c] - climb[c]
+            if via < math.inf:
+                cost[a] = [x if x <= via + y else via + y
+                           for x, y in zip(cost[a], through)]
+    # the edges touching each component, keyed by its least member (the
+    # first finite entry of a member's row); an edge meets one at most
+    touching: dict[int, list[tuple[int, int]]] = {}
+    outside = 0
+    for u, v in g.edges:
+        x = u if s >> u & 1 else v if s >> v & 1 else None
+        if x is None:
+            outside += 1
+        else:
+            key = next(b for b in members if cost[x][b] < math.inf)
+            touching.setdefault(key, []).append((u, v))
+    spans = 0
+    for edges in touching.values():
+        # a vertex outside s lies on no path: its column is inf, so each
+        # min below is taken over K-endpoints
+        near = [list(map(min, cost[u], cost[v])) for u, v in edges]
+        spans += 1 + max(min(row[u], row[v]) for row in near for u, v in edges)
+    return spans + outside
 
 
 #: K_{2,3} is edge-transitive without being vertex-transitive; the paw (a

@@ -51,9 +51,11 @@ from oracles import (
     naive_claw,
     naive_edge_transitive,
     naive_path_forest,
+    naive_subset_orbits,
     naive_valid,
     random_connected_graph,
 )
+from test_theorems import complete_bipartite, generalized_petersen
 
 ORACLE_GRAPHS = ([path(n) for n in range(2, 7)]
                  + [cycle(n) for n in range(3, 8)]
@@ -356,18 +358,40 @@ class TestSearchKernel:
                              ids=lambda g: g.name)
     def test_default_order_is_the_per_node_scan(self, g):
         # what a scan at every node picks: among uncolored edges, the most
-        # colored edges at the endpoints, lowest index on ties
-        cnt = [0] * g.n
-        uncolored = set(range(g.m))
-        scan = []
-        while uncolored:
-            bi = min(uncolored, key=lambda i: (
-                -cnt[g.edges[i][0]] - cnt[g.edges[i][1]], i))
-            uncolored.remove(bi)
-            scan.append(bi)
-            for w in g.edges[bi]:
-                cnt[w] += 1
-        assert _most_constrained_order(g) == scan
+        # colored edges at the endpoints in req, then the most colored
+        # edges at the endpoints, lowest index on ties; for every req on
+        # the small graphs, for 200 seeded ones on Petersen
+        def scan(req: int) -> list[int]:
+            cnt = [0] * g.n
+            uncolored = set(range(g.m))
+            out = []
+            while uncolored:
+                bi = min(uncolored, key=lambda i: (
+                    -sum(cnt[w] for w in g.edges[i] if req >> w & 1),
+                    -cnt[g.edges[i][0]] - cnt[g.edges[i][1]], i))
+                uncolored.remove(bi)
+                out.append(bi)
+                for w in g.edges[bi]:
+                    cnt[w] += 1
+            return out
+
+        rng = random.Random(0)
+        masks = (range(1 << g.n) if g.n <= 7
+                 else [0] + [rng.getrandbits(g.n) for _ in range(200)])
+        assert [req for req in masks
+                if _most_constrained_order(g, req) != scan(req)] == []
+        assert _most_constrained_order(g) == scan(0)
+
+    def test_default_order_is_a_fresh_list(self, P):
+        # the order is built once per (g, req); a caller that changes the
+        # list it gets changes no later caller's
+        req = vertex_set(P, ("x1", "x2", "y3"))
+        first = _most_constrained_order(P, req)
+        want = list(first)
+        first.reverse()
+        first.append(first.pop(0))
+        assert _most_constrained_order(P, req) == want
+        assert _most_constrained_order(P, req) is not _most_constrained_order(P, req)
 
 
 # cubic on 6 vertices: the prism's triangle edges and rungs lie in two
@@ -585,6 +609,34 @@ class TestSubsetOrbits:
         assert [len(representatives(_subset_orbits(P, k)))
                 for k in (7, 8, 9)] == [4, 2, 1]
         assert representatives(_subset_orbits(P, 9)) == (full_set(P) ^ 1 << 9,)
+
+    @pytest.mark.parametrize(
+        "g", TRANSITIVITY_GRAPHS + [complete_bipartite(4, 4),
+                                    generalized_petersen(8, 3)],
+        ids=lambda g: g.name)
+    def test_tables_are_the_bitwise_walk(self, g):
+        # the chunk-table walk gives the one-bit-at-a-time walk's dict,
+        # item for item in the same order, at every k within the budget
+        walked = 0
+        for k in range(g.n + 1):
+            want = naive_subset_orbits(g, k)
+            got = _subset_orbits(g, k)
+            if want is None:
+                assert got is None
+            else:
+                walked += 1
+                assert list(got.items()) == list(want.items())
+        assert walked == (0 if not _edge_transitive(g) else sum(
+            math.comb(g.n, k) <= graphs_module._SUBSET_ORBIT_BUDGET
+            for k in range(g.n + 1)))
+
+    def test_vertex_deletions_of_petersen_have_no_table(self, P):
+        # no vertex deletion of Petersen is edge-transitive
+        for label in P.vertices:
+            h = delete_vertex(P, label)
+            for k in range(h.n + 1):
+                assert _subset_orbits(h, k) is None
+                assert naive_subset_orbits(h, k) is None
 
     def test_over_budget_is_none(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -630,6 +631,35 @@ class TestProfile:
             0, 26, 75, 569, 1_488, 1_938, 1_817, 401, 2_178, 0, 0, 0]
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in petersen_profile.rows) == 8_492
+
+    def test_memos_live_in_module_caches_only(self):
+        # a repetition that starts from cleared module-level lru_caches
+        # sees what a fresh process sees only if no memo rides on the
+        # Graph object or in a module dict: a graph that profile has run
+        # on keeps its seven cached properties and nothing else, and a
+        # rerun from cleared caches gives the same profile at the same
+        # node total
+        def clear_caches() -> int:
+            cleared = 0
+            for name, module in list(sys.modules.items()):
+                if name == "mu_spectra" or name.startswith("mu_spectra."):
+                    for obj in vars(module).values():
+                        if (hasattr(obj, "cache_clear")
+                                and obj.__module__.startswith("mu_spectra")):
+                            obj.cache_clear()
+                            cleared += 1
+            return cleared
+
+        assert clear_caches() >= 10
+        g = petersen()  # a new Graph, since its own cache was cleared
+        first = profile(g)
+        assert set(vars(g)) <= {"index", "adjacency", "incident", "neighbors",
+                                "degrees", "edge_labels", "edge_keys"}
+        clear_caches()
+        again = profile(g)
+        assert again.to_dict() == first.to_dict()
+        assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
+                   for r in again.rows) == 8_492
 
     @pytest.mark.parametrize("g, nodes", [
         (hypercube(3), 2_570),  # 3,453 in table order

@@ -38,8 +38,9 @@ from mu_spectra import (
 )
 from mu_spectra import structural as structural_module
 
-from oracles import ORACLE_CORPUS, naive_interval_sets, naive_mu
-from test_theorems import complete_bipartite
+from oracles import ORACLE_CORPUS, floyd_span_cap, naive_interval_sets, naive_mu
+from test_search import HEAWOOD
+from test_theorems import complete_bipartite, generalized_petersen
 
 
 def bridge_cubic() -> Graph:
@@ -200,6 +201,18 @@ class TestSpanCap:
         # {v0, v2} of a 3-vertex path: two singleton components, each of
         # degree 1, so each spans one color
         assert span_cap(path(3), 0b101) == 2
+
+    def test_bucketed_search_is_the_all_pairs_table(self, P):
+        # every nonempty mask of the small graphs, Petersen, P - x1 and
+        # K_{4,4}; 2,000 seeded masks each of GP(8,3) and Heawood
+        rng = random.Random(0)
+        cases = [(g, range(1, 1 << g.n)) for g in ORACLE_CORPUS + [
+            P, delete_vertex(P, "x1"), complete_bipartite(4, 4)]]
+        cases += [(g, [rng.getrandbits(g.n) or 1 for _ in range(2000)])
+                  for g in (generalized_petersen(8, 3), HEAWOOD)]
+        wrong = [(g.name, s) for g, masks in cases for s in masks
+                 if span_cap(g, s) != floyd_span_cap(g, s)]
+        assert (sum(len(masks) for _, masks in cases), wrong) == (7_066, [])
 
     def test_refutations_agree_with_enumeration(self):
         # wherever the rule refutes a set, no enumerated valid coloring
