@@ -63,6 +63,8 @@ def _load_certificate(arg: str) -> tuple[str, dict]:
             return str(p), json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:
             raise GraphError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{p}: not UTF-8 ({exc})") from None
         except json.JSONDecodeError as exc:
             raise GraphError(
                 f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None

@@ -23,6 +23,7 @@ catalog materializes every stage and re-verifies it against its claimed
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping
 from functools import lru_cache
 
@@ -136,7 +137,7 @@ def fixtures() -> dict[str, Certificate]:
     return cat
 
 
-def dump(outdir: Path) -> list[Path]:
+def dump(outdir: str | os.PathLike[str]) -> list[os.PathLike[str]]:
     """Write every catalog entry as <name>.json under outdir."""
     from pathlib import Path  # here, so that importing the package skips pathlib
 

@@ -667,7 +667,8 @@ def _window(mask: int, d: int) -> int:
         (1 << mask.bit_length() - 1 >> d - 1) or 1)
 
 
-def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
+@lru_cache(maxsize=None)
+def _most_constrained_order(g: Graph, req: int = 0) -> tuple[int, ...]:
     """Edges in the kernel's default order: most constrained first.
 
     Each step takes the edge, among those not yet taken, with the most
@@ -675,16 +676,8 @@ def _most_constrained_order(g: Graph, req: int = 0) -> list[int]:
     most taken edges at its endpoints; ties go to the lowest index. With
     ``req=0`` the first count is always 0 and the second decides alone. A
     nonzero ``req`` thus goes on at the ``req`` vertices already reached,
-    whose colors the window mask of ``_search`` cuts down. A fresh list
-    each call, copied from the cached ``_constrained_order``, so a caller
-    that changes it changes no later caller's.
-    """
-    return list(_constrained_order(g, req))
-
-
-@lru_cache(maxsize=None)
-def _constrained_order(g: Graph, req: int) -> tuple[int, ...]:
-    """The order of ``_most_constrained_order``, built once per (g, req).
+    whose colors the window mask of ``_search`` cuts down. Built once per
+    (g, req).
 
     Each edge keeps both counts in one integer, the first times 2m + 1
     plus the second; the second is below 2m + 1, so integers compare as
@@ -725,8 +718,8 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     before the search, with the same tie-break. At depth 0 every score
     ties, so that order starts at edge 0. Colors free at
     both endpoints are tried lowest first, or in random order when ``rng``
-    is given. Returns ``(best, witness_colors, nodes, tag, core)``, tag
-    "exhausted", "bound-met" or "budget", core as below.
+    is given. Returns ``(best, witness_colors, nodes, tag)``, tag
+    "exhausted", "bound-met" or "budget".
 
     Leaves are valid colorings: proper since only free colors are tried,
     surjective since once as many colors are unused as edges are uncolored
@@ -766,35 +759,6 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
       when the run finds no coloring. Each level writes its color into
       ``colors`` only as the run returns through it, so ``colors`` holds a
       complete witness only after a "bound-met" return.
-    * ``core`` is the set of ``req`` vertices whose window mask removed at
-      least one color at some node of the run (0 without ``req``), or all
-      of ``req`` when a floor of the symmetry chain below cut a color at
-      some node. When the run ends "exhausted", no valid t-coloring makes
-      the core interval, nor any set that contains the core or an
-      automorphic image of it:
-
-      1. The run reached no leaf, since its first leaf would end it. When
-         a floor cut a color, the core is ``req``, and the floors keep a
-         coloring for every one that makes ``req`` interval; the rest of
-         this argument is for a run in which no floor cut one, which made
-         the children it would make with the reflection cut alone.
-      2. A ``req`` vertex whose window never cut a color never constrained
-         the run. Take the decision run ``req=core`` in the same edge
-         order, with the reflection cut alone at ``order[0]``: at each node
-         it sees the same colors, so the core's windows cut what they cut
-         before and no other window cuts. It makes the same children and
-         reaches no leaf either, and its window masks and reflection cut
-         keep every coloring that makes the core interval. At a legal t a
-         valid coloring exists, so the core is not empty. The kernel's own
-         run ``req=core`` also applies the chain of the core's stabilizer,
-         which only prunes that tree: it exhausts in at most as many nodes.
-      3. Automorphisms carry this to every image of the core, at every k.
-
-      Any later prune that depends on ``req`` must add the ``req`` vertices
-      it relied on to the core, or the core run would make other children.
-      The floors rest on the automorphisms that fix ``req``, which the
-      core's run does not share; hence core = ``req`` once one cuts.
-
     *Optimizing runs*, ``mu2`` True or False, are ``solve``'s plain mu2 and
     mu1 runs. They maximize a score, f when ``mu2`` and n - f otherwise,
     enter with the incumbent's score ``best`` (-1 for none) and stop at a
@@ -857,10 +821,8 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     before it names ``floored`` as the loop of the next depth, and every
     other step names the job's own loop, ``decide`` or ``rec``. So a level
     without mates, and a run without the chain, goes through that loop
-    alone, with no floor test at any node. A floor cuts a color when it
-    removes one from a mate's mask; so does the m - |O_0| + 1 cap when it
-    is below ceil(t/2). The chain holds for minimizing, maximizing and
-    first-solution searches alike, and for any edge order.
+    alone, with no floor test at any node. The chain holds for minimizing,
+    maximizing and first-solution searches alike, and for any edge order.
 
     A first-solution run (``mu2=None`` with ``req=0``) ends at its first
     leaf, so deeper floors could only move that leaf; it takes level 0
@@ -879,12 +841,12 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     if mu2 is not None and (req or rng is not None):
         raise ValueError("req and rng need a decision run (mu2=None)")
     if t > m:  # no coloring of m edges uses all t colors
-        return best, None, 0, "exhausted", 0
+        return best, None, 0, "exhausted"
     if order is None:
         order = _most_constrained_order(g, req)
     deg = g.degrees
     full = (1 << t) - 1
-    first_mask, cut = full, False  # cut: some floor cut a color
+    first_mask = full
     mates: list[tuple[int, ...]] = []  # per level, the depths of its mates
     if reflect:
         levels = 1 if mu2 is None and not req else m  # first solution: 1
@@ -892,7 +854,6 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
                  for level in _orbit_chain(g, req, tuple(order), levels)]
         cap = m - len(mates[0])  # m - |O_0| + 1
         first_mask = (1 << min((t + 1) // 2, cap)) - 1
-        cut = cap < (t + 1) // 2
     last_at = [0] * n  # depth at which each vertex gets its last edge
     for d, bi in enumerate(order):
         u, v = g.edges[bi]
@@ -902,7 +863,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     leaf = m - 1
 
     witness: list[int] | None = None
-    nodes = core = 0
+    nodes = 0
     # the next node count at which a budget is tested: the node limit, or
     # before it the next multiple of 2,048 where the deadline is read
     check = node_limit if deadline is None else min(node_limit, 2048)
@@ -919,7 +880,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         # a decision run: the window mask, looked up in the run's table for
         # the endpoint's degree, keeps req undoomed; the first leaf ends the
         # run, and each level writes its color only as the run returns
-        nonlocal nodes, core
+        nonlocal nodes
         bi, u, v, du, dv, top, _, _, remaining, tu, tv, down = steps[depth]
         uu, uv = used[u], used[v]
         avail = top & ~(uu | uv)
@@ -930,16 +891,12 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
                 window = tu[uu]
             except KeyError:
                 window = tu[uu] = _window(uu, du)
-            if avail & ~window:
-                core |= 1 << u
             avail &= window
         if tv is not None and uv:
             try:
                 window = tv[uv]
             except KeyError:
                 window = tv[uv] = _window(uv, dv)
-            if avail & ~window:
-                core |= 1 << v
             avail &= window
         while avail:
             bit = avail & -avail if rng is None else _random_bit(avail, rng)
@@ -1008,7 +965,6 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         # a level with mates: one pass of the job's loop per color of its
         # edge, that color first written as the mates' floor; the level's
         # own mask and its mates' are restored as the run leaves it
-        nonlocal cut
         step = steps[depth]
         saved = [(d, steps[d]) for d in mates[depth]]
         left = step[5] & ~(used[step[1]] | used[step[2]])
@@ -1018,8 +974,6 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
             left ^= bit
             steps[depth] = (*step[:5], bit, *step[6:])
             for d, s in saved:
-                if s[5] & (bit - 1):
-                    cut = True
                 steps[d] = (*s[:5], s[5] & -bit, *s[6:])
             tag = job(depth, *args)
         steps[depth] = step
@@ -1050,9 +1004,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
         # f: the vertices whose colors are one run
         best = sum(not (x + (x & -x)) & x for x in used)
         witness = [c.bit_length() for c in colors]
-    if cut:  # a floor cut a color: see the core rule
-        core = req
-    return best, witness, nodes, tag or "exhausted", core
+    return best, witness, nodes, tag or "exhausted"
 
 
 @lru_cache(maxsize=None)
@@ -1119,6 +1071,8 @@ def load_graph(path: str) -> Graph:
             doc = json.load(fh)
     except OSError as exc:
         raise GraphError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:

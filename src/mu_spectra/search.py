@@ -30,25 +30,19 @@ of vertices is interval under some valid coloring, automorphisms carry
 interval sets onto interval sets, so one k-set per orbit decides it. The
 sets are tried most slack first: fewest edges inside the set, then the
 largest span cap, then the orbit table's order. Any order is sound, since
-k is refuted only after every set was tried or skipped once; this one
-lets an easy set close the cell before the hard ones are paid. Each is
-decided by a decision run with the set as ``req``, which never dooms a
-vertex of the set: it colors the edges at the set's vertices first and, at each of
-them, tries only the colors that keep the vertex's span within its degree
-(the window mask), so those runs neither make nor count a child that
-would doom one. A refuted run also returns its core, the vertices of the
-set whose window ever cut a color, or the whole set when a floor of its
-chain cut a color, since the floors rest on the set's own stabilizer; no valid
-coloring makes the core interval, so a later set of the solve, at any k,
-whose orbit holds a superset of a learned core is skipped without a run.
-Before its run, a set S is refuted at 0 nodes by the span rule when t
-exceeds ``structural.span_cap(g, S)``: colors climb by at most deg - 1
-across each interval vertex of a path inside a component of G[S], so the
-colors at each component span a bounded range, and each edge outside S
-adds one color more. Each refuted k is recorded as interval-set-orbits
-evidence, which names each set's core (a span-refuted set is its own
-core, with its ``span_cap``) and, for a skipped set, the superset in its
-orbit and the run that learned the core.
+k is refuted only after every set was tried once; this one lets an easy
+set close the cell before the hard ones are paid. Before its run, a set
+S is refuted at 0 nodes by the span rule when t exceeds
+``structural.span_cap(g, S)``: colors climb by at most deg - 1 across
+each interval vertex of a path inside a component of G[S], so the colors
+at each component span a bounded range, and each edge outside S adds one
+color more. Every other set is decided by a decision run with the set as
+``req``, which never dooms a vertex of the set: it colors the edges at
+the set's vertices first and, at each of them, tries only the colors
+that keep the vertex's span within its degree (the window mask), so
+those runs neither make nor count a child that would doom one. Each
+refuted k is recorded as interval-set-orbits evidence, which names each
+set as its own core, with its ``span_cap`` when the span rule refuted it.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -65,9 +59,9 @@ from enum import Enum
 
 from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
                        rebind, require_valid)
-from .graphs import (Graph, GraphError, Record, chromatic_index, full_set,
+from .graphs import (Graph, GraphError, Record, chromatic_index,
                      is_petersen_labeled, set_labels)
-from .graphs import _search, _subset_orbits, _subsets
+from .graphs import _search, _subset_orbits
 from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
                          span_cap)
 
@@ -102,8 +96,7 @@ class SearchConfig(Record):
     edge's orbit, under the automorphisms that fix the run's required set
     and the earlier edges, held at or above that edge's color; color 1
     alone when the first orbit is every edge) and the interval-set split
-    of mu2 on edge-transitive graphs. A refuted split run in which a floor
-    cut a color learns its whole set as its core.
+    of mu2 on edge-transitive graphs.
     ``seed_fixtures`` and ``use_structural_bounds`` install the entering
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every
@@ -166,9 +159,9 @@ class SearchOutcome(_Bounds):
     ``closed_by`` is read off the bounds and the runs: budget while
     lo < hi; bounds-closed when no run reached the kernel, because the
     entering bounds met or the split refuted every value above the
-    incumbent by span caps and learned cores alone; bound-met when the
-    value is the entering bound a witness can meet (hi for mu2, lo for
-    mu1); and exhausted when every better value was refuted.
+    incumbent by span caps alone; bound-met when the value is the entering
+    bound a witness can meet (hi for mu2, lo for mu1); and exhausted when
+    every better value was refuted.
     """
 
     __slots__ = ("objective", "t", "witness", "nodes_visited", "closed_by",
@@ -302,22 +295,22 @@ def solve(g: Graph, t: int, objective: Objective,
             none starts once the deadline has passed."""
             nonlocal searched, nodes, witness
             if deadline is not None and time.monotonic() > deadline:
-                return best, 0, "budget", 0
+                return best, 0, "budget"
             searched = True
-            score, colors, used, tag, core = _search(
+            score, colors, used, tag = _search(
                 g, t, mu2, best, goal, reflect=cfg.use_reflection_symmetry,
                 req=req, node_limit=cfg.node_limit - nodes, deadline=deadline)
             nodes += used
             if colors is not None:
                 witness = EdgeColoring(t=t, colors=tuple(colors))
-            return score, used, tag, core
+            return score, used, tag
 
         tag = None
         if mu2 and cfg.use_reflection_symmetry:
             best, hi, tag = _descend(g, t, best, hi, run, evidence,
                                      cfg.use_structural_bounds)
         if tag is None:
-            best, _, tag, _ = run(mu2, best, hi)
+            best, _, tag = run(mu2, best, hi)
         if tag != "budget":  # exhausted or bound-met: best is the optimum
             lo = hi = best
         else:  # a budget stop leaves best short of hi, so lo < hi
@@ -346,43 +339,33 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     maps to themselves, tried most slack first (``_slack_order``: fewest
     edges inside S, then the largest span cap, then the table's order),
     and each is one decision ``run`` with ``req=S``. Any order is sound,
-    since every representative is still tried or skipped exactly once
-    before k is refuted; the order only lets a set that is easy to make
-    interval close the cell before the hard ones are paid. The first
-    coloring found has f = k, since hi is a cap, and closes the cell; when
-    every representative fails, hi drops to k-1 and an interval-set-orbits
-    record lists them, in the order tried, with their nodes. Without an
-    incumbent, a first-solution run (``req=0``) supplies one. The split
-    stops at the first k where C(n,k) is too large to walk or g has no edge
-    maps (the table is None), hi included, and leaves the rest to
-    ``solve``'s plain run. It reaches the kernel, the node budget
-    and the clock only through ``run``.
+    since every representative is tried exactly once before k is
+    refuted; the order only lets a set that is easy to make interval
+    close the cell before the hard ones are paid. The first coloring
+    found has f = k, since hi is a cap, and closes the cell; when every
+    representative fails, hi drops to k-1 and an interval-set-orbits
+    record lists them, in the order tried, with their nodes and each as
+    its own core. Without an incumbent, a first-solution run (``req=0``)
+    supplies one. The split stops at the first k where C(n,k) is too
+    large to walk or g has no edge maps (the table is None), hi included,
+    and leaves the rest to ``solve``'s plain run. It reaches the kernel,
+    the node budget and the clock only through ``run``.
 
-    Each exhausted run leaves a core, a subset of its S that no valid
-    coloring makes interval (see ``graphs._search``). A representative
-    whose orbit holds a k-superset of a core learned earlier in the solve,
-    at this k or above, cannot be interval either: it is skipped at 0
-    nodes, and the record names that core as learned, the k-superset
-    ``within`` it (the orbit table maps ``within`` to the representative)
-    and the representative and k whose run learned the core.
-
-    With ``spans`` (the solve's ``use_structural_bounds``), a
-    representative S that is not skipped is first checked by the span
-    rule, before any run: when t > ``span_cap(g, S)``, no valid
-    t-coloring makes S interval (along a path inside a component of
-    G[S] each vertex lets the colors climb by at most its degree minus 1,
-    which bounds the colors at that component, and each edge with no
-    endpoint in S holds one color). S is refuted at 0 nodes,
-    recorded with ``{"core": S, "span_cap": cap}`` and learned whole.
+    With ``spans`` (the solve's ``use_structural_bounds``), each
+    representative S is first checked by the span rule, before any run:
+    when t > ``span_cap(g, S)``, no valid t-coloring makes S interval
+    (along a path inside a component of G[S] each vertex lets the colors
+    climb by at most its degree minus 1, which bounds the colors at that
+    component, and each edge with no endpoint in S holds one color). S is
+    refuted at 0 nodes and recorded with ``{"core": S, "span_cap": cap}``.
     Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
     None when the plain kernel must decide f >= hi, and otherwise the
     cell is closed at best == hi.
     """
     if _subset_orbits(g, hi) is None:
         return best, hi, None
-    cores: list[tuple[int, int, int]] = []  # (core, its run's S, its k)
     if best < 0:
-        best, _, tag, _ = run(req=0)
+        best, _, tag = run(req=0)
         if tag == "budget":
             return best, hi, tag
     for k in range(hi, best, -1):
@@ -390,43 +373,19 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         if orbit_of is None:
             return best, k, None
         reps = _slack_order(g, [s for s, r in orbit_of.items() if s == r])
-        dead: dict[int, tuple[int, tuple[int, int, int]]] = {}
-
-        def learn(learned: tuple[int, int, int]) -> None:
-            """Mark the orbit of each k-superset of a core dead."""
-            core = learned[0]
-            if core.bit_count() > k:
-                return
-            for extra in _subsets(full_set(g) & ~core, k - core.bit_count()):
-                superset = core | extra
-                dead.setdefault(orbit_of[superset], (superset, learned))
-
-        for learned in cores:
-            learn(learned)
         spent, why = [], []
         for req in reps:
-            if req in dead:
-                within, (core, source, at) = dead[req]
-                spent.append(0)
-                why.append({"core": list(set_labels(g, core)),
-                            "within": list(set_labels(g, within)),
-                            "learned_from": {
-                                "k": at,
-                                "representative": list(set_labels(g, source))}})
-                continue
             if spans and t > (cap := span_cap(g, req)):
-                used, core, note = 0, req, {"span_cap": cap}
+                used, note = 0, {"span_cap": cap}
             else:
-                _, used, tag, core = run(req=req)
+                _, used, tag = run(req=req)
                 if tag == "budget":
                     return best, k, tag
                 if tag == "bound-met":  # a witness with f = k
                     return k, k, tag
                 note = {}
             spent.append(used)
-            why.append({"core": list(set_labels(g, core)), **note})
-            cores.append((core, req, k))
-            learn(cores[-1])
+            why.append({"core": list(set_labels(g, req)), **note})
         evidence.append(BoundEvidence(
             kind=EvidenceKind.INTERVAL_SET_ORBITS,
             value=k - 1,
@@ -449,7 +408,7 @@ def _slack_order(g: Graph, reps: list[int]) -> list[int]:
     not form an interval, and a larger span cap leaves the colors more
     room to climb, so such a set is likely made interval in few nodes.
     The order decides nothing: f >= k holds when any representative is
-    interval, and each is still tried or skipped exactly once.
+    interval, and each is tried exactly once.
     """
     def inside(s: int) -> int:
         return sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)

@@ -177,6 +177,16 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply" in err
 
+    def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark: the message names the file, on one line
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: not UTF-8")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "no-such-cert")
         assert code == 2
@@ -326,6 +336,19 @@ class TestSolve:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--t", "3", "--objective", "mu1"], ["profile"]])
+    def test_graph_file_that_is_not_utf8_is_an_input_error(self, capsys,
+                                                          tmp_path, command):
+        # a UTF-16 byte-order mark: the message names the file, on one line
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run_cli(capsys, *command, "--graph", f"@{bad}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: not UTF-8")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_budget_flags_reach_the_search(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--graph", "petersen",

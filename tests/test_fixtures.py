@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,12 @@ def test_documented_dump_command_round_trips(tmp_path, catalog):
         cert = catalog[p.stem]
         back = Certificate.from_dict(json.loads(p.read_text()))
         assert (back.t, back.colors, back.claim_f) == (cert.t, cert.colors, cert.claim_f)
+
+
+def test_dump_annotations_resolve():
+    # names bound in the module, so no import of pathlib is needed for them
+    assert typing.get_type_hints(dump) == {
+        "outdir": str | os.PathLike[str], "return": list[os.PathLike[str]]}
 
 
 def test_dump_writes_one_verified_file_per_entry(tmp_path, catalog):

@@ -58,23 +58,14 @@ HEAWOOD = Graph.from_labels(
 def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     """Replay each interval-set-orbits record of a mu2 outcome.
 
-    Every listed representative's default-order req search must find no
-    witness. One that ran must spend the recorded nodes and return the
-    recorded core. A core that is the whole representative is refuted by
-    that run itself (which it is whenever a floor of the run's symmetry
-    chain cut a color); a smaller core, searched in the representative's
-    edge order, must exhaust in at most the same nodes, since the core
-    run's own floors only prune the floor-free tree the two runs share.
-    One refuted by the span rule
-    must have spent 0 nodes, name itself as its core, and have a
-    ``span_cap`` that recomputes to the recorded value, below t. One that
-    was skipped must have spent 0 nodes and name a k-set ``within`` that
-    the orbit table maps to it and that holds the named core, which is the
-    very core learned by the representative and k it names, listed earlier
-    in the outcome.
+    Every listed representative must be named as its own core, and its
+    default-order req search must find no witness. One that ran must
+    spend the recorded nodes. One refuted by the span rule must have
+    spent 0 nodes and have a ``span_cap`` that recomputes to the recorded
+    value, below t.
     Returns (k, representatives) per record.
     """
-    replayed, learned = [], {}
+    replayed = []
     for e in out.evidence:
         if e.kind is not EvidenceKind.INTERVAL_SET_ORBITS:
             continue
@@ -84,30 +75,15 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
                                       e.payload["nodes"],
                                       e.payload["cores"], strict=True):
             assert len(labels) == k
-            s, core = vertex_set(g, labels), vertex_set(g, why["core"])
-            _, colors, nodes, tag, got = _search(g, out.t, req=s)
+            assert why["core"] == labels and set(why) <= {"core", "span_cap"}
+            s = vertex_set(g, labels)
+            _, colors, nodes, tag = _search(g, out.t, req=s)
             assert (colors, tag) == (None, "exhausted")
-            source = why.get("learned_from")
-            if source is not None:
-                within = vertex_set(g, why["within"])
-                assert spent == 0
-                assert _subset_orbits(g, k)[within] == s
-                assert core and not core & ~within
-                assert learned[source["k"],
-                               frozenset(source["representative"])] == core
-                continue
-            assert core and not core & ~s
             if "span_cap" in why:
-                assert (spent, core) == (0, s)
-                assert span_cap(g, core) == why["span_cap"] < out.t
+                assert spent == 0
+                assert span_cap(g, s) == why["span_cap"] < out.t
             else:
-                assert (nodes, got) == (spent, core)
-                if core != s:
-                    _, colors, nodes, tag, _ = _search(
-                        g, out.t, req=core, order=_most_constrained_order(g, s))
-                    assert (colors, tag) == (None, "exhausted")
-                    assert nodes <= spent
-            learned[k, frozenset(labels)] = core
+                assert nodes == spent
         replayed.append((k, len(e.payload["representatives"])))
     return replayed
 
@@ -117,7 +93,7 @@ def chained(g, t, req) -> bool:
     color: some level of its symmetry chain past 0 has mates, or level 0
     has mates but is not every edge, and t >= 3 leaves the edge of that
     level a color above 1."""
-    chain = _orbit_chain(g, req, tuple(_most_constrained_order(g, req)), g.m)
+    chain = _orbit_chain(g, req, _most_constrained_order(g, req), g.m)
     return t > 2 and (1 < len(chain[0]) < g.m
                       or any(len(level) > 1 for level in chain[1:]))
 
@@ -227,8 +203,7 @@ class TestPetersenSeededRuns:
         assert (o2.value, o2.closed_by) == (8, "exhausted")
         # mu2: after a 15-node first solution, the 10-set is refuted in 78
         # nodes and the one 9-set orbit in 488, each under its symmetry
-        # chain, so both cores are the whole sets; the first 8-set is then
-        # made interval in 26 nodes
+        # chain; the first 8-set is then made interval in 26 nodes
         assert (o1.nodes_visited, o2.nodes_visited) == (1_910, 607)
 
     def test_bare_complete_graph_search_is_pinned(self):
@@ -422,30 +397,6 @@ class TestConfig:
         assert mismatches == []
         assert fired > 0
 
-    def test_req_cores_are_refuted(self):
-        # every exhausted run of the split's kind on the edge-transitive
-        # corpus graphs: no valid coloring makes its core interval, and the
-        # core, as its own decision run in the run's edge order, exhausts
-        # in the same nodes
-        runs, mismatches = 0, []
-        for g in ORACLE_CORPUS:
-            for t in legal_t_range(g):
-                sets = naive_interval_sets(g, t)
-                for k in range(1, g.n + 1):
-                    for s in representatives(_subset_orbits(g, k) or {}):
-                        _, _, nodes, tag, core = _search(g, t, req=s)
-                        if tag != "exhausted":
-                            continue
-                        runs += 1
-                        want = set(set_labels(g, core))
-                        again = _search(g, t, req=core,
-                                        order=_most_constrained_order(g, s))
-                        if (not core or core & ~s
-                                or any(want <= found for found in sets)
-                                or again[1:4] != (None, nodes, "exhausted")):
-                            mismatches.append(f"{g.name} t={t} S={s:b}")
-        assert (runs, mismatches) == (31, [])
-
     def test_kernel_edge_orders_agree(self):
         # the default most-constrained order, the declared order and a
         # seeded shuffle walk different trees to the enumerated optimum
@@ -477,8 +428,8 @@ class TestConfig:
                     score = f if mu2 else g.n - f
                     for best in (score, score - 1):
                         runs += 1
-                        got, colors, _, tag, _ = _search(g, t, mu2, best,
-                                                         g.n + 1)
+                        got, colors, _, tag = _search(g, t, mu2, best,
+                                                      g.n + 1)
                         found = (None if colors is None else analyze(
                             g, EdgeColoring(t=t, colors=tuple(colors))).f)
                         want = None if best == score else f
@@ -769,38 +720,6 @@ class TestProfile:
                             12: [(8, 2), (7, 4)], 13: [(8, 2), (7, 4)],
                             14: [(8, 2), (7, 4)]}
 
-    def test_replay_refuses_a_within_that_misses_the_core(self):
-        # bare GP(8,3) at t=24, 20,000 nodes: the run of the first 13-set,
-        # {u0..u6, v0..v4, v7}, cuts no color by a floor of its chain and
-        # learns the core {u1..u4, v1, v4} in 675 nodes; the other nine
-        # 13-sets are skipped, each orbit holding a superset of that core.
-        # Naming as `within` another member of a skipped set's orbit, one
-        # that misses the core, must fail
-        g = generalized_petersen(8, 3)
-        out = solve(g, 24, Objective.MU2, BARE.replace(node_limit=20_000))
-        replay_orbit_evidence(g, out)
-        (e,) = [e for e in out.evidence
-                if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
-                and e.payload["k"] == 13]
-        orbit_of = _subset_orbits(g, 13)
-
-        def missing(labels, why):
-            if "learned_from" not in why:
-                return why
-            s, core = vertex_set(g, labels), vertex_set(g, why["core"])
-            other = next(x for x, r in orbit_of.items() if r == s and core & ~x)
-            return dict(why, within=list(set_labels(g, other)))
-
-        cores = [missing(labels, why)
-                 for labels, why in zip(e.payload["representatives"],
-                                        e.payload["cores"])]
-        assert sum(x != y for x, y in zip(cores, e.payload["cores"])) == 9
-        moved = e.replace(payload={**e.payload, "cores": cores})
-        bad = out.replace(evidence=tuple(moved if x is e else x
-                                         for x in out.evidence))
-        with pytest.raises(AssertionError):
-            replay_orbit_evidence(g, bad)
-
     def test_headline_follows_from_search_alone(self, petersen_profile):
         # no catalog coloring and no structural bound: every cell comes out
         # the same from search, each witness checked from the definition
@@ -820,27 +739,28 @@ class TestProfile:
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in bare.rows) == 53_909
 
-    def test_theorem_family_skips_replay(self):
-        # every record of these cells replays, floored runs, core runs and
-        # skipped entries included. A run learns a core smaller than its
-        # set only where no floor of its chain cut a color; on the families
-        # none does, so no set is skipped there. Bare GP(8,3), at 20,000
-        # nodes per cell, learns such cores at t=23 and t=24 and skips 9
-        # and 38 sets with them
+    def test_theorem_family_records_replay(self):
+        # every interval-set-orbits record of these cells replays: each set
+        # is its own core, and each run spends its recorded nodes. Bare
+        # GP(8,3) at t=24, 20,000 nodes per cell, runs all ten 13-sets
         cells = [(g, t, BARE) for g, _ in FAMILIES for t in legal_t_range(g)]
         gp = generalized_petersen(8, 3)
         cells += [(gp, t, BARE.replace(node_limit=20_000))
                   for t in legal_t_range(gp)]
-        skips = {}
-        for g, t, cfg in cells:
-            out = solve(g, t, Objective.MU2, cfg)
-            replay_orbit_evidence(g, out)
-            skips[g.name, t] = sum(
-                "learned_from" in why for e in out.evidence
-                if e.kind is EvidenceKind.INTERVAL_SET_ORBITS
-                for why in e.payload["cores"])
-        assert {cell: n for cell, n in skips.items() if n} == {
-            ("GP(8,3)", 23): 9, ("GP(8,3)", 24): 38}
+        replayed = {(g.name, t): replay_orbit_evidence(
+            g, solve(g, t, Objective.MU2, cfg)) for g, t, cfg in cells}
+        assert sum(map(len, replayed.values())) == 74
+        assert replayed["GP(8,3)", 24] == [(16, 1), (15, 1), (14, 5), (13, 10)]
+
+    def test_bare_generalized_petersen_top_cells_are_pinned(self):
+        # bare mu2(GP(8,3), t) = 11 at t = 22..24, refuted from the trivial
+        # cap 16 down to 12 by runs alone: with no structural bound there is
+        # no span rule, and every representative of every k is searched
+        g = generalized_petersen(8, 3)
+        got = [solve(g, t, Objective.MU2, BARE) for t in (22, 23, 24)]
+        assert [(o.value, o.nodes_visited, o.closed_by) for o in got] == [
+            (11, 391_864, "exhausted"), (11, 140_350, "exhausted"),
+            (11, 31_015, "exhausted")]
 
     @pytest.mark.parametrize("cfg", [BARE, SearchConfig()],
                              ids=["bare", "default"])
