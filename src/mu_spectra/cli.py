@@ -20,6 +20,8 @@ import json
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from pathlib import Path
 
 from .coloring import Certificate, check_certificate
@@ -78,12 +80,57 @@ def _load_certificate(arg: str) -> tuple[str, dict]:
         f"is looked up in the catalog)")
 
 
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with str keys, lists, tuples, str, int, float, bool and
+    None; ``nl`` is a newline plus the indent of obj's own line.
+
+    On Python 3.11 ``indent`` sends ``json.dumps`` to its pure-Python
+    generator encoder. This writes each string with the C escaper that
+    encoder uses and joins each container's items at once, in about half
+    its time on the Petersen profile report. Types are matched exactly, so
+    a subclass (an IntEnum, say) is refused, and cycles are not checked.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return repr(obj)
+    inner = nl + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())]) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in obj]) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is float:
+        if obj != obj:
+            return "NaN"
+        if obj == inf:
+            return "Infinity"
+        if obj == -inf:
+            return "-Infinity"
+        return repr(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args, human_lines: list[str]) -> None:
     if args.timing:
         report["elapsed_ms"] = round(
             (time.perf_counter() - args._t0) * 1000, 1)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in human_lines:
             print(line)
@@ -165,7 +212,7 @@ def cmd_solve(args) -> int:
         lines.append(f"  evidence[{e.kind.value}] value {e.value}: {e.detail}")
     if wcert is not None:
         lines.append(f"witness (f={wcert['claims']['f']}), certificate JSON:")
-        lines.append(json.dumps(wcert, indent=2, sort_keys=True))
+        lines.append(_dumps(wcert))
     _emit(report, args, lines)
     return 0
 
@@ -299,13 +346,15 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
                    help="search time budget in milliseconds of each solve "
                         "(profile runs one per t and objective)")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable every use of symmetry: the symmetry "
-                        "chain (reflection caps the first edge's color at "
-                        "ceil(t/2), and at each depth every edge of the "
-                        "depth's edge's orbit under the automorphisms "
+                   help="disable every use of symmetry in the search: the "
+                        "symmetry chain (reflection caps the first edge's "
+                        "color at ceil(t/2), and at each depth every edge of "
+                        "the depth's edge's orbit under the automorphisms "
                         "fixing the required vertex set and the earlier "
                         "edges takes no lower color) and the split of mu2 "
-                        "by interval-set orbits")
+                        "by interval-set orbits. A structural premise may "
+                        "still use automorphisms to shorten its own proof, "
+                        "with the same value either way")
 
 
 @lru_cache(maxsize=None)

@@ -645,6 +645,31 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     return rep_of
 
 
+def _vertex_orbits(g: Graph) -> tuple[int, ...]:
+    """Each vertex's orbit under the maps of level 0 of ``_orbit_chain`` in
+    edge order, named by its least vertex index.
+
+    A union-find joins each vertex with its image under every map, so each
+    class is an orbit of the group the maps generate. That group may be
+    only a subgroup of Aut(g), whose orbits are finer: each class lies
+    inside one orbit of Aut(g), and one of these may split into several
+    classes. g must have an edge.
+    """
+    root = list(range(g.n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for img in _orbit_chain(g, 0, tuple(range(g.m)), 1)[0].values():
+        for x, y in enumerate(img):
+            a, b = find(x), find(y)
+            if a != b:  # the root of a class is its least vertex
+                root[max(a, b)] = min(a, b)
+    return tuple(map(find, range(g.n)))
+
+
 # ---------------------------------------------------------------------------
 # the search kernel and chromatic index
 

@@ -96,7 +96,10 @@ class SearchConfig(Record):
     edge's orbit, under the automorphisms that fix the run's required set
     and the earlier edges, held at or above that edge's color; color 1
     alone when the first orbit is every edge) and the interval-set split
-    of mu2 on edge-transitive graphs.
+    of mu2 on edge-transitive graphs. It governs the search's symmetry
+    rules only: a structural premise may use automorphisms to shorten its
+    own proof (``mu22_cap_cubic`` deletes one vertex per orbit), with the
+    same value either way.
     ``seed_fixtures`` and ``use_structural_bounds`` install the entering
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every

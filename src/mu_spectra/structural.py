@@ -13,6 +13,8 @@ The arguments mechanized here:
 * on a cubic graph whose every vertex deletion has chromatic index 4,
   f = |V|-1 is impossible at any t: the spectra at |V|-1 interval vertices
   would reduce mod 3 to a proper 3-edge-coloring of a deleted subgraph;
+  an automorphism s maps G-v onto G-s(v), so one deletion per vertex
+  orbit settles the premise (one for the vertex-transitive Petersen graph);
 * on a cubic graph with chromatic index 4 whose perfect matchings pairwise
   intersect, f <= 1 at t = 4 would force color classes 1 and 4 to be
   disjoint perfect matchings, so f >= 2;
@@ -43,7 +45,7 @@ from .graphs import (
     is_path_forest,
     set_labels,
 )
-from .graphs import _reach, _subsets
+from .graphs import _reach, _subsets, _vertex_orbits
 
 # 2^|V| subset scans stay fast up to here
 _SUBSET_SCAN_LIMIT = 20
@@ -209,16 +211,27 @@ def mu22_cap_cubic(g: Graph) -> BoundEvidence:
     cubic except at the deleted vertex's neighbors, and reducing the
     coloring mod 3 at its interval vertices would 3-color a subgraph that
     has no proper 3-coloring.
+
+    An automorphism s of g maps g - v onto g - s(v), so the chromatic index
+    of a deletion is the same across each vertex orbit, and one deletion
+    per orbit decides it (``_vertex_orbits``). Those orbits come from maps
+    that may generate only a subgroup of Aut(g), whose orbits are finer:
+    that costs more deletions, never a wrong index. A vertex whose orbit's
+    first deletion raised is deleted itself, so each such vertex names its
+    own failure. The payload gives one index per vertex, in vertex order.
     """
     _require_cubic_class_two(g)
     problems = []
     deletions: dict[str, int] = {}
-    for label in g.vertices:
-        try:
-            chi = chromatic_index(delete_vertex(g, label))
-        except GraphError as exc:
-            problems.append(f"cannot check deletion of {label}: {exc}")
-            continue
+    by_orbit: dict[int, int] = {}
+    for label, orbit in zip(g.vertices, _vertex_orbits(g)):
+        chi = by_orbit.get(orbit)
+        if chi is None:
+            try:
+                chi = by_orbit[orbit] = chromatic_index(delete_vertex(g, label))
+            except GraphError as exc:
+                problems.append(f"cannot check deletion of {label}: {exc}")
+                continue
         deletions[label] = chi
         if chi != 4:
             problems.append(

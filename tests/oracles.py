@@ -13,9 +13,12 @@ import math
 import random
 from functools import lru_cache
 
-from mu_spectra import EdgeColoring, Graph, complete, cycle, full_set, path
+from mu_spectra import (BoundEvidence, EdgeColoring, EvidenceKind, Graph,
+                        GraphError, chromatic_index, complete, cycle,
+                        delete_vertex, full_set, path)
 from mu_spectra import graphs as graphs_module
 from mu_spectra.graphs import _orbit_chain, _subsets
+from mu_spectra.structural import _require_cubic_class_two
 
 
 def naive_valid(g: Graph, c: EdgeColoring) -> bool:
@@ -166,6 +169,34 @@ def naive_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     edges = {frozenset(e) for e in g.edges}
     return [perm for perm in itertools.permutations(range(g.n))
             if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges)]
+
+
+def naive_mu22_cap_cubic(g: Graph) -> BoundEvidence:
+    """``structural.mu22_cap_cubic`` with no symmetry: every vertex is
+    deleted and the chromatic index of each deletion found on its own."""
+    _require_cubic_class_two(g)
+    problems = []
+    deletions: dict[str, int] = {}
+    for label in g.vertices:
+        try:
+            chi = chromatic_index(delete_vertex(g, label))
+        except GraphError as exc:
+            problems.append(f"cannot check deletion of {label}: {exc}")
+            continue
+        deletions[label] = chi
+        if chi != 4:
+            problems.append(
+                f"deleting {label} leaves chromatic index {chi}, not 4")
+    if problems:
+        raise GraphError("; ".join(problems))
+    return BoundEvidence(
+        kind=EvidenceKind.MOD_REDUCTION,
+        value=g.n - 2,
+        detail=(f"f = {g.n - 1} would reduce mod 3 to a proper 3-edge-coloring "
+                f"of some vertex-deleted subgraph, but all {g.n} deletions "
+                f"have chromatic index 4"),
+        payload={"deletion_chromatic_indices": deletions},
+    )
 
 
 def naive_edge_transitive(g: Graph) -> bool:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 from collections import Counter
@@ -275,6 +276,27 @@ def test_verify_survives_mutated_documents(data, fuzz_file):
         interval = naive_interval_labels(cert.graph, c)
         for label, flag in claims.get("interval", {}).items():
             assert flag == (label in interval)
+
+
+#: Strings the report writer must escape as the stdlib does: control
+#: characters, quotes and backslashes, non-ASCII and astral characters,
+#: a lone surrogate.
+AWKWARD_TEXT = st.text(max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f\n\t", '"\\/', "\u00e9\u2028\U0001f600", "\ud800"])
+REPORT_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | AWKWARD_TEXT
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(AWKWARD_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_TREES)
+def test_report_writer_is_the_stdlib_indenter(tree):
+    # floats take in nan and the infinities, as --timing may write floats
+    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 class TestSolve:

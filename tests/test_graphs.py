@@ -38,6 +38,7 @@ from mu_spectra.graphs import (
     _search,
     _subset_orbits,
     _subsets,
+    _vertex_orbits,
     _window,
 )
 
@@ -640,6 +641,24 @@ class TestSubsetOrbits:
         assert _subset_orbits.__wrapped__(P, 5) is None  # C(10,5) = 252
         orbits = _subset_orbits.__wrapped__(P, 8)  # C(10,8) = 45
         assert len(representatives(orbits)) == 2
+
+
+class TestVertexOrbits:
+    @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
+    def test_classes_lie_in_automorphism_orbits(self, g):
+        # each class is named by its least vertex, is closed under the
+        # maps of level 0, and lies inside one orbit of the full group
+        orbits = _vertex_orbits(g)
+        autos = naive_automorphisms(g)
+        for x, root in enumerate(orbits):
+            assert root <= x and orbits[root] == root
+            assert root in {p[x] for p in autos}
+            assert all(orbits[img[x]] == root for img in edge_orbit(g).values())
+
+    def test_petersen_is_one_class(self, P):
+        relabeled = Graph.from_labels("petersen-relabeled", P.vertices[::-1],
+                                      P.edge_labels[::-1])
+        assert _vertex_orbits(P) == _vertex_orbits(relabeled) == (0,) * 10
 
 
 class TestDeleteVertex:

@@ -38,7 +38,10 @@ from mu_spectra import (
 )
 from mu_spectra import structural as structural_module
 
-from oracles import ORACLE_CORPUS, floyd_span_cap, naive_interval_sets, naive_mu
+from mu_spectra.graphs import _vertex_orbits
+
+from oracles import (ORACLE_CORPUS, floyd_span_cap, naive_interval_sets,
+                     naive_mu, naive_mu22_cap_cubic)
 from test_search import HEAWOOD
 from test_theorems import complete_bipartite, generalized_petersen
 
@@ -55,6 +58,15 @@ def bridge_cubic() -> Graph:
     edges.append(("wa", "wb"))
     labels = [f"{p}{i}" for p in "ab" for i in range(1, 5)] + ["wa", "wb"]
     return Graph.from_labels("bridge-cubic", labels, edges)
+
+
+def shuffled_petersen() -> Graph:
+    """Petersen with its vertices and edges listed in a shuffled order."""
+    p, rng = petersen(), random.Random(7)
+    labels, edges = list(p.vertices), list(p.edge_labels)
+    rng.shuffle(labels)
+    rng.shuffle(edges)
+    return Graph.from_labels("petersen-shuffled", labels, edges)
 
 
 class TestIntervalColorability:
@@ -166,6 +178,34 @@ class TestCubicCap:
         assert g.is_cubic() and chromatic_index(g) == 4
         with pytest.raises(GraphError, match="deletion of wa"):
             mu22_cap_cubic(g)
+
+    @pytest.mark.parametrize("g", [
+        petersen(), shuffled_petersen(), complete(4), bridge_cubic(), HEAWOOD,
+        generalized_petersen(5, 1), generalized_petersen(7, 2),
+        generalized_petersen(8, 3), complete_bipartite(3, 3), cycle(5),
+        delete_vertex(petersen(), "x1")], ids=lambda g: g.name)
+    def test_orbit_deletions_match_the_per_vertex_loop(self, g):
+        # the same evidence, payload key order included, or the same
+        # message, as deleting every vertex on its own
+        def outcome(cap):
+            try:
+                ev = cap(g)
+            except GraphError as exc:
+                return str(exc)
+            return ev.kind, ev.value, ev.applies_t, json.dumps(ev.to_dict())
+
+        assert outcome(mu22_cap_cubic) == outcome(naive_mu22_cap_cubic)
+
+    def test_bridge_graph_names_each_failed_deletion(self):
+        # wa and wb share an orbit, and each deletion disconnects the
+        # graph: the message names both, each from its own deletion
+        g = bridge_cubic()
+        assert _vertex_orbits(g)[-2:] == (8, 8)
+        with pytest.raises(GraphError) as info:
+            mu22_cap_cubic(g)
+        assert str(info.value) == "; ".join(
+            f"cannot check deletion of {w}: deleting {w} from bridge-cubic: "
+            f"graph must be connected" for w in ("wa", "wb"))
 
 
 class TestMatchingFloor:
@@ -314,14 +354,15 @@ class TestBoundCollections:
         monkeypatch.setattr(structural_module, "delete_vertex",
                             lambda g, label: deleted.append(label) or real(g, label))
         caps = [mu2_caps(g, t) for t in range(4, 16)]
-        assert len(deleted) == g.n
+        # one deletion per vertex orbit, and Petersen is vertex-transitive
+        assert deleted == [g.vertices[0]]
         assert all(c[:2] == caps[0] for c in caps)
         for t in (4, 15):
             json.dumps(solve(g, t, Objective.MU2).to_dict(g))
         # the shared evidence comes out as a fresh build, and the public
-        # cap still replays every deletion
+        # cap still replays its deletion
         assert mu2_caps(g, 4) == [mu22_cap_from_noninterval(g), mu22_cap_cubic(g)]
-        assert len(deleted) == 2 * g.n
+        assert deleted == [g.vertices[0]] * 2
 
     def test_evidence_serializes(self, P):
         docs = [e.to_dict() for e in mu2_caps(P, 15)] + [
