@@ -12,9 +12,9 @@ coloring is proper iff every vertex mask has as many bits as the vertex
 has edges, surjective iff the masks together hold exactly bits 1..t, and
 a vertex is interval iff its mask is one run of set bits, so the same pass
 that decides validity yields the interval vertices. The per-edge walk that
-names each clash, out-of-range color and unused color runs only when the
-pass fails, to explain the failure; a color not equal to an integer in
-[1,t] is out of range, so every valid coloring passes.
+names each clash, out-of-range color and unused color (``_violations``)
+runs only when the pass fails, to explain the failure; a color not equal
+to an integer in [1,t] is out of range, so every valid coloring passes.
 
 Edge keys ("a-b", either endpoint order) reach edge indices one way, by a
 lookup in ``Graph.edge_keys``: certificates, the catalog's patches and the
@@ -98,7 +98,7 @@ def _interval_set(g: Graph, c: EdgeColoring) -> int | None:
     hold exactly bits 1..t (a color above t, or one unused). A vertex is
     interval iff its mask is one run of set bits: adding the lowest set
     bit then carries through the whole run and clears it. None exactly
-    when ``validate``'s walk reports a violation.
+    when ``_violations``' walk reports a violation.
     """
     t, colors = c.t, c.colors
     if not isinstance(t, int) or not 1 <= t <= g.m or len(colors) != g.m:
@@ -126,17 +126,27 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
     """All violations of properness, surjectivity, and color range.
 
     Empty result means the coloring is a member of alpha(g, t). The mask
-    pass decides; only a coloring it does not pass is walked edge by edge,
-    which reports every violation rather than the first, so hand-edited
-    certificates get full diagnostics. A t that is not an int and a wrong
-    number of colors are each one shape violation, and with t > m not all
-    t colors fit on the m edges, which is one surjectivity violation rather
-    than one per missing color. A color that is not a number (a string,
-    None, a list) is one range violation and clashes with no other color.
+    pass decides; only a coloring it does not pass is walked edge by edge
+    (``_violations``), so hand-edited certificates get full diagnostics.
     Never raises.
     """
     if _interval_set(g, c) is not None:
         return ()
+    return _violations(g, c)
+
+
+def _violations(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
+    """The diagnostic walk of a coloring the mask pass did not pass.
+
+    It reports every violation rather than the first. A t that is not an
+    int and a wrong number of colors are each one shape violation, and with
+    t > m not all t colors fit on the m edges, which is one surjectivity
+    violation rather than one per missing color. A color that is not a
+    number (a string, None, a list) is one range violation and clashes with
+    no other color. ``validate``, ``analyze`` and ``check_certificate``
+    call it only once their own mask pass has failed, so each rejected
+    coloring costs one pass. Never raises.
+    """
     if not isinstance(c.t, int):
         return (Violation("shape", "t", f"t must be an integer, got {c.t!r}"),)
     if len(c.colors) != g.m:
@@ -205,7 +215,7 @@ def analyze(g: Graph, c: EdgeColoring) -> SpectrumReport:
     """Interval vertices and f for a valid coloring; raises on an invalid one."""
     v_int = _interval_set(g, c)
     if v_int is None:
-        raise InvalidColoringError(validate(g, c))
+        raise InvalidColoringError(_violations(g, c))
     return SpectrumReport(v_int=v_int)
 
 
@@ -363,7 +373,7 @@ def check_certificate(cert: Certificate) -> CertificateCheck:
     c = cert.coloring()
     v_int = _interval_set(cert.graph, c)
     if v_int is None:
-        return CertificateCheck(violations=validate(cert.graph, c), f=None)
+        return CertificateCheck(violations=_violations(cert.graph, c), f=None)
     report = SpectrumReport(v_int=v_int)
     mismatches: list[str] = []
     if cert.claim_f is not None and report.f != cert.claim_f:

@@ -48,7 +48,17 @@ Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
 search. ``profile`` sweeps every legal t, then aggregates the four
 extremal values by interval arithmetic over the per-t bounds, so a profile
-can certify an aggregate exactly even when middle rows stay open.
+can certify an aggregate exactly even when middle rows stay open. Each
+row's witness is carried up to the next t (``_carry_up``): an edge e whose
+color class has two edges or more takes a color p, and every color >= p
+moves up by one, which turns a valid (t-1)-coloring into a valid
+t-coloring that often keeps its f. The moves with p = 1 and p = t, which
+change only e's ends, are tried first, the walk stops at the first image
+that meets the cell's cap, and the best image enters the next row's
+solve as its incumbent, checked, when it beats any catalog seed. The
+image is a valid coloring, so it raises lo only to a value some coloring
+attains, and a search that enters with a better incumbent walks a part
+of the tree it would have walked, in the same order.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from enum import Enum
 
 from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
                        rebind, require_valid)
-from .graphs import (Graph, GraphError, Record, chromatic_index,
+from .graphs import (Graph, GraphError, Record, chromatic_index, edge_key,
                      is_petersen_labeled, set_labels)
 from .graphs import _search, _subset_orbits
 from .structural import (BoundEvidence, EvidenceKind, mu1_floors, mu2_caps,
@@ -161,8 +171,9 @@ class SearchOutcome(_Bounds):
     witness is a valid coloring whose f equals the bound it certifies.
     ``closed_by`` is read off the bounds and the runs: budget while
     lo < hi; bounds-closed when no run reached the kernel, because the
-    entering bounds met or the split refuted every value above the
-    incumbent by span caps alone; bound-met when the value is the entering
+    entering bounds met (a witness carried from t-1 that meets the cap
+    among them) or the split refuted every value above the incumbent by
+    span caps alone; bound-met when the value is the entering
     bound a witness can meet (hi for mu2, lo for mu1); and exhausted when
     every better value was refuted.
     """
@@ -233,7 +244,8 @@ def _fixture_seeds(g: Graph, t: int) -> list[tuple[str, Certificate]]:
 
 
 def solve(g: Graph, t: int, objective: Objective,
-          cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
+          cfg: SearchConfig = SearchConfig(), *,
+          carry: EdgeColoring | None = None) -> SearchOutcome:
     """Compute mu1(g,t) or mu2(g,t), exactly when the budget allows.
 
     The solve works on one score to maximize, f for mu2 and n - f for mu1:
@@ -241,7 +253,24 @@ def solve(g: Graph, t: int, objective: Objective,
     run are scores, and (lo, hi) is translated back to f once, at the end.
     Bounds from catalog colorings and structural arguments are installed
     first: the incumbent gives lo, and the mu2 caps, or n minus the mu1
-    floors, cut hi from n. If they already meet, no search runs. Otherwise
+    floors, cut hi from n. Each seed is recorded as evidence on its side:
+    a coloring's f bounds mu2 from below and mu1 from above.
+
+    ``carry``, a valid (t-1)-coloring of g (``profile`` passes the row
+    below's witness of the same objective), is used only while the cell
+    is still open: its best one-move image (``_carry_up``, which stops at
+    the first image whose score reaches hi) is checked by ``analyze`` and
+    becomes the incumbent when its score beats the seeded one's, with
+    evidence naming the move. It is sound and never loosens the cell: the
+    image is a checked coloring, so it moves lo only to a value some
+    coloring attains; the split then walks a prefix of the same per-k runs
+    and skips its first-solution run, and a plain run that enters with a
+    better incumbent visits a subset of the same nodes, in the same order.
+    A carry at another t raises ValueError, and an invalid one raises
+    InvalidColoringError once it is used. Without ``carry`` no move is
+    made.
+
+    If the bounds already meet, no search runs. Otherwise
     branch-and-bound raises the incumbent toward hi until the two meet or
     the budget runs out, in which case the outcome carries the tightest
     (lo, hi) established.
@@ -260,9 +289,13 @@ def solve(g: Graph, t: int, objective: Objective,
     or time stop leaves the refuted hi and the incumbent witness.
     """
     _require_legal_t(g, t)
+    if carry is not None and carry.t != t - 1:
+        raise ValueError(f"carry must be a {t - 1}-coloring, got t={carry.t}")
     mu2 = objective is Objective.MU2
     n = g.n
     evidence: list[BoundEvidence] = []
+    side = (EvidenceKind.CERTIFICATE_LOWER_BOUND if mu2
+            else EvidenceKind.CERTIFICATE_UPPER_BOUND)
 
     # the search works on a score to maximize: f for mu2, n - f for mu1
     best = -1  # the incumbent's score
@@ -273,7 +306,7 @@ def solve(g: Graph, t: int, objective: Objective,
             if (score := f if mu2 else n - f) > best:
                 best, witness = score, rebind(cert, g)
                 evidence.append(BoundEvidence(
-                    kind=EvidenceKind.CERTIFICATE_LOWER_BOUND,
+                    kind=side,
                     value=f,
                     applies_t=t,
                     detail=f"catalog coloring {name} achieves f={f} at t={t}"))
@@ -285,6 +318,23 @@ def solve(g: Graph, t: int, objective: Objective,
         for ev in mu2_caps(g, t) if mu2 else mu1_floors(g, t):
             evidence.append(ev)
             hi = min(hi, ev.value if mu2 else n - ev.value)
+
+    if carry is not None and lo < hi:
+        require_valid(g, carry)
+        moved = _carry_up(g, carry, mu2, hi)
+        if moved is not None:
+            image, ei, p = moved
+            f = analyze(g, image).f
+            if (score := f if mu2 else n - f) > best:
+                best, witness = score, image
+                lo = best
+                evidence.append(BoundEvidence(
+                    kind=side,
+                    value=f,
+                    applies_t=t,
+                    detail=(f"coloring carried from t={t - 1} achieves f={f} "
+                            f"at t={t}: edge {edge_key(*g.edge_labels[ei])} "
+                            f"takes color {p}")))
 
     bound = hi  # the entering bound a witness can meet
     searched, nodes = False, 0  # searched: some run reached the kernel
@@ -329,6 +379,63 @@ def solve(g: Graph, t: int, objective: Objective,
         objective=objective, t=t, lo=lo, hi=hi,
         witness=witness, nodes_visited=nodes, closed_by=closed_by,
         evidence=tuple(evidence)))
+
+
+def _carry_up(g: Graph, c: EdgeColoring, mu2: bool, goal: int
+              ) -> tuple[EdgeColoring, int, int] | None:
+    """The best one-move image of a valid coloring c at t = c.t + 1.
+
+    A move picks an edge e whose color class has at least two edges and a
+    color p in 1..t: every color >= p moves up by one, and e takes p. The
+    image is proper, since no other edge keeps color p, and surjective,
+    since e's old class keeps an edge. Images are scored as ``solve``
+    scores them, f for mu2 and n - f for mu1, on vertex masks: for each p
+    every mask is shifted once and its interval vertices counted, and then
+    moving e changes only the masks at e's two ends. p = 1 and p = t come
+    first, since there the shift keeps every vertex's interval status (at
+    p = 1 every color moves up, at p = t none does), then p = 2..t-1, each
+    over the movable edges in index order. The first image of the best
+    score wins, so the result is deterministic, and the walk stops at the
+    first image whose score reaches ``goal``. Returns ``(image, e, p)``,
+    or None when every color class is a single edge.
+    """
+    t, colors, n = c.t + 1, c.colors, g.n
+    size = [0] * t
+    for k in colors:
+        size[k] += 1
+    movable = [(ei, u, v, colors[ei]) for ei, (u, v) in enumerate(g.edges)
+               if size[colors[ei]] > 1]
+    if not movable:
+        return None
+    masks = [0] * n
+    for (u, v), k in zip(g.edges, colors):
+        masks[u] |= 1 << k
+        masks[v] |= 1 << k
+
+    def scored():
+        for p in (1, t, *range(2, t)):
+            low = (1 << p) - 1  # the bits of the colors below p stay
+            shifted = [m & low | (m & ~low) << 1 for m in masks]
+            interval = [not (m + (m & -m)) & m for m in shifted]
+            base, bit = sum(interval), 1 << p
+            for ei, u, v, k in movable:
+                old = 1 << (k if k < p else k + 1)
+                mu, mv = shifted[u] ^ old | bit, shifted[v] ^ old | bit
+                f = (base - interval[u] - interval[v]
+                     + (not (mu + (mu & -mu)) & mu)
+                     + (not (mv + (mv & -mv)) & mv))
+                yield (f if mu2 else n - f), ei, p
+
+    top, move = -1, None
+    for score, ei, p in scored():
+        if score > top:
+            top, move = score, (ei, p)
+            if score >= goal:
+                break
+    ei, p = move
+    image = tuple(p if i == ei else k if k < p else k + 1
+                  for i, k in enumerate(colors))
+    return EdgeColoring(t=t, colors=image), ei, p
 
 
 def _descend(g: Graph, t: int, best: int, hi: int, run,
@@ -507,14 +614,23 @@ def profile(g: Graph,
 
     Each run gets cfg.node_limit nodes. Rows left open by the budget still
     contribute their bounds, and the aggregate intervals often collapse
-    anyway.
+    anyway. The rows are solved from the lowest t up, and each row's
+    witness, mu1 and mu2 kept apart, is the next row's ``carry``: while
+    that cell is open, ``solve`` moves the witness up one t (an edge e of
+    a color class with two edges or more takes a color p, and every color
+    >= p moves up by one), trying p = 1 and p = t first, stopping at the
+    first image that meets the cell's cap, and takes the best image as its
+    incumbent when it beats any catalog seed. A carried witness that meets
+    the cap closes the cell with no search (closed_by "bounds-closed").
+    The carry only raises incumbents with checked colorings, so no row's
+    interval is wider than its standalone solve's.
     """
-    rows = []
+    rows, w1, w2 = [], None, None
     for t in legal_t_range(g):
-        rows.append(ProfileRow(
-            t=t,
-            mu1=solve(g, t, Objective.MU1, cfg),
-            mu2=solve(g, t, Objective.MU2, cfg)))
+        mu1 = solve(g, t, Objective.MU1, cfg, carry=w1)
+        mu2 = solve(g, t, Objective.MU2, cfg, carry=w2)
+        rows.append(ProfileRow(t=t, mu1=mu1, mu2=mu2))
+        w1, w2 = mu1.witness, mu2.witness
     return MuProfile(graph=g, rows=tuple(rows))
 
 

@@ -56,7 +56,8 @@ class EvidenceKind(Enum):
     PATH_FOREST_CAP = "path-forest-cap"
     MOD_REDUCTION = "mod-reduction"
     MATCHING_INTERSECTION = "matching-intersection"
-    CERTIFICATE_LOWER_BOUND = "certificate-lower-bound"
+    CERTIFICATE_LOWER_BOUND = "certificate-lower-bound"  # a mu2 witness's f
+    CERTIFICATE_UPPER_BOUND = "certificate-upper-bound"  # a mu1 witness's f
     INTERVAL_SET_ORBITS = "interval-set-orbits"
     SPAN_CAP = "span-cap"
 

@@ -97,6 +97,28 @@ def naive_mu(g: Graph, t: int) -> tuple[int, int]:
     return min(sizes), max(sizes)
 
 
+def naive_carry_up(g: Graph, c: EdgeColoring
+                   ) -> list[tuple[int, int, int, EdgeColoring]]:
+    """Every valid one-move image of c at t = c.t + 1, as (f, e, p, image).
+
+    For every edge e and every color p in 1..t, the image moves each color
+    >= p up by one and gives e color p; only the images that ``naive_valid``
+    accepts are kept, and each is scored by ``naive_f``. The list runs in
+    the order the package tries moves: p = 1, then p = t, then p = 2..t-1,
+    each over the edges by index.
+    """
+    t = c.t + 1
+    out = []
+    for p in [1, t] + list(range(2, t)):
+        for e in range(g.m):
+            colors = [col + 1 if col >= p else col for col in c.colors]
+            colors[e] = p
+            image = EdgeColoring(t=t, colors=tuple(colors))
+            if naive_valid(g, image):
+                out.append((naive_f(g, image), e, p, image))
+    return out
+
+
 def naive_chromatic_index(g: Graph) -> int:
     """Least t admitting a valid t-coloring, by enumerating every assignment.
 

@@ -415,7 +415,7 @@ class TestProfile:
                                "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c128eaede06aea4c6ba9b55a62400f48465e4044c04e124afff489c13a9ef626")
+            "e54e26623962333331be66bd21820245258e6fd93f746ebf9bdc9b5835d6856b")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

@@ -270,6 +270,32 @@ class TestCertificates:
         assert analyze(P, catalog["psi"].coloring()).f == 6
         assert len(passes) == 2
 
+    @pytest.mark.parametrize("kind", ["range", "clash", "drop", "claim"])
+    def test_rejected_check_costs_one_mask_pass(self, P, kind, monkeypatch):
+        # a mutated certificate is rejected after one mask pass, with the
+        # violations validate names; analyze raises after one pass too
+        passes = []
+        real = coloring_module._interval_set
+        monkeypatch.setattr(coloring_module, "_interval_set",
+                            lambda g, c: passes.append(c) or real(g, c))
+        rejected = 0
+        for t in legal_t_range(P):
+            for r, c in enumerate(sample(P, t, seed=t, count=3)):
+                cert = _mutated(P, c, kind, r)
+                passes.clear()
+                check = check_certificate(cert)
+                assert (check.ok, len(passes)) == (False, 1)
+                assert check.violations == validate(P, cert.coloring())
+                rejected += 1
+                if kind == "claim":
+                    continue
+                passes.clear()
+                with pytest.raises(InvalidColoringError) as exc:
+                    analyze(P, cert.coloring())
+                assert len(passes) == 1
+                assert exc.value.violations == check.violations != ()
+        assert rejected == 3 * len(legal_t_range(P))
+
     def test_wrong_f_claim_is_a_mismatch_not_an_error(self, P, catalog):
         cert = Certificate(graph=P, t=15, colors=catalog["psi"].colors,
                            claim_f=9, source="petersen")
@@ -325,6 +351,26 @@ class TestCertificates:
         cert = Certificate.from_dict(doc)
         assert cert.source is None
         assert check_certificate(cert).ok
+
+
+def _mutated(g, c, kind: str, r: int) -> Certificate:
+    """A certificate of the valid coloring c with one mutation that must be
+    rejected: an edge colored t+1 ("range"), another edge at one end of an
+    edge given its color ("clash"), one color more claimed than used
+    ("drop"), or f claimed one too high ("claim")."""
+    colors, t, claim_f = list(c.colors), c.t, None
+    ei = r % g.m
+    if kind == "range":
+        colors[ei] = t + 1
+    elif kind == "clash":
+        u = g.edges[ei][0]
+        other = next(e for _, e in g.adjacency[u] if e != ei)
+        colors[other] = colors[ei]
+    elif kind == "drop":
+        t += 1
+    else:
+        claim_f = analyze(g, c).f + 1
+    return Certificate(graph=g, t=t, colors=tuple(colors), claim_f=claim_f)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from mu_spectra import (
     EvidenceKind,
     Graph,
     GraphError,
+    InvalidColoringError,
     Objective,
     SearchConfig,
     SearchOutcome,
@@ -34,11 +35,11 @@ from mu_spectra import (
 )
 from mu_spectra.graphs import (_most_constrained_order, _orbit_chain, _search,
                                 _subset_orbits)
-from mu_spectra.search import PROFILE_NODE_LIMIT
+from mu_spectra.search import PROFILE_NODE_LIMIT, _carry_up
 
-from oracles import (ORACLE_CORPUS, naive_f, naive_interval_labels,
-                     naive_interval_sets, naive_mu, naive_valid,
-                     random_connected_graph)
+from oracles import (ORACLE_CORPUS, naive_carry_up, naive_f,
+                     naive_interval_labels, naive_interval_sets, naive_mu,
+                     naive_valid, random_connected_graph)
 from test_graphs import representatives
 from test_theorems import (FAMILIES, complete_bipartite, generalized_petersen,
                            hypercube)
@@ -190,6 +191,18 @@ class TestPetersenSeededRuns:
         assert EvidenceKind.PATH_FOREST_CAP in kinds
         assert any("psi" in e.detail for e in out.evidence
                    if e.kind is EvidenceKind.CERTIFICATE_LOWER_BOUND)
+
+    def test_mu1_catalog_seeds_bound_from_above(self, P):
+        # a coloring's f caps mu1, so psi6's f=6 is an upper bound in a
+        # cell of value 0, and no entry claims mu1 >= 6
+        out = solve(P, 9, Objective.MU1)
+        assert out.value == 0
+        assert [e for e in out.evidence
+                if e.kind is EvidenceKind.CERTIFICATE_LOWER_BOUND] == []
+        assert [(e.value, e.detail) for e in out.evidence
+                if e.kind is EvidenceKind.CERTIFICATE_UPPER_BOUND] == [
+            (6, "catalog coloring psi6 achieves f=6 at t=9"),
+            (0, "catalog coloring lambda5 achieves f=0 at t=9")]
 
     def test_top_t_minimum_closes_at_zero(self, P):
         out = solve(P, 15, Objective.MU1)
@@ -518,9 +531,10 @@ class TestProfile:
         assert sum(r.mu1.is_exact + r.mu2.is_exact for r in prof.rows) == 24
         closed = {t: (prof.row(t).mu2.value, prof.row(t).mu2.closed_by)
                   for t in range(9, 15)}
-        # at t = 13 and 14 every 8-set and 7-set is span-refuted, so no
-        # run reaches the kernel
-        assert closed == {9: (8, "bound-met"), 10: (7, "exhausted"),
+        # at t = 9 the witness carried from t = 8 meets the cap 8, and at
+        # t = 13 and 14 every 8-set and 7-set is span-refuted, so no run
+        # reaches the kernel
+        assert closed == {9: (8, "bounds-closed"), 10: (7, "exhausted"),
                           11: (7, "exhausted"), 12: (6, "exhausted"),
                           13: (6, "bounds-closed"), 14: (6, "bounds-closed")}
         for row in prof.rows:
@@ -576,12 +590,15 @@ class TestProfile:
         # nodes. From t=11 the split then tries the 7-sets most slack
         # first: {x1,x2,x3,x4,y1,y4,y5}, with 6 edges inside and the
         # largest cap, 12, is made interval at once at t=11 and refuted at
-        # t=12. At t=13 and 14 every 7-set is span-refuted too
+        # t=12. At t=13 and 14 every 7-set is span-refuted too. The
+        # witness carried up from the row below meets the cap 8 at t=5, 6,
+        # 8 and 9, and enters t=10 at f=7, which leaves only the 8-sets to
+        # refute there
         assert [r.mu1.nodes_visited for r in petersen_profile.rows] == [0] * 12
         assert [r.mu2.nodes_visited for r in petersen_profile.rows] == [
-            0, 26, 75, 569, 1_488, 1_938, 1_817, 401, 2_178, 0, 0, 0]
+            0, 0, 0, 569, 0, 0, 1_696, 401, 2_178, 0, 0, 0]
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in petersen_profile.rows) == 8_492
+                   for r in petersen_profile.rows) == 4_844
 
     def test_memos_live_in_module_caches_only(self, P):
         # a repetition that starts from cleared module-level lru_caches
@@ -611,11 +628,11 @@ class TestProfile:
         again = profile(g)
         assert again.to_dict() == first.to_dict()
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in again.rows) == 8_492
+                   for r in again.rows) == 4_844
 
     @pytest.mark.parametrize("g, nodes", [
-        (hypercube(3), 2_570),  # 3,453 in table order
-        (complete_bipartite(3, 4), 5_162),  # 6,397 in table order
+        (hypercube(3), 281),
+        (complete_bipartite(3, 4), 3_720),
     ], ids=["Q3", "K3,4"])
     def test_family_node_totals_are_pinned(self, g, nodes):
         # the split's span rule refutes sets at 0 nodes, also where an
@@ -625,13 +642,13 @@ class TestProfile:
 
     @pytest.mark.parametrize("g, cfg, nodes, exact", [
         (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000),
-         92_786, 14),
+         82_060, 14),
         (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
-         52_640, 25),
+         44_833, 25),
         (delete_vertex(petersen(), "x1"), BARE.replace(node_limit=20_000),
-         106_201, 13),
+         103_209, 13),
         (complete_bipartite(4, 4), BARE.replace(node_limit=20_000),
-         110_968, 23),
+         103_193, 23),
     ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
     def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
         # P - x1 is not edge-transitive, so each of its mu2 cells is one
@@ -688,7 +705,7 @@ class TestProfile:
                       SearchConfig(node_limit=20_000)).to_dict()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == (
-            "0dae95ac0c65daff1117ce55d6612ab9375be1aac7e733be3904f1a4a9aed7d1")
+            "f5f6c397c7d26e91b9d20b7f6da7681819fa0c4d1cc0d0a7a66de41862fb817c")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -738,7 +755,7 @@ class TestProfile:
                 assert naive_valid(bare.graph, out.witness)
                 assert naive_f(bare.graph, out.witness) == attained
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
-                   for r in bare.rows) == 53_909
+                   for r in bare.rows) == 49_557
 
     def test_theorem_family_records_replay(self):
         # every interval-set-orbits record of these cells replays: each set
@@ -802,6 +819,120 @@ class TestProfile:
         assert doc["t_range"] == [4, 15]
         assert len(doc["rows"]) == 12
         assert set(doc["aggregates"]) == {"mu11", "mu12", "mu21", "mu22"}
+
+
+#: The graphs the carry move is checked on, built on use: the bridge
+#: graph lives in test_structural, which imports this module.
+CARRY_GRAPHS = {
+    "petersen": petersen,
+    "K4,4": lambda: complete_bipartite(4, 4),
+    "GP(5,1)": lambda: generalized_petersen(5, 1),
+    "P-x1": lambda: delete_vertex(petersen(), "x1"),
+    "C5": lambda: cycle(5),
+    "K5": lambda: complete(5),
+    "bridge": lambda: importlib.import_module("test_structural").bridge_cubic(),
+}
+
+
+class TestCarry:
+    """``profile`` carries each row's witness up one t: ``_carry_up``'s
+    best one-move image enters the next row's solve as its incumbent."""
+
+    @pytest.mark.parametrize("name", list(CARRY_GRAPHS))
+    def test_move_is_the_first_best_image(self, name):
+        # against every (e, p) image built and scored from the definition:
+        # the move is valid at t+1, its f is the best there is, ties go to
+        # the first image in the order tried, a goal stops the walk at the
+        # first image that reaches it, and there is no move exactly when
+        # every color class is one edge (at t = m)
+        g = CARRY_GRAPHS[name]()
+        checked = 0
+        for t in legal_t_range(g):
+            for c in sample(g, t, seed=t, count=2):
+                images = naive_carry_up(g, c)
+                singles = len(set(c.colors)) == g.m
+                assert (images == []) is singles is (t == g.m)
+                for mu2 in (True, False):
+                    def score(f):
+                        return f if mu2 else g.n - f
+
+                    moved = _carry_up(g, c, mu2, g.n)
+                    if singles:
+                        assert moved is None
+                        continue
+                    image, e, p = moved
+                    assert image.t == t + 1 and naive_valid(g, image)
+                    top = max(score(f) for f, *_ in images)
+                    assert score(naive_f(g, image)) == top
+                    assert next((e2, p2, im) for f, e2, p2, im in images
+                                if score(f) == top) == (e, p, image)
+                    _, *first = _carry_up(g, c, mu2, top - 1)
+                    assert next([e2, p2] for f, e2, p2, _ in images
+                                if score(f) >= top - 1) == first
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("g, cfg", [
+        (petersen(), SearchConfig(node_limit=PROFILE_NODE_LIMIT)),
+        (petersen(), BARE.replace(node_limit=20_000)),
+        (complete_bipartite(4, 4), SearchConfig(node_limit=20_000)),
+        (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000)),
+        (generalized_petersen(5, 1), SearchConfig(node_limit=20_000)),
+    ], ids=["P", "P-bare", "K4,4", "Px1", "GP(5,1)"])
+    def test_carry_never_loosens_a_cell(self, g, cfg):
+        # each profile row lies inside the standalone solve of its cell,
+        # and each witness attains its bound, checked from the definition
+        wrong = []
+        for row in profile(g, cfg).rows:
+            for out in (row.mu1, row.mu2):
+                alone = solve(g, row.t, out.objective, cfg)
+                if not alone.lo <= out.lo <= out.hi <= alone.hi:
+                    wrong.append(f"t={row.t} {out.objective.value}: "
+                                 f"[{out.lo}, {out.hi}] against "
+                                 f"[{alone.lo}, {alone.hi}]")
+                if out.witness is not None and not (
+                        naive_valid(g, out.witness)
+                        and naive_f(g, out.witness) == out.witness_f):
+                    wrong.append(f"t={row.t} {out.objective.value}: witness")
+        assert wrong == []
+
+    @pytest.mark.parametrize("g, mu21", [
+        (generalized_petersen(5, 1), 6),
+        (generalized_petersen(8, 3), 11),
+    ], ids=["GP(5,1)", "GP(8,3)"])
+    def test_carry_closes_frontier_aggregates(self, g, mu21):
+        # solved row by row from nothing, these stay at [5, 6] and [9, 11]
+        prof = profile(g)
+        assert (prof.mu21.lo, prof.mu21.hi) == (mu21, mu21)
+
+    def test_carried_witness_names_its_move(self, P, petersen_profile):
+        # mu2(P,9) closes on the witness carried from t=8 at the cap 8,
+        # with no search; the evidence names the move and the witness
+        # shows it. Every certificate entry lies on its side of its cell
+        out = petersen_profile.row(9).mu2
+        assert (out.value, out.nodes_visited, out.closed_by) == (
+            8, 0, "bounds-closed")
+        (carried,) = [e for e in out.evidence if "carried" in e.detail]
+        assert (carried.kind, carried.value, carried.detail) == (
+            EvidenceKind.CERTIFICATE_LOWER_BOUND, 8,
+            "coloring carried from t=8 achieves f=8 at t=9: "
+            "edge y2-y4 takes color 1")
+        assert out.witness.colors[P.edge_keys["y2-y4"]] == 1
+        for row in petersen_profile.rows:
+            for o in (row.mu1, row.mu2):
+                for e in o.evidence:
+                    if e.kind is EvidenceKind.CERTIFICATE_LOWER_BOUND:
+                        assert o.objective is Objective.MU2 and e.value <= o.lo
+                    if e.kind is EvidenceKind.CERTIFICATE_UPPER_BOUND:
+                        assert o.objective is Objective.MU1 and e.value >= o.hi
+
+    def test_carry_must_be_a_valid_coloring_one_t_below(self, P):
+        (c,) = sample(P, 8)
+        with pytest.raises(ValueError, match="carry must be a 9-coloring"):
+            solve(P, 10, Objective.MU2, carry=c)
+        bad = EdgeColoring(t=8, colors=(1,) * P.m)
+        with pytest.raises(InvalidColoringError, match="share color 1"):
+            solve(P, 9, Objective.MU2, BARE, carry=bad)
 
 
 class TestSample:
