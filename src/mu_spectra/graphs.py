@@ -496,7 +496,9 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
     the last level may hold part of its orbit. Levels past the end hold
     their edge alone. A part of an orbit is all the users need: the
     search kernel's floors are sound on any part (see ``_search``), and
-    ``_subset_orbits`` walks only a graph whose level 0 holds every edge.
+    the maps of a cut chain generate a subgroup of Aut(g), whose finer
+    orbits ``_subset_orbits`` and ``_vertex_orbits`` may use as they are
+    (see ``_generators``).
     """
     n, nb, edges = g.n, g.neighbors, g.edges
     img = [0] * n
@@ -574,21 +576,42 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
+def _generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The maps of every level of ``_orbit_chain`` for the edge order
+    0..m-1, level by level in depth order, identities left out: the one
+    list of maps that ``_chunk_images`` and ``_vertex_orbits`` share.
+
+    Level l holds one map of G_l per edge of ``order[l]``'s orbit, a
+    transversal of G_{l+1} in G_l, and the chain runs down to a G_l that
+    fixes every vertex: on a connected graph with three vertices or more,
+    fixing every edge setwise fixes every vertex. So each automorphism is
+    a product of one map per level, and the maps generate Aut(g). The one
+    other connected graph, K_2, is given the swap of its ends, which
+    fixes its edge. A chain cut by ``_AUTOMORPHISM_BUDGET`` gives maps
+    that generate only a subgroup, whose orbits are finer: more classes,
+    each still inside one orbit of Aut(g).
+    """
+    if g.n == 2:
+        return ((1, 0),)
+    chain = _orbit_chain(g, 0, tuple(range(g.m)), g.m)
+    return tuple(img for lvl, level in enumerate(chain)
+                 for d, img in level.items() if d != lvl)
+
+
+@lru_cache(maxsize=None)
 def _chunk_images(g: Graph) -> tuple[tuple[int, list[tuple[int, ...]]], ...]:
-    """The maps of level 0 of ``_orbit_chain`` in edge order, as lookup
-    tables on 6-bit chunks of a vertex mask: one ``(shift, table)`` per
-    chunk, where entry c of the table holds the images of the mask
-    ``c << shift`` under the maps for edges 1..m-1, in that order.
+    """The maps of ``_generators`` as lookup tables on 6-bit chunks of a
+    vertex mask: one ``(shift, table)`` per chunk, where entry c of the
+    table holds the images of the mask ``c << shift`` under each map, in
+    that order.
 
     A map permutes the vertices, so the images of disjoint chunks are
     disjoint and their OR is the image of the whole mask. Built once per
-    graph and shared by every k; the caller checks that level 0 holds
-    every edge. A table has at most 64 entries, built bit by bit: the
-    entries with a bit set are those without it, each with the images of
-    that bit added.
+    graph and shared by every k. A table has at most 64 entries, built bit
+    by bit: the entries with a bit set are those without it, each with the
+    images of that bit added.
     """
-    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
-    maps = [orbit[ei] for ei in range(1, g.m)]
+    maps = _generators(g)
     chunks = []
     for shift in range(0, g.n, 6):
         table = [(0,) * len(maps)]
@@ -607,26 +630,24 @@ _or_rows = partial(map, or_)
 @lru_cache(maxsize=None)
 def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
-    maps of level 0 of ``_orbit_chain`` in edge order, or None.
+    maps of ``_generators``, or None when C(n,k) exceeds
+    ``_SUBSET_ORBIT_BUDGET``.
 
     A walk from each subset not yet reached applies every map to every
-    subset it reaches, which closes its orbit; the group is never listed.
-    The images of a subset under all maps come from ``_chunk_images``,
-    one row per 6-bit chunk of the mask, OR-ed together, in place of one
-    image bit set per vertex and map: the images are the same, in the
-    same map order, and so is the walk, so the dict is the same, in the
-    same order. Subsets are tried in ``itertools.combinations`` order, and
-    each walk starts at its representative, so the representatives, the
-    masks that map to themselves, come in that order, each the
-    lexicographically least index set of its orbit. The maps may generate
-    only a subgroup of Aut(g), whose orbits can be finer: more
+    subset it reaches, which closes its orbit under the group the maps
+    generate; the group is never listed. The images of a subset under all
+    maps come from ``_chunk_images``, one row per 6-bit chunk of the mask,
+    OR-ed together, in place of one image bit set per vertex and map: the
+    images are the same, in the same map order, and so is the walk.
+    Subsets are tried in ``itertools.combinations`` order, and each walk
+    starts at its representative, so the representatives, the masks that
+    map to themselves, come in that order, each the lexicographically
+    least index set of its orbit. The orbits are those of Aut(g), or of a
+    subgroup when the finder's budget cut the chain: then there are more
     representatives, each still one per orbit of that subgroup, so every
-    k-subset is an automorphic image of one of them. None when edge 0's
-    orbit misses an edge (g is not edge-transitive, or the finder's budget
-    ran out) or C(n,k) exceeds ``_SUBSET_ORBIT_BUDGET``.
+    k-subset is an automorphic image of one of them.
     """
-    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
-    if len(orbit) < g.m or math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
+    if math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
     chunks = _chunk_images(g)
     rep_of: dict[int, int] = {}
@@ -646,14 +667,14 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
 
 
 def _vertex_orbits(g: Graph) -> tuple[int, ...]:
-    """Each vertex's orbit under the maps of level 0 of ``_orbit_chain`` in
-    edge order, named by its least vertex index.
+    """Each vertex's orbit under the maps of ``_generators``, named by its
+    least vertex index.
 
     A union-find joins each vertex with its image under every map, so each
-    class is an orbit of the group the maps generate. That group may be
-    only a subgroup of Aut(g), whose orbits are finer: each class lies
-    inside one orbit of Aut(g), and one of these may split into several
-    classes. g must have an edge.
+    class is an orbit of the group the maps generate: Aut(g), or a
+    subgroup when the finder's budget cut the chain, whose orbits are
+    finer, so each class lies inside one orbit of Aut(g) and one of these
+    may split into several classes. g must have an edge.
     """
     root = list(range(g.n))
 
@@ -662,7 +683,7 @@ def _vertex_orbits(g: Graph) -> tuple[int, ...]:
             root[x] = x = root[root[x]]
         return x
 
-    for img in _orbit_chain(g, 0, tuple(range(g.m)), 1)[0].values():
+    for img in _generators(g):
         for x, y in enumerate(img):
             a, b = find(x), find(y)
             if a != b:  # the root of a class is its least vertex

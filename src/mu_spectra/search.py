@@ -24,15 +24,15 @@ its required vertex set ``req`` and looks for a valid coloring that makes
 all of it interval (``req=0``: any valid coloring). The kernel's docstring
 states each rule and why it is sound.
 
-On an edge-transitive graph ``solve`` decides mu2 from the top down
-instead of raising an incumbent: "f >= k" holds exactly when some k-set
-of vertices is interval under some valid coloring, automorphisms carry
-interval sets onto interval sets, so one k-set per orbit decides it. The
-sets are tried most slack first: fewest edges inside the set, then the
-largest span cap, then the orbit table's order. Any order is sound, since
-k is refuted only after every set was tried once; this one lets an easy
-set close the cell before the hard ones are paid. Before its run, a set
-S is refuted at 0 nodes by the span rule when t exceeds
+With symmetry on, ``solve`` decides mu2 from the top down instead of
+raising an incumbent: "f >= k" holds exactly when some k-set of vertices
+is interval under some valid coloring, automorphisms carry interval sets
+onto interval sets, so one k-set per orbit decides it. The sets are
+tried most slack first: fewest edges inside the set, then the largest
+span cap, then the orbit table's order. Any order is sound, since k is
+refuted only after every set was tried once; this one lets an easy set
+close the cell before the hard ones are paid. Before its run, a set S
+is refuted at 0 nodes by the span rule when t exceeds
 ``structural.span_cap(g, S)``: colors climb by at most deg - 1 across
 each interval vertex of a path inside a component of G[S], so the colors
 at each component span a bounded range, and each edge outside S adds one
@@ -41,8 +41,11 @@ color more. Every other set is decided by a decision run with the set as
 the set's vertices first and, at each of them, tries only the colors
 that keep the vertex's span within its degree (the window mask), so
 those runs neither make nor count a child that would doom one. Each
-refuted k is recorded as interval-set-orbits evidence, which names each
-set as its own core, with its ``span_cap`` when the span rule refuted it.
+refuted k is recorded as interval-set-orbits evidence, which lists the
+sets and, per set, its ``span_cap`` when the span rule refuted it. The
+orbits are those of the maps of every level of the automorphism chain
+(``graphs._generators``), which generate Aut(G); the split leaves a k to
+one plain optimizing run only when there are too many k-sets to walk.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -106,10 +109,10 @@ class SearchConfig(Record):
     edge's orbit, under the automorphisms that fix the run's required set
     and the earlier edges, held at or above that edge's color; color 1
     alone when the first orbit is every edge) and the interval-set split
-    of mu2 on edge-transitive graphs. It governs the search's symmetry
-    rules only: a structural premise may use automorphisms to shorten its
-    own proof (``mu22_cap_cubic`` deletes one vertex per orbit), with the
-    same value either way.
+    of mu2. It governs the search's symmetry rules only: a structural
+    premise may use automorphisms to shorten its own proof
+    (``mu22_cap_cubic`` deletes one vertex per orbit), with the same value
+    either way.
     ``seed_fixtures`` and ``use_structural_bounds`` install the entering
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every
@@ -454,12 +457,12 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     close the cell before the hard ones are paid. The first coloring
     found has f = k, since hi is a cap, and closes the cell; when every
     representative fails, hi drops to k-1 and an interval-set-orbits
-    record lists them, in the order tried, with their nodes and each as
-    its own core. Without an incumbent, a first-solution run (``req=0``)
+    record lists them, in the order tried, with their nodes and their
+    span caps. Without an incumbent, a first-solution run (``req=0``)
     supplies one. The split stops at the first k where C(n,k) is too
-    large to walk or g has no edge maps (the table is None), hi included,
-    and leaves the rest to ``solve``'s plain run. It reaches the kernel,
-    the node budget and the clock only through ``run``.
+    large to walk (the table is None), hi included, and leaves the rest
+    to ``solve``'s plain run. It reaches the kernel, the node budget and
+    the clock only through ``run``.
 
     With ``spans`` (the solve's ``use_structural_bounds``), each
     representative S is first checked by the span rule, before any run:
@@ -467,7 +470,8 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     (along a path inside a component of G[S] each vertex lets the colors
     climb by at most its degree minus 1, which bounds the colors at that
     component, and each edge with no endpoint in S holds one color). S is
-    refuted at 0 nodes and recorded with ``{"core": S, "span_cap": cap}``.
+    refuted at 0 nodes, and the record's ``span_caps`` entry for S is that
+    cap; the entry of a set that a run refuted is None.
     Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
     None when the plain kernel must decide f >= hi, and otherwise the
     cell is closed at best == hi.
@@ -483,19 +487,19 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         if orbit_of is None:
             return best, k, None
         reps = _slack_order(g, [s for s, r in orbit_of.items() if s == r])
-        spent, why = [], []
+        spent, caps = [], []
         for req in reps:
             if spans and t > (cap := span_cap(g, req)):
-                used, note = 0, {"span_cap": cap}
+                used = 0
             else:
                 _, used, tag = run(req=req)
                 if tag == "budget":
                     return best, k, tag
                 if tag == "bound-met":  # a witness with f = k
                     return k, k, tag
-                note = {}
+                cap = None
             spent.append(used)
-            why.append({"core": list(set_labels(g, req)), **note})
+            caps.append(cap)
         evidence.append(BoundEvidence(
             kind=EvidenceKind.INTERVAL_SET_ORBITS,
             value=k - 1,
@@ -506,7 +510,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
             payload={"k": k,
                      "representatives": [list(set_labels(g, s)) for s in reps],
                      "nodes": spent,
-                     "cores": why}))
+                     "span_caps": caps}))
     return best, best, "exhausted"
 
 

@@ -215,9 +215,10 @@ def mu22_cap_cubic(g: Graph) -> BoundEvidence:
 
     An automorphism s of g maps g - v onto g - s(v), so the chromatic index
     of a deletion is the same across each vertex orbit, and one deletion
-    per orbit decides it (``_vertex_orbits``). Those orbits come from maps
-    that may generate only a subgroup of Aut(g), whose orbits are finer:
-    that costs more deletions, never a wrong index. A vertex whose orbit's
+    per orbit decides it (``_vertex_orbits``). Those are the orbits of
+    Aut(g), or of a subgroup when the automorphism finder's budget cut its
+    chain, whose orbits are finer: that costs more deletions, never a
+    wrong index. A vertex whose orbit's
     first deletion raised is deleted itself, so each such vertex names its
     own failure. The payload gives one index per vertex, in vertex order.
     """

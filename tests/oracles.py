@@ -17,7 +17,7 @@ from mu_spectra import (BoundEvidence, EdgeColoring, EvidenceKind, Graph,
                         GraphError, chromatic_index, complete, cycle,
                         delete_vertex, full_set, path)
 from mu_spectra import graphs as graphs_module
-from mu_spectra.graphs import _orbit_chain, _subsets
+from mu_spectra.graphs import _generators, _subsets
 from mu_spectra.structural import _require_cubic_class_two
 
 
@@ -232,13 +232,12 @@ def naive_edge_transitive(g: Graph) -> bool:
 def naive_subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """``graphs._subset_orbits`` as a walk that moves a mask one bit at a
     time: every k-subset mask mapped to the first subset, in combinations
-    order, of its orbit under the maps of level 0 of ``_orbit_chain`` in
-    edge order. None when that level misses an edge or C(n,k) exceeds the
-    package's ``_SUBSET_ORBIT_BUDGET``."""
-    orbit = _orbit_chain(g, 0, tuple(range(g.m)), 1)[0]
-    if len(orbit) < g.m or math.comb(g.n, k) > graphs_module._SUBSET_ORBIT_BUDGET:
+    order, of its orbit under the maps of ``_generators``, in their
+    order. None when C(n,k) exceeds the package's
+    ``_SUBSET_ORBIT_BUDGET``."""
+    if math.comb(g.n, k) > graphs_module._SUBSET_ORBIT_BUDGET:
         return None
-    maps = [orbit[ei] for ei in range(1, g.m)]
+    maps = _generators(g)
     rep_of: dict[int, int] = {}
     for rep in _subsets(full_set(g), k):
         if rep in rep_of:

@@ -410,12 +410,12 @@ class TestProfile:
 
     def test_petersen_json_output_is_pinned(self, capsys):
         # the paper's command, byte for byte: values, bounds, witnesses,
-        # cores, evidence and node counts of every cell
+        # span caps, evidence and node counts of every cell
         code, out, _ = run_cli(capsys, "profile", "--graph", "petersen",
                                "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e54e26623962333331be66bd21820245258e6fd93f746ebf9bdc9b5835d6856b")
+            "9718c18bd25239299ed2bb61ad3dd6ff085359009daf7a030265b2c098e6fc56")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

@@ -576,29 +576,19 @@ def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
 class TestSubsetOrbits:
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_representatives_against_the_full_group(self, g):
-        maps = list(edge_orbit(g).values())[1:]
+        # every k-subset maps to a representative, and each class of the
+        # table is exactly its representative's orbit under the whole
+        # group, listed from the definition, with the representative its
+        # lexicographically least index set
         autos = naive_automorphisms(g)
         for k in range(1, g.n + 1):
             orbits = _subset_orbits(g, k)
-            if not _edge_transitive(g):
-                assert orbits is None
-                continue
-            reps = representatives(orbits)
-            covered = set()
-            for rep in reps:
-                # the rep's orbit under the maps, walked independently
-                orbit, frontier = {rep}, [rep]
-                while frontier:
-                    frontier = [s for s in {_apply(img, x) for x in frontier
-                                            for img in maps} if s not in orbit]
-                    orbit.update(frontier)
-                assert orbit <= {_apply(p, rep) for p in autos}
-                assert not orbit & covered
-                # lexicographically least index set of its orbit
+            assert len(orbits) == math.comb(g.n, k)
+            for rep in representatives(orbits):
+                orbit = {_apply(p, rep) for p in autos}
+                assert {s for s, r in orbits.items() if r == rep} == orbit
                 assert min(orbit, key=lambda s: [
                     i for i in range(g.n) if s >> i & 1]) == rep
-                covered |= orbit
-            assert len(covered) == math.comb(g.n, k)
 
     def test_petersen_orbit_counts(self, P):
         # as under the full group of order 120: Petersen is distance-
@@ -624,17 +614,17 @@ class TestSubsetOrbits:
             else:
                 walked += 1
                 assert list(got.items()) == list(want.items())
-        assert walked == (0 if not _edge_transitive(g) else sum(
+        assert walked == sum(
             math.comb(g.n, k) <= graphs_module._SUBSET_ORBIT_BUDGET
-            for k in range(g.n + 1)))
+            for k in range(g.n + 1))
 
-    def test_vertex_deletions_of_petersen_have_no_table(self, P):
-        # no vertex deletion of Petersen is edge-transitive
-        for label in P.vertices:
-            h = delete_vertex(P, label)
-            for k in range(h.n + 1):
-                assert _subset_orbits(h, k) is None
-                assert naive_subset_orbits(h, k) is None
+    def test_petersen_minus_x1_orbit_counts(self, P):
+        # P - x1 is not edge-transitive, and its table is the full
+        # group's, of order 12: per k = 1..9, as counted over all 9!
+        # vertex permutations
+        h = delete_vertex(P, "x1")
+        assert [len(representatives(_subset_orbits(h, k)))
+                for k in range(1, h.n + 1)] == [2, 6, 12, 16, 16, 12, 6, 2, 1]
 
     def test_over_budget_is_none(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)
@@ -646,19 +636,28 @@ class TestSubsetOrbits:
 class TestVertexOrbits:
     @pytest.mark.parametrize("g", TRANSITIVITY_GRAPHS, ids=lambda g: g.name)
     def test_classes_lie_in_automorphism_orbits(self, g):
-        # each class is named by its least vertex, is closed under the
-        # maps of level 0, and lies inside one orbit of the full group
+        # each class is named by its least vertex and is exactly one orbit
+        # of the full group, listed from the definition
         orbits = _vertex_orbits(g)
         autos = naive_automorphisms(g)
         for x, root in enumerate(orbits):
             assert root <= x and orbits[root] == root
-            assert root in {p[x] for p in autos}
-            assert all(orbits[img[x]] == root for img in edge_orbit(g).values())
+            assert {y for y, r in enumerate(orbits) if r == root} == {
+                p[x] for p in autos}
 
     def test_petersen_is_one_class(self, P):
         relabeled = Graph.from_labels("petersen-relabeled", P.vertices[::-1],
                                       P.edge_labels[::-1])
         assert _vertex_orbits(P) == _vertex_orbits(relabeled) == (0,) * 10
+
+    def test_petersen_minus_x1_has_two_classes(self, P):
+        # x1's three neighbors, now of degree 2, and the other six
+        h = delete_vertex(P, "x1")
+        orbits = _vertex_orbits(h)
+        assert sorted(sorted(h.vertices[x] for x in range(h.n)
+                             if orbits[x] == root)
+                      for root in set(orbits)) == [
+            ["x2", "x5", "y1"], ["x3", "x4", "y2", "y3", "y4", "y5"]]
 
 
 class TestDeleteVertex:

@@ -59,11 +59,10 @@ HEAWOOD = Graph.from_labels(
 def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
     """Replay each interval-set-orbits record of a mu2 outcome.
 
-    Every listed representative must be named as its own core, and its
-    default-order req search must find no witness. One that ran must
-    spend the recorded nodes. One refuted by the span rule must have
-    spent 0 nodes and have a ``span_cap`` that recomputes to the recorded
-    value, below t.
+    Every listed representative's default-order req search must find no
+    witness. One that ran has a null span cap and must spend the recorded
+    nodes. One refuted by the span rule must have spent 0 nodes and have
+    a span cap that recomputes to the recorded value, below t.
     Returns (k, representatives) per record.
     """
     replayed = []
@@ -72,17 +71,18 @@ def replay_orbit_evidence(g, out) -> list[tuple[int, int]]:
             continue
         k = e.payload["k"]
         assert (e.applies_t, e.value) == (out.t, k - 1)
-        for labels, spent, why in zip(e.payload["representatives"],
+        assert set(e.payload) == {"k", "representatives", "nodes",
+                                  "span_caps"}
+        for labels, spent, cap in zip(e.payload["representatives"],
                                       e.payload["nodes"],
-                                      e.payload["cores"], strict=True):
+                                      e.payload["span_caps"], strict=True):
             assert len(labels) == k
-            assert why["core"] == labels and set(why) <= {"core", "span_cap"}
             s = vertex_set(g, labels)
             _, colors, nodes, tag = _search(g, out.t, req=s)
             assert (colors, tag) == (None, "exhausted")
-            if "span_cap" in why:
+            if cap is not None:
                 assert spent == 0
-                assert span_cap(g, s) == why["span_cap"] < out.t
+                assert span_cap(g, s) == cap < out.t
             else:
                 assert nodes == spent
         replayed.append((k, len(e.payload["representatives"])))
@@ -230,11 +230,13 @@ class TestPetersenSeededRuns:
          BARE.replace(use_reflection_symmetry=False), (2, 26_273, "exhausted")),
         (petersen(), 4, Objective.MU2,
          BARE.replace(use_reflection_symmetry=False), (8, 21_396, "exhausted")),
-        # P - x1 is not edge-transitive, so mu2 takes the plain run too
+        # P - x1 is not edge-transitive, and its mu2 cells take the split
+        # under its automorphism group of order 12, like every graph's;
+        # its mu1 cell is one optimizing run of n - f
         (delete_vertex(petersen(), "x1"), 7, Objective.MU2, SearchConfig(),
-         (8, 1_765, "bound-met")),
+         (8, 475, "bound-met")),
         (delete_vertex(petersen(), "x1"), 12, Objective.MU2, SearchConfig(),
-         (6, 7_627, "bound-met")),
+         (6, 30, "bound-met")),
         (delete_vertex(petersen(), "x1"), 9, Objective.MU1, SearchConfig(),
          (0, 136, "bound-met")),
     ], ids=["P-t4-mu1", "P-t4-mu2", "Px1-t7-mu2", "Px1-t12-mu2", "Px1-t9-mu1"])
@@ -287,6 +289,23 @@ class TestPetersenSeededRuns:
         assert (out.value, out.closed_by) == (8, "exhausted")
         assert [e.payload["k"] for e in out.evidence] == [10, 9]
         assert analyze(P, out.witness).f == 8
+
+    def test_split_hands_oversized_k_to_the_plain_run(self):
+        # at the default config, on GP(9,2) at t=24: the split refutes
+        # k = 17..13, and C(18,12) = 18,564 exceeds the subset budget, so
+        # one plain optimizing run takes f >= 12 and raises the first
+        # solution's 6 to 8 before the profile budget runs out
+        g = generalized_petersen(9, 2)
+        assert _subset_orbits(g, 13) is not None
+        assert _subset_orbits(g, 12) is None
+        out = solve(g, 24, Objective.MU2,
+                    SearchConfig(node_limit=PROFILE_NODE_LIMIT))
+        assert (out.lo, out.hi, out.nodes_visited, out.closed_by) == (
+            8, 12, PROFILE_NODE_LIMIT, "budget")
+        assert [e.payload["k"] for e in out.evidence
+                if e.kind is EvidenceKind.INTERVAL_SET_ORBITS] == [
+            17, 16, 15, 14, 13]
+        assert naive_f(g, out.witness) == 8
 
     def test_budget_stops_the_plain_run_after_the_split(self, P, monkeypatch):
         # as above, but the budget runs out in the plain kernel's run on
@@ -642,21 +661,21 @@ class TestProfile:
 
     @pytest.mark.parametrize("g, cfg, nodes, exact", [
         (delete_vertex(petersen(), "x1"), SearchConfig(node_limit=20_000),
-         82_060, 14),
+         4_045, 18),
         (complete_bipartite(4, 4), SearchConfig(node_limit=20_000),
-         44_833, 25),
+         37_279, 26),
         (delete_vertex(petersen(), "x1"), BARE.replace(node_limit=20_000),
-         103_209, 13),
+         13_715, 18),
         (complete_bipartite(4, 4), BARE.replace(node_limit=20_000),
-         103_193, 23),
+         89_726, 25),
     ], ids=["Px1", "K4,4", "Px1-bare", "K4,4-bare"])
     def test_frontier_node_totals_are_pinned(self, g, cfg, nodes, exact):
-        # P - x1 is not edge-transitive, so each of its mu2 cells is one
-        # optimizing run of f, a loop no Petersen cell takes; K4,4's mu2
-        # cells go to the split and its mu1 cells are optimizing runs of
-        # n - f. Most cells here stop at the budget. The span rule
-        # refutes sets of K4,4's split at 0 nodes, also where an edge lies
-        # outside the set, and so closes more of its cells
+        # the mu2 cells of both graphs go to the split, P - x1's under its
+        # group of order 12 though it is not edge-transitive, K4,4's
+        # under the whole group, with 1/1/2/2/3 orbits of 8..4-sets; the
+        # mu1 cells are optimizing runs of n - f. The span rule refutes
+        # sets of the split at 0 nodes, also where an edge lies outside
+        # the set, and so closes more of the cells
         rows = profile(g, cfg).rows
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in rows) == nodes
@@ -664,19 +683,24 @@ class TestProfile:
 
     @pytest.mark.parametrize("g, t, value, nodes", [
         (HEAWOOD, 7, 13, 2_996),
-        (complete_bipartite(4, 4), 9, 6, 10_821),
-        (complete_bipartite(4, 4), 10, 5, 25_208),
+        (complete_bipartite(4, 4), 9, 6, 9_256),
+        (complete_bipartite(4, 4), 10, 5, 21_649),
         (HEAWOOD, 13, 10, 185_594),
-    ], ids=["heawood-t7", "K4,4-t9", "K4,4-t10", "heawood-t13"])
+        (delete_vertex(petersen(), "x1"), 9, 7, 882),
+        (delete_vertex(petersen(), "x1"), 10, 6, 458),
+        (delete_vertex(petersen(), "x1"), 11, 6, 24),
+    ], ids=["heawood-t7", "K4,4-t9", "K4,4-t10", "heawood-t13",
+            "Px1-t9", "Px1-t10", "Px1-t11"])
     def test_frontier_cells_close_at_the_profile_budget(self, g, t, value,
                                                         nodes):
-        # the first two values were cross-checked with symmetry off; the
-        # kernel without the symmetry chain's deeper levels (only the orbit
-        # floor at the first edge) finds the last two as well, but only
-        # past this budget: with no node limit, in 297,468 and 206,905
-        # nodes. The chain of the split's decision runs closes each cell
-        # inside one profile cell's budget, each with a witness checked
-        # from the definition
+        # Heawood t=7, K4,4 t=9 and P - x1 t=9..11 were cross-checked with
+        # symmetry off. The kernel without the symmetry chain's deeper
+        # levels (only the orbit floor at the first edge) finds K4,4 t=10
+        # and Heawood t=13 as well, but only past this budget: with no
+        # node limit, in 297,468 and 206,905 nodes. The split closes each
+        # cell inside one profile cell's budget, P - x1's too, though that
+        # graph is not edge-transitive, each with a witness checked from
+        # the definition
         out = solve(g, t, Objective.MU2,
                     SearchConfig(node_limit=PROFILE_NODE_LIMIT))
         assert (out.lo, out.hi, out.nodes_visited) == (value, value, nodes)
@@ -699,13 +723,13 @@ class TestProfile:
         assert naive_f(g, out.witness) == 15
 
     def test_frontier_profile_is_pinned(self):
-        # K4,4's whole profile, witnesses, cores and evidence with it, not
-        # only its node total
+        # K4,4's whole profile, witnesses, span caps and evidence with it,
+        # not only its node total
         doc = profile(complete_bipartite(4, 4),
                       SearchConfig(node_limit=20_000)).to_dict()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == (
-            "f5f6c397c7d26e91b9d20b7f6da7681819fa0c4d1cc0d0a7a66de41862fb817c")
+            "39ed74322139af09bb36bb1ffcda8bd96bea4ce5c0a9d84741428fdc57074985")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -758,8 +782,8 @@ class TestProfile:
                    for r in bare.rows) == 49_557
 
     def test_theorem_family_records_replay(self):
-        # every interval-set-orbits record of these cells replays: each set
-        # is its own core, and each run spends its recorded nodes. Bare
+        # every interval-set-orbits record of these cells replays: each
+        # run spends its recorded nodes, and each span cap recomputes. Bare
         # GP(8,3) at t=24, 20,000 nodes per cell, runs all ten 13-sets
         cells = [(g, t, BARE) for g, _ in FAMILIES for t in legal_t_range(g)]
         gp = generalized_petersen(8, 3)
@@ -896,14 +920,23 @@ class TestCarry:
                     wrong.append(f"t={row.t} {out.objective.value}: witness")
         assert wrong == []
 
-    @pytest.mark.parametrize("g, mu21", [
-        (generalized_petersen(5, 1), 6),
-        (generalized_petersen(8, 3), 11),
-    ], ids=["GP(5,1)", "GP(8,3)"])
-    def test_carry_closes_frontier_aggregates(self, g, mu21):
-        # solved row by row from nothing, these stay at [5, 6] and [9, 11]
+    @pytest.mark.parametrize("g, mu21, mu22, open_cells", [
+        (generalized_petersen(5, 1), 6, 10, 0),
+        (generalized_petersen(8, 3), 11, 16, 7),
+        (delete_vertex(petersen(), "x1"), 6, 8, 0),
+        (generalized_petersen(8, 1), 11, 16, 2),
+    ], ids=["GP(5,1)", "GP(8,3)", "P-x1", "GP(8,1)"])
+    def test_carry_closes_frontier_aggregates(self, g, mu21, mu22, open_cells):
+        # at the default budget, with the carry and the split on every
+        # graph: solved row by row from nothing, GP(5,1)'s and GP(8,3)'s
+        # mu21 stay at [5, 6] and [9, 11]; without the split on graphs
+        # that are not edge-transitive, P - x1 and GP(5,1) keep open
+        # cells and GP(8,1)'s mu21 stays at [8, 11]
         prof = profile(g)
-        assert (prof.mu21.lo, prof.mu21.hi) == (mu21, mu21)
+        assert [(a.lo, a.hi) for a in (prof.mu21, prof.mu22)] == [
+            (mu21, mu21), (mu22, mu22)]
+        assert sum(not o.is_exact for r in prof.rows
+                   for o in (r.mu1, r.mu2)) == open_cells
 
     def test_carried_witness_names_its_move(self, P, petersen_profile):
         # mu2(P,9) closes on the witness carried from t=8 at the cap 8,
