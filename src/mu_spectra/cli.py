@@ -351,8 +351,9 @@ def _add_budget(p: argparse.ArgumentParser, node_limit: int | None) -> None:
                         "color at ceil(t/2), and at each depth every edge of "
                         "the depth's edge's orbit under the automorphisms "
                         "fixing the required vertex set and the earlier "
-                        "edges takes no lower color) and the split of mu2 "
-                        "by interval-set orbits. A structural premise may "
+                        "edges takes no lower color) and the orbit "
+                        "reduction of the mu2 interval-set split, which "
+                        "then tries every k-set. A structural premise may "
                         "still use automorphisms to shorten its own proof, "
                         "with the same value either way")
 

@@ -461,13 +461,13 @@ def _refine(g: Graph, color: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
-                 levels: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+def _orbit_chain(g: Graph, req: int, order: tuple[int, ...]
+                 ) -> tuple[dict[int, tuple[int, ...]], ...]:
     """The edge orbits along the stabilizer chain of an edge order.
 
-    Level l, for l < ``levels``, is the orbit of ``order[l]`` under G_l,
-    the automorphisms of g that fix the vertex mask ``req`` setwise and
-    each of ``order[0..l-1]`` setwise: a dict from the depth of each edge
+    Level l is the orbit of ``order[l]`` under G_l, the automorphisms of
+    g that fix the vertex mask ``req`` setwise and each of
+    ``order[0..l-1]`` setwise: a dict from the depth of each edge
     of the orbit to one map of G_l that sends ``order[l]`` onto it, as a
     tuple of vertex images, in depth order; depth l maps to the identity,
     and every other depth is above l, since G_l fixes the earlier edges.
@@ -535,7 +535,7 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...],
     color = _refine(g, [2 * g.degrees[x] + (req >> x & 1) for x in range(n)])
     identity = tuple(range(n))
     chain: list[dict[int, tuple[int, ...]]] = []
-    for lvl in range(min(levels, len(order))):
+    for lvl in range(len(order)):
         if lvl:  # G_lvl also fixes order[lvl-1] setwise
             p, q = edges[order[lvl - 1]]
             color = _refine(g, [2 * c + (x == p or x == q)
@@ -593,25 +593,26 @@ def _generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """
     if g.n == 2:
         return ((1, 0),)
-    chain = _orbit_chain(g, 0, tuple(range(g.m)), g.m)
+    chain = _orbit_chain(g, 0, tuple(range(g.m)))
     return tuple(img for lvl, level in enumerate(chain)
                  for d, img in level.items() if d != lvl)
 
 
 @lru_cache(maxsize=None)
-def _chunk_images(g: Graph) -> tuple[tuple[int, list[tuple[int, ...]]], ...]:
-    """The maps of ``_generators`` as lookup tables on 6-bit chunks of a
-    vertex mask: one ``(shift, table)`` per chunk, where entry c of the
-    table holds the images of the mask ``c << shift`` under each map, in
-    that order.
+def _chunk_images(g: Graph, symmetric: bool
+                  ) -> tuple[tuple[int, list[tuple[int, ...]]], ...]:
+    """The maps of ``_generators``, or no maps when not ``symmetric``, as
+    lookup tables on 6-bit chunks of a vertex mask: one ``(shift, table)``
+    per chunk, where entry c of the table holds the images of the mask
+    ``c << shift`` under each map, in that order.
 
     A map permutes the vertices, so the images of disjoint chunks are
     disjoint and their OR is the image of the whole mask. Built once per
-    graph and shared by every k. A table has at most 64 entries, built bit
-    by bit: the entries with a bit set are those without it, each with the
-    images of that bit added.
+    (g, symmetric) and shared by every k. A table has at most 64 entries,
+    built bit by bit: the entries with a bit set are those without it,
+    each with the images of that bit added.
     """
-    maps = _generators(g)
+    maps = _generators(g) if symmetric else ()
     chunks = []
     for shift in range(0, g.n, 6):
         table = [(0,) * len(maps)]
@@ -628,10 +629,11 @@ _or_rows = partial(map, or_)
 
 
 @lru_cache(maxsize=None)
-def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
+def _subset_orbits(g: Graph, k: int, symmetric: bool) -> dict[int, int] | None:
     """Every k-subset mask mapped to its orbit's representative under the
     maps of ``_generators``, or None when C(n,k) exceeds
-    ``_SUBSET_ORBIT_BUDGET``.
+    ``_SUBSET_ORBIT_BUDGET``. When not ``symmetric`` there are no maps,
+    and every k-subset is its own representative.
 
     A walk from each subset not yet reached applies every map to every
     subset it reaches, which closes its orbit under the group the maps
@@ -649,7 +651,7 @@ def _subset_orbits(g: Graph, k: int) -> dict[int, int] | None:
     """
     if math.comb(g.n, k) > _SUBSET_ORBIT_BUDGET:
         return None
-    chunks = _chunk_images(g)
+    chunks = _chunk_images(g, symmetric)
     rep_of: dict[int, int] = {}
     for rep in _subsets(full_set(g), k):
         if rep in rep_of:
@@ -826,7 +828,7 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     stabilizer chain. Let G_l be the automorphisms of g that fix ``req``
     setwise and each of ``order[0..l-1]`` setwise (G_0 is all of Aut(g) at
     ``req=0``), and O_l the orbit of ``order[l]`` under G_l, level l of
-    ``_orbit_chain(g, req, order, m)``. At level 0, ``order[0]`` takes
+    ``_orbit_chain(g, req, order)``. At level 0, ``order[0]`` takes
     colors <= ceil(t/2) only, the reflection cut; at each level l, the
     color ``order[l]`` takes is a floor for every other edge of O_l, its
     mates: the colors >= it are ANDed into each mate's step mask as the
@@ -872,7 +874,9 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
 
     A first-solution run (``mu2=None`` with ``req=0``) ends at its first
     leaf, so deeper floors could only move that leaf; it takes level 0
-    alone, the levels of any prefix being sound by the same induction.
+    alone, the levels of any prefix being sound by the same induction. It
+    reads that level off the whole chain, which every other run of the
+    same (g, req, order) shares.
     Its color-1 subtree of ``order[0]`` keeps every child, and without
     ``rng`` colors are tried lowest first, so a first-solution run that
     ends inside that subtree runs and returns exactly as it would with the
@@ -895,9 +899,10 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     first_mask = full
     mates: list[tuple[int, ...]] = []  # per level, the depths of its mates
     if reflect:
-        levels = 1 if mu2 is None and not req else m  # first solution: 1
-        mates = [tuple(level)[1:]
-                 for level in _orbit_chain(g, req, tuple(order), levels)]
+        chain = _orbit_chain(g, req, tuple(order))
+        if mu2 is None and not req:  # a first solution: level 0 alone
+            chain = chain[:1]
+        mates = [tuple(level)[1:] for level in chain]
         cap = m - len(mates[0])  # m - |O_0| + 1
         first_mask = (1 << min((t + 1) // 2, cap)) - 1
     last_at = [0] * n  # depth at which each vertex gets its last edge

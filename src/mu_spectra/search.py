@@ -24,28 +24,30 @@ its required vertex set ``req`` and looks for a valid coloring that makes
 all of it interval (``req=0``: any valid coloring). The kernel's docstring
 states each rule and why it is sound.
 
-With symmetry on, ``solve`` decides mu2 from the top down instead of
-raising an incumbent: "f >= k" holds exactly when some k-set of vertices
-is interval under some valid coloring, automorphisms carry interval sets
-onto interval sets, so one k-set per orbit decides it. The sets are
-tried most slack first: fewest edges inside the set, then the largest
-span cap, then the orbit table's order. Any order is sound, since k is
-refuted only after every set was tried once; this one lets an easy set
-close the cell before the hard ones are paid. Before its run, a set S
-is refuted at 0 nodes by the span rule when t exceeds
-``structural.span_cap(g, S)``: colors climb by at most deg - 1 across
-each interval vertex of a path inside a component of G[S], so the colors
-at each component span a bounded range, and each edge outside S adds one
-color more. Every other set is decided by a decision run with the set as
-``req``, which never dooms a vertex of the set: it colors the edges at
-the set's vertices first and, at each of them, tries only the colors
-that keep the vertex's span within its degree (the window mask), so
-those runs neither make nor count a child that would doom one. Each
-refuted k is recorded as interval-set-orbits evidence, which lists the
-sets and, per set, its ``span_cap`` when the span rule refuted it. The
-orbits are those of the maps of every level of the automorphism chain
-(``graphs._generators``), which generate Aut(G); the split leaves a k to
-one plain optimizing run only when there are too many k-sets to walk.
+``solve`` decides mu2 from the top down instead of raising an incumbent:
+"f >= k" holds exactly when some k-set of vertices is interval under
+some valid coloring, automorphisms carry interval sets onto interval
+sets, so one k-set per orbit decides it; with symmetry off every k-set
+is tried, each its own representative. The sets are tried most slack
+first: fewest edges inside the set, then the largest span cap, then the
+orbit table's order. Any order is sound, since k is refuted only after
+every set was tried once; this one lets an easy set close the cell
+before the hard ones are paid. Before its run, a set S is refuted at 0
+nodes by the span rule when t exceeds ``structural.span_cap(g, S)``:
+colors climb by at most deg - 1 across each interval vertex of a path
+inside a component of G[S], so the colors at each component span a
+bounded range, and each edge outside S adds one color more. Every other
+set is decided by a decision run with the set as ``req``, which never
+dooms a vertex of the set: it colors the edges at the set's vertices
+first and, at each of them, tries only the colors that keep the vertex's
+span within its degree (the window mask), so those runs neither make nor
+count a child that would doom one. Each refuted k is recorded as
+interval-set-orbits evidence, which lists the sets and, per set, its
+``span_cap`` when the span rule refuted it. The orbits are those of the
+maps of every level of the automorphism chain (``graphs._generators``),
+which generate Aut(G); the split leaves a k to one plain optimizing run
+only when there are too many k-sets to walk, a choice made from C(n,k)
+alone, in every config.
 
 Runs may be seeded with catalog colorings and structural bounds; when the
 resulting lower and upper bounds meet, the outcome is exact without any
@@ -108,11 +110,12 @@ class SearchConfig(Record):
     by reflection, and at each depth every other edge of that depth's
     edge's orbit, under the automorphisms that fix the run's required set
     and the earlier edges, held at or above that edge's color; color 1
-    alone when the first orbit is every edge) and the interval-set split
-    of mu2. It governs the search's symmetry rules only: a structural
-    premise may use automorphisms to shorten its own proof
-    (``mu22_cap_cubic`` deletes one vertex per orbit), with the same value
-    either way.
+    alone when the first orbit is every edge) and the orbit reduction of
+    the interval-set split of mu2, which without it tries every k-set. It
+    chooses no algorithm: mu2 goes to the split either way. It governs
+    the search's symmetry rules only: a structural premise may use
+    automorphisms to shorten its own proof (``mu22_cap_cubic`` deletes
+    one vertex per orbit), with the same value either way.
     ``seed_fixtures`` and ``use_structural_bounds`` install the entering
     bounds: catalog colorings (Petersen only) as incumbent witnesses, and
     the structural caps on mu2 and floors on mu1. Both are sound, so every
@@ -278,18 +281,19 @@ def solve(g: Graph, t: int, objective: Objective,
     the budget runs out, in which case the outcome carries the tightest
     (lo, hi) established.
 
-    mu2 with symmetry on goes to the split first (``_descend``), which
-    applies when the k-sets at hi have an orbit table: k runs from hi
-    down, each "f >= k" decided on one k-set per orbit, each refuted k a
-    new hi with its evidence, until a witness closes the cell or the
-    k-sets grow too many to walk. The plain kernel decides what the split
-    leaves, or the whole cell where it does not apply, in one optimizing
-    run with goal hi. Every kernel run of the solve goes through ``run``,
-    which takes the kernel's job arguments (``req`` for a decision run,
-    the score's ``mu2``, ``best`` and ``goal`` for an optimizing one),
-    starts no run once the deadline has passed, spends what is left of the
-    one node budget and makes any coloring it finds the witness; a budget
-    or time stop leaves the refuted hi and the incumbent witness.
+    mu2 goes to the split first (``_descend``), which applies when the
+    k-sets at hi have an orbit table: k runs from hi down, each "f >= k"
+    decided on one k-set per orbit (every k-set with symmetry off), each
+    refuted k a new hi with its evidence, until a witness closes the cell
+    or the k-sets grow too many to walk. The plain kernel decides what
+    the split leaves, or the whole cell where it does not apply, in one
+    optimizing run with goal hi. Every kernel run of the solve goes
+    through ``run``, which takes the kernel's job arguments (``req`` for
+    a decision run, the score's ``mu2``, ``best`` and ``goal`` for an
+    optimizing one), starts no run once the deadline has passed, spends
+    what is left of the one node budget and makes any coloring it finds
+    the witness; a budget or time stop leaves the refuted hi and the
+    incumbent witness.
     """
     _require_legal_t(g, t)
     if carry is not None and carry.t != t - 1:
@@ -362,9 +366,10 @@ def solve(g: Graph, t: int, objective: Objective,
             return score, used, tag
 
         tag = None
-        if mu2 and cfg.use_reflection_symmetry:
+        if mu2:
             best, hi, tag = _descend(g, t, best, hi, run, evidence,
-                                     cfg.use_structural_bounds)
+                                     cfg.use_structural_bounds,
+                                     cfg.use_reflection_symmetry)
         if tag is None:
             best, _, tag = run(mu2, best, hi)
         if tag != "budget":  # exhausted or bound-met: best is the optimum
@@ -442,16 +447,18 @@ def _carry_up(g: Graph, c: EdgeColoring, mu2: bool, goal: int
 
 
 def _descend(g: Graph, t: int, best: int, hi: int, run,
-             evidence: list[BoundEvidence], spans: bool):
+             evidence: list[BoundEvidence], spans: bool, symmetric: bool):
     """Lower mu2's hi by deciding "f >= k" one interval-set orbit at a time.
 
     f >= k holds exactly when some k-set S is interval under some valid
     coloring, and an automorphism s turns a coloring with interval set T
     into one with interval set s(T), so one S per orbit of k-sets decides
-    it: the representatives are the masks that ``_subset_orbits(g, k)``
-    maps to themselves, tried most slack first (``_slack_order``: fewest
-    edges inside S, then the largest span cap, then the table's order),
-    and each is one decision ``run`` with ``req=S``. Any order is sound,
+    it: the representatives are the masks that
+    ``_subset_orbits(g, k, symmetric)`` maps to themselves, every k-set
+    when not ``symmetric`` (the solve's ``use_reflection_symmetry``).
+    They are tried most slack first (``_slack_order``: fewest edges
+    inside S, then the largest span cap, then the table's order), and
+    each is one decision ``run`` with ``req=S``. Any order is sound,
     since every representative is tried exactly once before k is
     refuted; the order only lets a set that is easy to make interval
     close the cell before the hard ones are paid. The first coloring
@@ -471,19 +478,21 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     climb by at most its degree minus 1, which bounds the colors at that
     component, and each edge with no endpoint in S holds one color). S is
     refuted at 0 nodes, and the record's ``span_caps`` entry for S is that
-    cap; the entry of a set that a run refuted is None.
+    cap; the entry of a set that a run refuted is None. At k = n the one
+    set is V, so above ``span_cap(g, V)`` the split caps f at n - 1 with
+    no search.
     Returns ``(best, hi, tag)``: tag "budget" on a budget or time stop,
     None when the plain kernel must decide f >= hi, and otherwise the
     cell is closed at best == hi.
     """
-    if _subset_orbits(g, hi) is None:
+    if _subset_orbits(g, hi, symmetric) is None:
         return best, hi, None
     if best < 0:
         best, _, tag = run(req=0)
         if tag == "budget":
             return best, hi, tag
     for k in range(hi, best, -1):
-        orbit_of = _subset_orbits(g, k)
+        orbit_of = _subset_orbits(g, k, symmetric)
         if orbit_of is None:
             return best, k, None
         reps = _slack_order(g, [s for s, r in orbit_of.items() if s == r])
@@ -505,8 +514,10 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
             value=k - 1,
             applies_t=t,
             detail=(f"no valid {t}-coloring makes a whole {k}-set of "
-                    f"vertices interval ({len(reps)} sets tried, one per "
-                    f"orbit under automorphisms), so f <= {k - 1} at t={t}"),
+                    f"vertices interval ({len(reps)} sets tried, "
+                    + ("one per orbit under automorphisms" if symmetric
+                       else f"every {k}-set")
+                    + f"), so f <= {k - 1} at t={t}"),
             payload={"k": k,
                      "representatives": [list(set_labels(g, s)) for s in reps],
                      "nodes": spent,

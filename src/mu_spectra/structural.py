@@ -22,7 +22,9 @@ The arguments mechanized here:
   colors at each component of G[S] span a bounded range, and each edge
   outside S holds one color: a vertex set S is interval under no valid
   t-coloring once t exceeds ``span_cap(g, S)``, the sum of those (after
-  Asratian & Kamalian, JCTB 62, 1994); with S = V, f <= |V|-1 there.
+  Asratian & Kamalian, JCTB 62, 1994). ``span_cap`` emits no evidence of
+  its own: the interval-set split of ``search`` applies it to each set it
+  tries, and its one k = n set, V, makes the f <= |V|-1 refutation.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class EvidenceKind(Enum):
     CERTIFICATE_LOWER_BOUND = "certificate-lower-bound"  # a mu2 witness's f
     CERTIFICATE_UPPER_BOUND = "certificate-upper-bound"  # a mu1 witness's f
     INTERVAL_SET_ORBITS = "interval-set-orbits"
-    SPAN_CAP = "span-cap"
 
 
 class BoundEvidence(Record):
@@ -365,29 +366,6 @@ def span_cap(g: Graph, s: int) -> int:
     return spans
 
 
-def mu2_span_cap(g: Graph, t: int) -> BoundEvidence:
-    """Cap f <= |V|-1 at a t above ``span_cap`` of the whole vertex set.
-
-    Every vertex interval would bound t by ``span_cap(g, V)``, so a valid
-    coloring with more colors leaves some vertex non-interval. Valid only
-    at that t; raises GraphError when t is within the cap.
-    """
-    cap = span_cap(g, full_set(g))
-    if t <= cap:
-        raise GraphError(
-            f"t={t} is within the span cap {cap} of {g.name}; no cap follows")
-    return BoundEvidence(
-        kind=EvidenceKind.SPAN_CAP,
-        value=g.n - 1,
-        applies_t=t,
-        detail=(f"colors climb by at most deg-1 along a path of interval "
-                f"vertices, so no valid coloring of {g.name} with all "
-                f"{g.n} vertices interval uses more than {cap} colors; "
-                f"f <= {g.n - 1} at t={t}"),
-        payload={"cap": cap},
-    )
-
-
 @lru_cache(maxsize=None)
 def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
     """The caps of ``mu2_caps`` that hold at every t, built once per graph.
@@ -406,10 +384,6 @@ def _every_t_caps(g: Graph) -> tuple[BoundEvidence, ...]:
 def mu2_caps(g: Graph, t: int) -> list[BoundEvidence]:
     """All structural caps on f applicable to colorings with exactly t colors."""
     out = list(_every_t_caps(g))
-    try:
-        out.append(mu2_span_cap(g, t))
-    except GraphError:
-        pass
     if t == g.m:
         try:
             out.append(mu2_top_cap(g))

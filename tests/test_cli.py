@@ -415,7 +415,7 @@ class TestProfile:
                                "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9718c18bd25239299ed2bb61ad3dd6ff085359009daf7a030265b2c098e6fc56")
+            "87e1d363c52fc6ead034b889856842dbe580d950aeb61b465e3501cdff966b53")
 
     def test_timing_flag_attaches_elapsed(self, capsys):
         code, doc, _ = run_json(capsys, "profile", "--graph", "cycle:3",

@@ -429,7 +429,7 @@ class TestWindow:
 def edge_orbit(g, req=0):
     """Level 0 of the chain for the edge order 0..m-1: edge 0's orbit
     under the automorphisms that fix req, depth and edge index alike."""
-    return _orbit_chain(g, req, tuple(range(g.m)), 1)[0]
+    return _orbit_chain(g, req, tuple(range(g.m)))[0]
 
 
 def _edge_transitive(g):
@@ -483,7 +483,7 @@ class TestEdgeTransitivity:
         wrong, deep = [], 0
         for req in range(1 << g.n):
             order = _most_constrained_order(g, req)
-            chain = _orbit_chain(g, req, order, g.m)
+            chain = _orbit_chain(g, req, order)
             levels = stabilizer_levels(g, autos, req, order)
             for lvl, (stab, want) in enumerate(levels):
                 a, b = g.edges[order[lvl]]
@@ -509,7 +509,7 @@ class TestEdgeTransitivity:
             for req in range(1 << g.n):
                 stab = [p for p in autos if _apply(p, req) == req]
                 want = {frozenset((p[u0], p[v0])) for p in stab}
-                orbit = _orbit_chain.__wrapped__(g, req, tuple(range(g.m)), 1)[0]
+                orbit = _orbit_chain.__wrapped__(g, req, tuple(range(g.m)))[0]
                 assert 0 in orbit
                 for ei, img in orbit.items():
                     assert img in stab
@@ -527,7 +527,7 @@ class TestEdgeTransitivity:
             autos = naive_automorphisms(g)
             for req in range(1 << g.n):
                 order = _most_constrained_order(g, req)
-                chain = _orbit_chain.__wrapped__(g, req, order, g.m)
+                chain = _orbit_chain.__wrapped__(g, req, order)
                 levels = [want for _, want in
                           stabilizer_levels(g, autos, req, order)]
                 *whole, last = [set(level) for level in chain]
@@ -548,23 +548,22 @@ class TestEdgeTransitivity:
         # P: edge 0's stabilizer, of order 8, has orbits of 4 and 2 edges
         # on the other edges, and order[1] lies in the one of 4
         order = _most_constrained_order(P)
-        assert [len(level) for level in _orbit_chain(P, 0, order, P.m)] == [
+        assert [len(level) for level in _orbit_chain(P, 0, order)] == [
             15, 4, 1, 2]
 
     def test_complete_11_without_listing_the_group(self):
         # Aut(K_11) has 39,916,800 elements; one map per orbit edge at
-        # each level is enough, for level 0 alone and for the whole chain
+        # each level is enough, for the edge order 0..m-1 and the kernel's
         start = time.perf_counter()
         g = complete(11)
-        assert len(_orbit_chain.__wrapped__(g, 0, tuple(range(g.m)), 1)[0]) == g.m
-        chain = _orbit_chain.__wrapped__(
-            g, 0, _most_constrained_order(g), g.m)
+        assert len(_orbit_chain.__wrapped__(g, 0, tuple(range(g.m)))[0]) == g.m
+        chain = _orbit_chain.__wrapped__(g, 0, _most_constrained_order(g))
         assert [len(level) for level in chain] == [55, 18, 8, 7, 6, 5, 4, 3, 2]
         assert time.perf_counter() - start < 2.0
 
     def test_exhausted_budget_answers_false(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
-        assert len(_orbit_chain.__wrapped__(P, 0, tuple(range(P.m)), 1)[0]) < P.m
+        assert len(_orbit_chain.__wrapped__(P, 0, tuple(range(P.m)))[0]) < P.m
 
 
 def representatives(orbits: dict[int, int]) -> tuple[int, ...]:
@@ -582,7 +581,7 @@ class TestSubsetOrbits:
         # lexicographically least index set
         autos = naive_automorphisms(g)
         for k in range(1, g.n + 1):
-            orbits = _subset_orbits(g, k)
+            orbits = _subset_orbits(g, k, True)
             assert len(orbits) == math.comb(g.n, k)
             for rep in representatives(orbits):
                 orbit = {_apply(p, rep) for p in autos}
@@ -594,9 +593,10 @@ class TestSubsetOrbits:
         # as under the full group of order 120: Petersen is distance-
         # transitive of diameter 2, so 8-sets (complements of vertex
         # pairs) fall into 2 orbits and 9-sets into 1
-        assert [len(representatives(_subset_orbits(P, k)))
+        assert [len(representatives(_subset_orbits(P, k, True)))
                 for k in (7, 8, 9)] == [4, 2, 1]
-        assert representatives(_subset_orbits(P, 9)) == (full_set(P) ^ 1 << 9,)
+        assert representatives(_subset_orbits(P, 9, True)) == (
+            full_set(P) ^ 1 << 9,)
 
     @pytest.mark.parametrize(
         "g", TRANSITIVITY_GRAPHS + [complete_bipartite(4, 4),
@@ -608,7 +608,7 @@ class TestSubsetOrbits:
         walked = 0
         for k in range(g.n + 1):
             want = naive_subset_orbits(g, k)
-            got = _subset_orbits(g, k)
+            got = _subset_orbits(g, k, True)
             if want is None:
                 assert got is None
             else:
@@ -623,14 +623,26 @@ class TestSubsetOrbits:
         # group's, of order 12: per k = 1..9, as counted over all 9!
         # vertex permutations
         h = delete_vertex(P, "x1")
-        assert [len(representatives(_subset_orbits(h, k)))
+        assert [len(representatives(_subset_orbits(h, k, True)))
                 for k in range(1, h.n + 1)] == [2, 6, 12, 16, 16, 12, 6, 2, 1]
 
     def test_over_budget_is_none(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)
-        assert _subset_orbits.__wrapped__(P, 5) is None  # C(10,5) = 252
-        orbits = _subset_orbits.__wrapped__(P, 8)  # C(10,8) = 45
+        assert _subset_orbits.__wrapped__(P, 5, True) is None  # C(10,5) = 252
+        orbits = _subset_orbits.__wrapped__(P, 8, True)  # C(10,8) = 45
         assert len(representatives(orbits)) == 2
+
+    def test_without_symmetry_every_set_is_its_own(self, P, monkeypatch):
+        # no maps: each of the C(n,k) k-sets represents itself, in
+        # combinations order, and over the budget there is no table
+        for k in range(P.n + 1):
+            orbits = _subset_orbits(P, k, False)
+            assert list(orbits.items()) == [
+                (s, s) for s in _subsets(full_set(P), k)]
+            assert len(orbits) == math.comb(P.n, k)
+        monkeypatch.setattr(graphs_module, "_SUBSET_ORBIT_BUDGET", 100)
+        assert _subset_orbits.__wrapped__(P, 5, False) is None
+        assert len(_subset_orbits.__wrapped__(P, 8, False)) == 45
 
 
 class TestVertexOrbits:

@@ -40,7 +40,7 @@ FIELDS = {
     SpectrumReport: dict(v_int=0b101),
     Certificate: dict(graph=path(2), t=1, colors=(1,)),
     CertificateCheck: dict(violations=(), f=2),
-    BoundEvidence: dict(kind=EvidenceKind.SPAN_CAP, value=3, detail="span"),
+    BoundEvidence: dict(kind=EvidenceKind.MOD_REDUCTION, value=3, detail="mod 3"),
     SearchConfig: dict(node_limit=5),
     _Bounds: dict(lo=1, hi=2),
     SearchOutcome: _OUTCOME,
@@ -138,8 +138,8 @@ def test_replace_recomputes_derived_fields():
 
 
 def test_evidence_payloads_are_not_shared():
-    a = BoundEvidence(kind=EvidenceKind.SPAN_CAP, value=3, detail="span")
-    b = BoundEvidence(kind=EvidenceKind.SPAN_CAP, value=3, detail="span")
+    a = BoundEvidence(kind=EvidenceKind.MOD_REDUCTION, value=3, detail="mod 3")
+    b = BoundEvidence(kind=EvidenceKind.MOD_REDUCTION, value=3, detail="mod 3")
     assert a.payload == {} and a.payload is not b.payload
 
 

@@ -94,7 +94,7 @@ def chained(g, t, req) -> bool:
     color: some level of its symmetry chain past 0 has mates, or level 0
     has mates but is not every edge, and t >= 3 leaves the edge of that
     level a color above 1."""
-    chain = _orbit_chain(g, req, _most_constrained_order(g, req), g.m)
+    chain = _orbit_chain(g, req, _most_constrained_order(g, req))
     return t > 2 and (1 < len(chain[0]) < g.m
                       or any(len(level) > 1 for level in chain[1:]))
 
@@ -225,16 +225,18 @@ class TestPetersenSeededRuns:
         assert out.nodes_visited == 251
 
     @pytest.mark.parametrize("g, t, objective, cfg, want", [
-        # one plain optimizing run each: no seed, no bound, no split
+        # no seed, no bound, no symmetry: mu1 is one plain optimizing run;
+        # mu2 takes the split, each k-set its own representative
         (petersen(), 4, Objective.MU1,
          BARE.replace(use_reflection_symmetry=False), (2, 26_273, "exhausted")),
         (petersen(), 4, Objective.MU2,
-         BARE.replace(use_reflection_symmetry=False), (8, 21_396, "exhausted")),
+         BARE.replace(use_reflection_symmetry=False), (8, 20_239, "exhausted")),
         # P - x1 is not edge-transitive, and its mu2 cells take the split
         # under its automorphism group of order 12, like every graph's;
-        # its mu1 cell is one optimizing run of n - f
+        # its mu1 cell is one optimizing run of n - f. At t = 7 hi enters
+        # at n = 9, and the split refutes k = 9 by span before it meets 8
         (delete_vertex(petersen(), "x1"), 7, Objective.MU2, SearchConfig(),
-         (8, 475, "bound-met")),
+         (8, 475, "exhausted")),
         (delete_vertex(petersen(), "x1"), 12, Objective.MU2, SearchConfig(),
          (6, 30, "bound-met")),
         (delete_vertex(petersen(), "x1"), 9, Objective.MU1, SearchConfig(),
@@ -292,19 +294,19 @@ class TestPetersenSeededRuns:
 
     def test_split_hands_oversized_k_to_the_plain_run(self):
         # at the default config, on GP(9,2) at t=24: the split refutes
-        # k = 17..13, and C(18,12) = 18,564 exceeds the subset budget, so
+        # k = 18..13, and C(18,12) = 18,564 exceeds the subset budget, so
         # one plain optimizing run takes f >= 12 and raises the first
         # solution's 6 to 8 before the profile budget runs out
         g = generalized_petersen(9, 2)
-        assert _subset_orbits(g, 13) is not None
-        assert _subset_orbits(g, 12) is None
+        assert _subset_orbits(g, 13, True) is not None
+        assert _subset_orbits(g, 12, True) is None
         out = solve(g, 24, Objective.MU2,
                     SearchConfig(node_limit=PROFILE_NODE_LIMIT))
         assert (out.lo, out.hi, out.nodes_visited, out.closed_by) == (
             8, 12, PROFILE_NODE_LIMIT, "budget")
         assert [e.payload["k"] for e in out.evidence
                 if e.kind is EvidenceKind.INTERVAL_SET_ORBITS] == [
-            17, 16, 15, 14, 13]
+            18, 17, 16, 15, 14, 13]
         assert naive_f(g, out.witness) == 8
 
     def test_budget_stops_the_plain_run_after_the_split(self, P, monkeypatch):
@@ -387,6 +389,16 @@ class TestConfig:
                     use_reflection_symmetry=False))
                 assert on.value == off.value
                 assert on.nodes_visited <= off.nodes_visited
+        # at the profile budget, the split without symmetry, every k-set
+        # its own representative, closes every cell of P - x1 and GP(5,1)
+        # at the value found with symmetry
+        for g in (delete_vertex(P, "x1"), generalized_petersen(5, 1)):
+            on = profile(g)
+            off = profile(g, SearchConfig(node_limit=PROFILE_NODE_LIMIT,
+                                          use_reflection_symmetry=False))
+            cells = [(o.lo, o.hi) for r in off.rows for o in (r.mu1, r.mu2)]
+            assert cells == [(o.value, o.value)
+                             for r in on.rows for o in (r.mu1, r.mu2)]
 
     @pytest.mark.parametrize("reflect", [True, False],
                              ids=["reflection", "no-reflection"])
@@ -480,10 +492,10 @@ class TestConfig:
         assert (out.closed_by, out.nodes_visited, out.hi) == ("budget", 15, 8)
 
     @pytest.mark.parametrize("symmetry, reads, nodes", [
-        # at t=12 the split span-refutes both 8-sets, so its first run is a
-        # 7-set's, of 2,178 nodes
+        # at t=12 the split span-refutes every 8-set, so its first run is
+        # a 7-set's, of 2,178 nodes with symmetry on
         (True, 3, 15 + 2_048),  # inside the first req run of the split
-        (False, 2, 2_048),  # inside the plain kernel
+        (False, 2, 15),  # after the split's first-solution run
         (True, 1, 0),  # no run starts after the deadline
         (False, 1, 0),
     ])
@@ -729,7 +741,7 @@ class TestProfile:
                       SearchConfig(node_limit=20_000)).to_dict()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == (
-            "39ed74322139af09bb36bb1ffcda8bd96bea4ce5c0a9d84741428fdc57074985")
+            "150efce76d564f5c25bcd79f1db5c55a8afb364e3f5e90e2cb46b7beb452cc2a")
 
     @pytest.mark.parametrize("cfg", [
         SearchConfig(node_limit=PROFILE_NODE_LIMIT),
@@ -823,7 +835,8 @@ class TestProfile:
                         continue
                     records += 1
                     k = e.payload["k"]
-                    table = representatives(_subset_orbits(g, k))
+                    table = representatives(_subset_orbits(
+                        g, k, cfg.use_reflection_symmetry))
                     want = sorted(table, key=lambda s: key(g, table, s))
                     got = [vertex_set(g, labels)
                            for labels in e.payload["representatives"]]

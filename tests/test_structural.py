@@ -9,6 +9,7 @@ from mu_spectra import (
     Graph,
     Objective,
     GraphError,
+    SearchConfig,
     analyze,
     chromatic_index,
     complete,
@@ -23,7 +24,6 @@ from mu_spectra import (
     mu1_floor_from_matchings,
     mu1_floors,
     mu2_caps,
-    mu2_span_cap,
     mu2_top_cap,
     mu2_top_cap_from_obstructions,
     mu22_cap_cubic,
@@ -36,6 +36,7 @@ from mu_spectra import (
     span_cap,
     vertex_set,
 )
+from mu_spectra import search as search_module
 from mu_spectra import structural as structural_module
 
 from mu_spectra.graphs import _vertex_orbits
@@ -294,30 +295,43 @@ class TestSpanCap:
                                          f"S={set_labels(g, s)}")
         assert (checked, tight, wrong) == (2046, 102, [])
 
-    def test_whole_graph_cap_applies_above_the_span(self, P):
-        ev = mu2_span_cap(P, 8)
-        assert ev.kind is EvidenceKind.SPAN_CAP
-        assert (ev.value, ev.applies_t, ev.payload) == (9, 8, {"cap": 7})
-        with pytest.raises(GraphError, match="within the span cap 7"):
-            mu2_span_cap(P, 7)
-        spans = [t for t in range(4, 16) if any(
-            e.kind is EvidenceKind.SPAN_CAP for e in mu2_caps(P, t))]
-        assert spans == list(range(8, 16))
+    def test_whole_graph_cap_applies_above_the_span(self, P, monkeypatch):
+        # with no other cap, the split's k = 10 step is the span rule on
+        # the whole vertex set: above span_cap(P, V) = 7 it refutes V at 0
+        # nodes, and at t = 7 a run refutes it
+        assert span_cap(P, full_set(P)) == 7
+        monkeypatch.setattr(search_module, "mu2_caps", lambda g, t: [])
+        cfg = SearchConfig(seed_fixtures=False)
+        top = {t: next(e for e in solve(P, t, Objective.MU2, cfg).evidence
+                       if e.payload.get("k") == 10)
+               for t in (7, 8, 15)}
+        assert {t: (e.value, e.payload["nodes"], e.payload["span_caps"])
+                for t, e in top.items()} == {
+            7: (9, [108], [None]), 8: (9, [0], [7]), 15: (9, [0], [7])}
 
     def test_whole_graph_caps_replay(self):
-        # every span-cap entry recomputes its cap, lies above it and
-        # respects the enumerated maximum
-        entries = 0
+        # the whole-graph span rule is sound: above span_cap(g, V) the
+        # enumerated maximum leaves some vertex non-interval. Wherever the
+        # split reaches k = n there, its record is that rule's 0-node
+        # refutation of V
+        above, reached = 0, 0
         for g in ORACLE_CORPUS:
+            cap = span_cap(g, full_set(g))
             for t in legal_t_range(g):
-                for e in mu2_caps(g, t):
-                    if e.kind is not EvidenceKind.SPAN_CAP:
-                        continue
-                    entries += 1
-                    assert e.applies_t == t and e.value == g.n - 1
-                    assert span_cap(g, full_set(g)) == e.payload["cap"] < t
-                    assert naive_mu(g, t)[1] <= e.value
-        assert entries == 23
+                if t <= cap:
+                    continue
+                above += 1
+                assert naive_mu(g, t)[1] <= g.n - 1
+                for e in solve(g, t, Objective.MU2).evidence:
+                    if e.payload.get("k") == g.n:
+                        reached += 1
+                        assert e.kind is EvidenceKind.INTERVAL_SET_ORBITS
+                        assert e.value == g.n - 1
+                        assert e.payload["representatives"] == [
+                            list(g.vertices)]
+                        assert (e.payload["nodes"], e.payload["span_caps"]) \
+                            == ([0], [cap])
+        assert (above, reached) == (23, 6)
 
 
 class TestBoundCollections:
