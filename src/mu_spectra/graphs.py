@@ -12,9 +12,7 @@ gives each vertex's neighbors as one.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import random
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache, partial, reduce
@@ -1117,6 +1115,8 @@ def graph_from_dict(d: dict) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
+    import json  # here, so that importing the package skips json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

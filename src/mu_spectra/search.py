@@ -68,8 +68,8 @@ of the tree it would have walked, in the same order.
 
 from __future__ import annotations
 
-import random
 import time
+from collections.abc import Iterator
 from enum import Enum
 
 from .coloring import (Certificate, EdgeColoring, _keyed_colors, analyze,
@@ -495,9 +495,8 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
         orbit_of = _subset_orbits(g, k, symmetric)
         if orbit_of is None:
             return best, k, None
-        reps = _slack_order(g, [s for s, r in orbit_of.items() if s == r])
-        spent, caps = [], []
-        for req in reps:
+        reps, spent, caps = [], [], []
+        for req in _slack_order(g, [s for s, r in orbit_of.items() if s == r]):
             if spans and t > (cap := span_cap(g, req)):
                 used = 0
             else:
@@ -507,6 +506,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
                 if tag == "bound-met":  # a witness with f = k
                     return k, k, tag
                 cap = None
+            reps.append(req)
             spent.append(used)
             caps.append(cap)
         evidence.append(BoundEvidence(
@@ -525,7 +525,7 @@ def _descend(g: Graph, t: int, best: int, hi: int, run,
     return best, best, "exhausted"
 
 
-def _slack_order(g: Graph, reps: list[int]) -> list[int]:
+def _slack_order(g: Graph, reps: list[int]) -> Iterator[int]:
     """The representatives most slack first: fewest edges inside the set,
     then the largest ``span_cap``, then table position.
 
@@ -534,11 +534,18 @@ def _slack_order(g: Graph, reps: list[int]) -> list[int]:
     room to climb, so such a set is likely made interval in few nodes.
     The order decides nothing: f >= k holds when any representative is
     interval, and each is tried exactly once.
-    """
-    def inside(s: int) -> int:
-        return sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
 
-    return sorted(reps, key=lambda s: (inside(s), -span_cap(g, s)))
+    Lazy: the sets are grouped by their inside-edge count, and a group's
+    span caps are computed only when the caller reaches it, so a k that
+    its first sets close pays no cap for the rest. The order is that of
+    the stable sort on (inside edges, -span_cap).
+    """
+    groups: dict[int, list[int]] = {}
+    for s in reps:
+        inside = sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
+        groups.setdefault(inside, []).append(s)
+    for inside in sorted(groups):
+        yield from sorted(groups[inside], key=lambda s: -span_cap(g, s))
 
 
 def _checked(g: Graph, outcome: SearchOutcome) -> SearchOutcome:
@@ -658,6 +665,8 @@ def sample(g: Graph, t: int, seed: int = 0, count: int = 1) -> list[EdgeColoring
     corpus), one deterministic first-solution search without a budget
     decides; a legal t always has a coloring, so it finds one.
     """
+    import random  # here, so that importing the package skips random
+
     _require_legal_t(g, t)
     rng = random.Random(seed)
     out: list[EdgeColoring] = []

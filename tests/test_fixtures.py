@@ -108,6 +108,20 @@ def test_documented_dump_command_round_trips(tmp_path, catalog):
         assert (back.t, back.colors, back.claim_f) == (cert.t, cert.colors, cert.claim_f)
 
 
+def test_dump_in_a_fresh_interpreter_writes_the_catalog_bytes(tmp_path, fresh,
+                                                              catalog):
+    # dump imports json itself: with nothing loaded before it, its files
+    # are byte for byte what json.dumps writes
+    proc = fresh("from mu_spectra.fixtures import dump; dump(sys.argv[2])",
+                 tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == 26
+    for p in paths:
+        want = json.dumps(catalog[p.stem].to_dict(), indent=2, sort_keys=True)
+        assert p.read_bytes() == (want + "\n").encode()
+
+
 def test_dump_annotations_resolve():
     # names bound in the module, so no import of pathlib is needed for them
     assert typing.get_type_hints(dump) == {

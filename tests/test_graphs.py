@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -728,3 +729,26 @@ class TestJsonInterchange:
         p.write_text("{nope")
         with pytest.raises(GraphError, match="invalid JSON"):
             load_graph(str(p))
+
+    def test_bad_files_rejected_in_a_fresh_interpreter(self, tmp_path, fresh):
+        # load_graph imports json itself: with nothing loaded before it,
+        # each bad file is still a GraphError with its one-line message
+        files = {
+            tmp_path / "invalid.json": (b"{nope", "invalid JSON ("),
+            tmp_path / "utf16.json": (b"\xff\xfe{\x00}\x00", "not UTF-8 ("),
+            tmp_path / "deep.json": (b"[" * 100_000,
+                                     "invalid JSON (nested too deeply)")}
+        for p, (data, _) in files.items():
+            p.write_bytes(data)
+        code = ("from mu_spectra.graphs import GraphError, load_graph\n"
+                "for p in sys.argv[2:]:\n"
+                "    try:\n"
+                "        load_graph(p)\n"
+                "    except GraphError as exc:\n"
+                "        print(ascii(str(exc)))\n")
+        proc = fresh(code, *files)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+        assert len(got) == len(files)
+        for line, (p, (_, message)) in zip(got, files.items()):
+            assert line.startswith(f"{p}: {message}") and "\n" not in line

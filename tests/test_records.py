@@ -1,12 +1,7 @@
 """The package's immutable records and what importing the package loads."""
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import mu_spectra
 from mu_spectra import (
     AggregateBound,
     BoundEvidence,
@@ -150,12 +145,60 @@ def test_graph_keeps_its_cached_properties_out_of_the_fields():
     assert g == Graph(name=g.name, vertices=g.vertices, edges=g.edges)
 
 
-def test_import_loads_no_heavy_modules():
-    # a fresh interpreter without site packages, which preload some of these
-    src = Path(mu_spectra.__file__).resolve().parent.parent
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mu_spectra; "
-            "print(*sorted(m for m in ('dataclasses', 'inspect', 'typing', "
-            "'pathlib') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "", "")
+# perfbench's setup_s code: import, build the catalog and Petersen's t range
+SETUP = ("import mu_spectra; mu_spectra.fixtures(); "
+         "list(mu_spectra.legal_t_range(mu_spectra.petersen()))")
+
+
+def importers(trace: list[str], name: str) -> list[str]:
+    """The ``-X importtime`` lines from ``name``'s own import up to the
+    top-level import that caused it; a child is printed before its
+    parent, one indent deeper."""
+    def depth(line: str) -> int:
+        field = line.rsplit("|", 1)[-1]
+        return len(field) - len(field.lstrip())
+
+    for i, line in enumerate(trace):
+        if line.rsplit("|", 1)[-1].strip() == name:
+            chain = [line]
+            for later in trace[i + 1:]:
+                if depth(later) < depth(chain[-1]):
+                    chain.append(later)
+            return chain
+    return []
+
+
+def assert_not_loaded(fresh, code: str, names, flags) -> None:
+    """After ``code`` in a fresh interpreter none of ``names`` is loaded;
+    on failure the message shows how each one came in, from a re-run under
+    ``-X importtime``."""
+    proc = fresh(code + "\nprint(*sorted(m for m in sys.argv[2:] "
+                 "if m in sys.modules))", *names, flags=flags)
+    loaded = proc.stdout.split()
+    why = []
+    if loaded:
+        trace = fresh(code, flags=(*flags, "-X", "importtime")).stderr
+        why = [line for m in loaded for line in importers(trace.splitlines(), m)]
+    assert (proc.returncode, loaded, proc.stderr) == (0, [], ""), "\n".join(why)
+
+
+def test_import_loads_no_heavy_modules(fresh):
+    # os stays: fixtures.dump's annotations name it (-I without -S loads it
+    # anyway, with re and random)
+    assert_not_loaded(fresh, "import mu_spectra",
+                      ("dataclasses", "inspect", "typing", "pathlib", "json",
+                       "re", "random"), ("-I", "-S"))
+
+
+def test_setup_skips_json(fresh):
+    # run as perfbench times setup_s: -I, site on
+    assert_not_loaded(fresh, SETUP, ("json",), ("-I",))
+
+
+def test_footprint_failure_names_the_importer(fresh):
+    with pytest.raises(AssertionError) as err:
+        assert_not_loaded(fresh, "import mu_spectra.cli", ("json",),
+                          ("-I", "-S"))
+    names = [line.rsplit("|", 1)[-1].strip()
+             for line in str(err.value).splitlines() if "|" in line]
+    assert {"json", "mu_spectra.cli"} <= set(names)

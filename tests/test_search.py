@@ -49,6 +49,12 @@ graphs_module = importlib.import_module("mu_spectra.graphs")
 
 BARE = SearchConfig(seed_fixtures=False, use_structural_bounds=False)
 
+
+def inside_edges(g: Graph, s: int) -> int:
+    """The edges with both ends in the vertex mask ``s``."""
+    return sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
+
+
 #: The Heawood graph: a 14-cycle with chords i ~ i+5 at even i.
 HEAWOOD = Graph.from_labels(
     "heawood", [f"h{i}" for i in range(14)],
@@ -823,8 +829,7 @@ class TestProfile:
         # exactly once, ordered by (edges inside the set, ascending; span
         # cap, descending; table position)
         def key(g, table, s):
-            inside = sum(s >> u & 1 and s >> v & 1 for u, v in g.edges)
-            return inside, -span_cap(g, s), table.index(s)
+            return inside_edges(g, s), -span_cap(g, s), table.index(s)
 
         records, reordered, wrong = 0, 0, []
         for g in ORACLE_CORPUS + [g for g, _ in FAMILIES]:
@@ -844,6 +849,35 @@ class TestProfile:
                     if got != want or len(e.payload["nodes"]) != len(want):
                         wrong.append(f"{g.name} t={t} k={k}")
         assert (records > 0, reordered > 0, wrong) == (True, True, [])
+
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["symmetric", "every-set"])
+    def test_lazy_slack_order_is_the_eager_sort(self, P, symmetric):
+        for g in (P, delete_vertex(P, "x1"), complete_bipartite(4, 4),
+                  generalized_petersen(5, 1)):
+            for k in range(1, g.n + 1):
+                reps = list(representatives(_subset_orbits(g, k, symmetric)))
+                want = sorted(reps, key=lambda s: (inside_edges(g, s),
+                                                   -span_cap(g, s)))
+                assert list(search_module._slack_order(g, reps)) == want, (
+                    f"{g.name} k={k}")
+
+    def test_cell_closed_by_its_first_set_asks_only_that_sets_group(
+            self, P, monkeypatch):
+        # Petersen with symmetry off at t=5: the first 8-set tried is interval,
+        # so only the 8-sets with the fewest inside edges (the two vertices
+        # left out are not adjacent) have their span caps computed, and the
+        # first one's cap is read once more by the span rule
+        asked = []
+        monkeypatch.setattr(search_module, "span_cap",
+                            lambda g, s: asked.append(s) or span_cap(g, s))
+        out = solve(P, 5, Objective.MU2,
+                    SearchConfig(use_reflection_symmetry=False))
+        eights = representatives(_subset_orbits(P, 8, False))
+        fewest = min(inside_edges(P, s) for s in eights)
+        first = [s for s in eights if inside_edges(P, s) == fewest]
+        assert (out.value, out.closed_by) == (8, "bound-met")
+        assert len(asked) == len(first) + 1 == 31 < len(eights) + 1
 
     def test_row_lookup(self, petersen_profile):
         assert petersen_profile.row(4).t == 4
@@ -986,6 +1020,14 @@ class TestSample:
         a = sample(P, 7, seed=123, count=5)
         b = sample(P, 7, seed=123, count=5)
         assert a == b
+
+    def test_fresh_interpreter_draws_the_same(self, P, fresh):
+        # sample imports random itself: with nothing loaded before it, the
+        # seeded stream is the same
+        proc = fresh("from mu_spectra import petersen, sample\n"
+                     "print(repr(sample(petersen(), 7, seed=123, count=5)))")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.strip() == repr(sample(P, 7, seed=123, count=5))
 
     def test_different_seeds_differ(self, P):
         assert sample(P, 6, seed=0, count=3) != sample(P, 6, seed=1, count=3)
