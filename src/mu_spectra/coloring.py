@@ -11,10 +11,12 @@ Checking is one pass over bitmasks (``_interval_set``): edge i contributes
 coloring is proper iff every vertex mask has as many bits as the vertex
 has edges, surjective iff the masks together hold exactly bits 1..t, and
 a vertex is interval iff its mask is one run of set bits, so the same pass
-that decides validity yields the interval vertices. The per-edge walk that
-names each clash, out-of-range color and unused color (``_violations``)
-runs only when the pass fails, to explain the failure; a color not equal
-to an integer in [1,t] is out of range, so every valid coloring passes.
+that decides validity yields the interval vertices. The pass reads
+``(g, t, colors)``, so a certificate is checked without building a
+coloring record. The per-edge walk that names each clash, out-of-range
+color and unused color (``_violations``) runs only when the pass fails,
+to explain the failure; a color not equal to an integer in [1,t] is out
+of range, so every valid coloring passes.
 
 Edge keys ("a-b", either endpoint order) reach edge indices one way, by a
 lookup in ``Graph.edge_keys``: certificates, the catalog's patches and the
@@ -87,10 +89,12 @@ def spectrum(g: Graph, c: EdgeColoring, label: str) -> frozenset[int]:
 _BIT = {color: 1 << color for color in range(1, MAX_EDGES + 1)}
 
 
-def _interval_set(g: Graph, c: EdgeColoring) -> int | None:
+def _interval_set(g: Graph, t, colors) -> int | None:
     """The interval vertices of a valid coloring as a vertex mask, else None.
 
-    One pass over bitmasks decides validity and reads the spectra: None on
+    It reads a coloring as its ``t`` and its ``colors``, so that a
+    certificate is checked without building an ``EdgeColoring``. One pass
+    over bitmasks decides validity and reads the spectra: None on
     a t that is not an int in [1, m], where a shift by t could be
     unbounded, on a wrong number of colors, on a color that is not an
     integer in [1, MAX_EDGES], at the first vertex whose mask has fewer
@@ -100,14 +104,12 @@ def _interval_set(g: Graph, c: EdgeColoring) -> int | None:
     bit then carries through the whole run and clears it. None exactly
     when ``_violations``' walk reports a violation.
     """
-    t, colors = c.t, c.colors
-    if not isinstance(t, int) or not 1 <= t <= g.m or len(colors) != g.m:
+    m = g.m
+    if not isinstance(t, int) or not 1 <= t <= m or len(colors) != m:
         return None
     try:
-        bits = list(map(_BIT.get, colors))
-    except TypeError:  # an unhashable color, such as [1]
-        return None
-    if None in bits:
+        bits = list(map(_BIT.__getitem__, colors))
+    except (KeyError, TypeError):  # no color, or unhashable, such as [1]
         return None
     full = v_int = 0
     for vi, (edges, degree) in enumerate(zip(g.incident, g.degrees)):
@@ -130,7 +132,7 @@ def validate(g: Graph, c: EdgeColoring) -> tuple[Violation, ...]:
     (``_violations``), so hand-edited certificates get full diagnostics.
     Never raises.
     """
-    if _interval_set(g, c) is not None:
+    if _interval_set(g, c.t, c.colors) is not None:
         return ()
     return _violations(g, c)
 
@@ -213,7 +215,7 @@ class SpectrumReport(Record):
 
 def analyze(g: Graph, c: EdgeColoring) -> SpectrumReport:
     """Interval vertices and f for a valid coloring; raises on an invalid one."""
-    v_int = _interval_set(g, c)
+    v_int = _interval_set(g, c.t, c.colors)
     if v_int is None:
         raise InvalidColoringError(_violations(g, c))
     return SpectrumReport(v_int=v_int)
@@ -231,17 +233,16 @@ def reflect(c: EdgeColoring) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _json_int(value, what: str) -> int:
-    """An integer field of a document; bools, floats and null are rejected."""
-    if type(value) is not int:
-        raise GraphError(f"{what} must be an integer, got {value!r}")
-    return value
+# A document's fields are checked inline, where they are read: verify is a
+# hot path. These build the error for a field that failed its check.
+
+def _not_int(value, what: str) -> GraphError:
+    """The error for an integer field that is no int (a bool, float or null)."""
+    return GraphError(f"{what} must be an integer, got {value!r}")
 
 
-def _json_object(value, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise GraphError(f"{what} must be an object, got {value!r}")
-    return value
+def _not_object(value, what: str) -> GraphError:
+    return GraphError(f"{what} must be an object, got {value!r}")
 
 
 def _keyed_colors(g: Graph, colors) -> dict[str, int]:
@@ -262,21 +263,22 @@ def _parse_edge_key(key: str, g: Graph) -> int:
 def _aligned(g: Graph, keyed: Mapping) -> tuple[int, ...]:
     """Colors keyed by edge key, aligned with g's edge indices: each key
     must name one edge of g, each edge be colored once, and each color be
-    an int."""
-    colors = [0] * g.m
-    seen = [False] * g.m
+    an int. An edge not yet colored holds None."""
+    keys = g.edge_keys
+    colors: list = [None] * g.m
     for key, value in keyed.items():
-        ei = _parse_edge_key(str(key), g)
-        if seen[ei]:
+        ei = keys.get(key, -1)
+        if ei < 0:  # raises, unless a key that is not a str spells an edge
+            ei = _parse_edge_key(str(key), g)
+        if colors[ei] is not None:
             raise GraphError(f"edge {key!r} colored twice")
-        seen[ei] = True
-        if type(value) is not int:  # inline: this loop is the hot path of verify
+        if type(value) is not int:
             raise GraphError(f"color of edge {key!r} must be an integer, "
                              f"got {value!r}")
         colors[ei] = value
-    if not all(seen):
-        missing = [edge_key(a, b) for i, (a, b) in enumerate(g.edge_labels)
-                   if not seen[i]]
+    if None in colors:
+        missing = [edge_key(a, b) for (a, b), col in zip(g.edge_labels, colors)
+                   if col is None]
         raise GraphError(f"certificate misses edges: {', '.join(missing)}")
     return tuple(colors)
 
@@ -324,32 +326,40 @@ class Certificate(Record):
     def from_dict(cls, doc: dict) -> "Certificate":
         if not isinstance(doc, dict):
             raise GraphError("certificate must be a JSON object")
-        for key in ("graph", "t", "colors"):
-            if key not in doc:
-                raise GraphError(f"certificate missing {key!r}")
-        gfield = doc["graph"]
+        try:  # in this order, so that the first missing key is named
+            gfield, t, keyed = doc["graph"], doc["t"], doc["colors"]
+        except KeyError as exc:
+            raise GraphError(f"certificate missing {exc.args[0]!r}") from None
         if isinstance(gfield, str):
             graph = from_spec(gfield)
             source: str | None = gfield
         else:
             graph = graph_from_dict(gfield)
             source = None
-        t = _json_int(doc["t"], "certificate t")
-        colors = _aligned(graph, _json_object(doc["colors"], "certificate colors"))
-        claims = _json_object(doc.get("claims", {}), "certificate claims")
-        claim_f = None
-        if "f" in claims:
-            claim_f = _json_int(claims["f"], "claimed f")
-        claim_intervals = None
-        if "interval" in claims:
-            flags = _json_object(claims["interval"], "claimed interval flags")
-            for k, v in flags.items():
-                if not isinstance(v, bool):
-                    raise GraphError(f"interval flag of {k!r} must be a boolean, "
-                                     f"got {v!r}")
-            claim_intervals = tuple(sorted((str(k), v) for k, v in flags.items()))
-        return cls(graph=graph, t=t, colors=colors, claim_f=claim_f,
-                   claim_intervals=claim_intervals, source=source)
+        if type(t) is not int:
+            raise _not_int(t, "certificate t")
+        if type(keyed) is not dict and not isinstance(keyed, Mapping):
+            raise _not_object(keyed, "certificate colors")
+        colors = _aligned(graph, keyed)
+        claim_f = claim_intervals = None
+        if "claims" in doc:
+            claims = doc["claims"]
+            if type(claims) is not dict and not isinstance(claims, Mapping):
+                raise _not_object(claims, "certificate claims")
+            if "f" in claims:
+                claim_f = claims["f"]
+                if type(claim_f) is not int:
+                    raise _not_int(claim_f, "claimed f")
+            if "interval" in claims:
+                flags = claims["interval"]
+                if not isinstance(flags, Mapping):
+                    raise _not_object(flags, "claimed interval flags")
+                for k, v in flags.items():
+                    if not isinstance(v, bool):
+                        raise GraphError(f"interval flag of {k!r} must be a "
+                                         f"boolean, got {v!r}")
+                claim_intervals = tuple(sorted((str(k), v) for k, v in flags.items()))
+        return cls(graph, t, colors, claim_f, claim_intervals, source)
 
 
 class CertificateCheck(Record):
@@ -369,22 +379,26 @@ class CertificateCheck(Record):
 
 
 def check_certificate(cert: Certificate) -> CertificateCheck:
-    """Validate the coloring and recompute everything the certificate claims."""
-    c = cert.coloring()
-    v_int = _interval_set(cert.graph, c)
+    """Validate the coloring and recompute everything the certificate claims.
+
+    The mask pass reads the certificate's own fields; an ``EdgeColoring``
+    is built only for the diagnostic walk of a rejected one.
+    """
+    g = cert.graph
+    v_int = _interval_set(g, cert.t, cert.colors)
     if v_int is None:
-        return CertificateCheck(violations=_violations(cert.graph, c), f=None)
-    report = SpectrumReport(v_int=v_int)
+        return CertificateCheck(_violations(g, cert.coloring()), None)
+    f = v_int.bit_count()
     mismatches: list[str] = []
-    if cert.claim_f is not None and report.f != cert.claim_f:
-        mismatches.append(f"claimed f={cert.claim_f}, recomputed f={report.f}")
+    if cert.claim_f is not None and f != cert.claim_f:
+        mismatches.append(f"claimed f={cert.claim_f}, recomputed f={f}")
     if cert.claim_intervals is not None:
         for label, expected in cert.claim_intervals:
-            actual = bool(report.v_int >> cert.graph.vertex_index(label) & 1)
+            actual = bool(v_int >> g.vertex_index(label) & 1)
             if actual != expected:
                 mismatches.append(
                     f"claimed interval[{label}]={expected}, recomputed {actual}")
-    return CertificateCheck(violations=(), f=report.f, mismatches=tuple(mismatches))
+    return CertificateCheck((), f, tuple(mismatches))
 
 
 def rebind(cert: Certificate, g: Graph) -> EdgeColoring:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -264,7 +266,8 @@ class TestCertificates:
         passes = []
         real = coloring_module._interval_set
         monkeypatch.setattr(coloring_module, "_interval_set",
-                            lambda g, c: passes.append(c) or real(g, c))
+                            lambda g, t, colors: passes.append(colors)
+                            or real(g, t, colors))
         assert check_certificate(catalog["psi"]).ok
         assert len(passes) == 1
         assert analyze(P, catalog["psi"].coloring()).f == 6
@@ -277,7 +280,8 @@ class TestCertificates:
         passes = []
         real = coloring_module._interval_set
         monkeypatch.setattr(coloring_module, "_interval_set",
-                            lambda g, c: passes.append(c) or real(g, c))
+                            lambda g, t, colors: passes.append(colors)
+                            or real(g, t, colors))
         rejected = 0
         for t in legal_t_range(P):
             for r, c in enumerate(sample(P, t, seed=t, count=3)):
@@ -295,6 +299,51 @@ class TestCertificates:
                 assert len(passes) == 1
                 assert exc.value.violations == check.violations != ()
         assert rejected == 3 * len(legal_t_range(P))
+
+    def test_valid_check_builds_no_coloring_record(self, catalog, monkeypatch):
+        # the mask pass reads the certificate's fields; an EdgeColoring is
+        # built only to walk a rejected one, and a well-formed document
+        # resolves each key with one lookup in Graph.edge_keys
+        built, parsed = [], []
+        for cls in (EdgeColoring, coloring_module.SpectrumReport):
+            real_init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _real=real_init, **k:
+                                built.append(type(self).__name__) or _real(self, *a, **k))
+        real_parse = coloring_module._parse_edge_key
+        monkeypatch.setattr(coloring_module, "_parse_edge_key",
+                            lambda key, g: parsed.append(key) or real_parse(key, g))
+        doc = catalog["psi"].to_dict()
+        assert check_certificate(Certificate.from_dict(doc)).ok
+        assert (built, parsed) == ([], [])
+        doc["t"] = 16
+        assert not check_certificate(Certificate.from_dict(doc)).ok
+        assert (built, parsed) == (["EdgeColoring"], [])
+        doc["colors"]["bogus"] = 1
+        with pytest.raises(GraphError, match="'bogus' is not an edge"):
+            Certificate.from_dict(doc)
+        assert parsed == ["bogus"]
+
+    def test_verify_call_budget(self, catalog):
+        # Python-level calls of one Petersen verify, counted rather than
+        # timed so that the guard is steady on any machine: 37 when each
+        # key went through _parse_edge_key and the check built an
+        # EdgeColoring and a SpectrumReport
+        doc = catalog["psi"].to_dict()
+        check_certificate(Certificate.from_dict(doc))  # fills the graph's caches
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            check = check_certificate(Certificate.from_dict(doc))
+        finally:
+            sys.setprofile(previous)
+        assert check.ok
+        assert len(calls) <= 9, calls
 
     def test_wrong_f_claim_is_a_mismatch_not_an_error(self, P, catalog):
         cert = Certificate(graph=P, t=15, colors=catalog["psi"].colors,
@@ -356,15 +405,15 @@ class TestCertificates:
 def _mutated(g, c, kind: str, r: int) -> Certificate:
     """A certificate of the valid coloring c with one mutation that must be
     rejected: an edge colored t+1 ("range"), another edge at one end of an
-    edge given its color ("clash"), one color more claimed than used
-    ("drop"), or f claimed one too high ("claim")."""
+    edge given its color, at the first end if it has one ("clash"), one
+    color more claimed than used ("drop"), or f claimed one too high
+    ("claim")."""
     colors, t, claim_f = list(c.colors), c.t, None
     ei = r % g.m
     if kind == "range":
         colors[ei] = t + 1
     elif kind == "clash":
-        u = g.edges[ei][0]
-        other = next(e for _, e in g.adjacency[u] if e != ei)
+        other = next(e for u in g.edges[ei] for _, e in g.adjacency[u] if e != ei)
         colors[other] = colors[ei]
     elif kind == "drop":
         t += 1
@@ -430,6 +479,46 @@ class TestMaskPass:
             assert not violations
         cert = Certificate(graph=g, t=c.t, colors=c.colors)
         assert check_certificate(cert).violations == violations
+
+
+def _range(color, edge: str) -> tuple[str, str, str]:
+    return ("range", edge, f"color {color} on edge {edge} outside [1,2]")
+
+
+_UNUSED_2 = ("surjectivity", "2", "color 2 unused")
+
+#: A color that is no int in [1, t], or a number equal to one, and the
+#: violations of the 2-colorings (1, color, 1) and (1, 2, color) of path(4).
+#: 65 is above MAX_EDGES, so no t has it in range.
+_ODD_COLORS = [
+    *[(x, [_range(x, "(v1,v2)"), _UNUSED_2], [_range(x, "(v2,v3)")])
+      for x in (0, -1, 65, None, [1])],
+    (2.0, [], [("properness", "v2", "edges (v1,v2) and (v2,v3) at v2 share color 2.0")]),
+    (True, [("properness", "v1", "edges (v0,v1) and (v1,v2) at v1 share color True"),
+            ("properness", "v2", "edges (v1,v2) and (v2,v3) at v2 share color 1"),
+            _UNUSED_2], []),
+]
+
+
+class TestOddColors:
+    """The mask pass looks each color's bit up by hash: a color with no bit
+    (out of range, not a number, unhashable) fails the pass, a number equal
+    to a color takes that color's bit, and the walk then names the same
+    violations either way."""
+
+    @pytest.mark.parametrize("color,middle,last", _ODD_COLORS,
+                             ids=[repr(case[0]) for case in _ODD_COLORS])
+    def test_pass_fails_exactly_when_validate_reports(self, color, middle, last):
+        g = path(4)
+        for colors, expect in (((1, color, 1), middle), ((1, 2, color), last)):
+            c = EdgeColoring(t=2, colors=colors)
+            v_int = coloring_module._interval_set(g, 2, colors)
+            assert [(v.kind, v.where, v.message) for v in validate(g, c)] == expect
+            assert (v_int is None) is bool(expect) is not naive_valid(g, c)
+            if v_int is not None:
+                assert v_int == 0b1111 and analyze(g, c).f == naive_f(g, c) == 4
+            check = check_certificate(Certificate(g, 2, colors))
+            assert (check.ok, check.violations) == (not expect, validate(g, c))
 
 
 _DASHED = st.text(alphabet="ab-", max_size=4)
@@ -509,3 +598,153 @@ class TestEdgeKeyMap:
         else:
             with pytest.raises(GraphError, match="more than one edge"):
                 Certificate.from_dict(doc)
+
+
+def _psi_doc(catalog) -> dict:
+    """The catalog certificate psi as a document: Petersen by name, t=15,
+    every edge keyed in catalog order (x1-x2 first), f=6 claimed."""
+    doc = catalog["psi"].to_dict()
+    assert next(iter(doc["colors"])) == "x1-x2" and doc["claims"] == {"f": 6}
+    return doc
+
+
+def _without(*keys):
+    return lambda d: {k: v for k, v in d.items() if k not in keys}
+
+
+def _set(key, value):
+    return lambda d: {**d, key: value}
+
+
+def _color(key, value):
+    return lambda d: {**d, "colors": {**d["colors"], key: value}}
+
+
+def _uncolored(*keys):
+    return lambda d: {**d, "colors": {k: v for k, v in d["colors"].items()
+                                      if k not in keys}}
+
+
+_DASHES = {"name": "dashes", "vertices": ["a", "a-b", "b-c", "c"],
+           "edges": [["a", "b-c"], ["a-b", "c"], ["a", "c"]]}
+
+#: An edit that makes psi's document malformed, and the exact text of the
+#: GraphError that ``Certificate.from_dict`` raises on the result.
+_MALFORMED = {
+    "not an object": (lambda d: [d], "certificate must be a JSON object"),
+    "a string": (lambda d: "psi", "certificate must be a JSON object"),
+    "no graph": (_without("graph"), "certificate missing 'graph'"),
+    "no t": (_without("t"), "certificate missing 't'"),
+    "no colors": (_without("colors"), "certificate missing 'colors'"),
+    "no t, no colors": (_without("colors", "t"), "certificate missing 't'"),
+    "no graph, no colors": (_without("colors", "graph"),
+                            "certificate missing 'graph'"),
+    "unknown graph": (_set("graph", "nonesuch"), "unknown graph spec 'nonesuch'"),
+    "t true": (_set("t", True), "certificate t must be an integer, got True"),
+    "t float": (_set("t", 2.0), "certificate t must be an integer, got 2.0"),
+    "t string": (_set("t", "4"), "certificate t must be an integer, got '4'"),
+    "t null": (_set("t", None), "certificate t must be an integer, got None"),
+    "colors list": (_set("colors", [1, 2]),
+                    "certificate colors must be an object, got [1, 2]"),
+    "colors null": (_set("colors", None),
+                    "certificate colors must be an object, got None"),
+    "color true": (_color("x1-x2", True),
+                   "color of edge 'x1-x2' must be an integer, got True"),
+    "color float": (_color("x1-x2", 1.5),
+                    "color of edge 'x1-x2' must be an integer, got 1.5"),
+    "color string": (_color("x1-x2", "1"),
+                     "color of edge 'x1-x2' must be an integer, got '1'"),
+    "color null": (_color("x1-x2", None),
+                   "color of edge 'x1-x2' must be an integer, got None"),
+    "key of no edge": (_color("x1-x3", 1), "edge key 'x1-x3' is not an edge of petersen"),
+    "bogus key": (_color("bogus", 1), "edge key 'bogus' is not an edge of petersen"),
+    "ambiguous key": (lambda d: {**d, "graph": _DASHES, "t": 1,
+                                 "colors": {"a-b-c": 1}},
+                      "edge key 'a-b-c' names more than one edge of dashes"),
+    "colored twice": (_color("x2-x1", 1), "edge 'x2-x1' colored twice"),
+    "colored twice, second spelling first": (
+        lambda d: {**d, "colors": {"x2-x1": 1, **d["colors"]}},
+        "edge 'x1-x2' colored twice"),
+    "edge missing": (_uncolored("x1-x2"), "certificate misses edges: x1-x2"),
+    "two edges missing": (_uncolored("y1-y3", "x1-x2"),
+                          "certificate misses edges: x1-x2, y1-y3"),
+    "claims list": (_set("claims", [6]),
+                    "certificate claims must be an object, got [6]"),
+    "claims null": (_set("claims", None),
+                    "certificate claims must be an object, got None"),
+    "claimed f true": (_set("claims", {"f": True}),
+                       "claimed f must be an integer, got True"),
+    "claimed f null": (_set("claims", {"f": None}),
+                       "claimed f must be an integer, got None"),
+    "flags list": (_set("claims", {"interval": ["x1"]}),
+                   "claimed interval flags must be an object, got ['x1']"),
+    "flag not a bool": (_set("claims", {"interval": {"x1": True, "x2": 1}}),
+                        "interval flag of 'x2' must be a boolean, got 1"),
+}
+
+
+class TestCertificateDocuments:
+    """``Certificate.from_dict`` is the input boundary of every certificate:
+    each malformed document is refused with one exact message."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_document_message(self, catalog, case):
+        mutate, message = _MALFORMED[case]
+        with pytest.raises(GraphError) as exc:
+            Certificate.from_dict(mutate(_psi_doc(catalog)))
+        assert str(exc.value) == message
+
+    def test_well_formed_psi_reads_back(self, catalog):
+        cert = Certificate.from_dict(_psi_doc(catalog))
+        assert cert == catalog["psi"]
+        assert check_certificate(cert) == coloring_module.CertificateCheck((), 6, ())
+
+
+@st.composite
+def _documents(draw):
+    """A certificate document of a sampled coloring, unchanged or with one
+    mutation of ``_mutated``: each edge keyed in a random endpoint order,
+    the keys shuffled, f claimed. Returns the graph, the coloring the
+    document holds aligned with the graph's edges, the claimed f, the
+    document, and whether some edge has no spelling that names it alone."""
+    g = draw(st.sampled_from(ORACLE_CORPUS) | st.just(petersen()) | _dashed_graphs())
+    t = draw(st.sampled_from(legal_t_range(g)))
+    (c,) = sample(g, t, seed=draw(st.integers(0, 10**6)))
+    kinds = ("range", "clash", "drop", "claim") if g.m > 1 else ("range", "drop", "claim")
+    kind = draw(st.sampled_from((None,) + kinds))
+    claim = naive_f(g, c)
+    if kind is not None:
+        cert = _mutated(g, c, kind, draw(st.integers(0, g.m - 1)))
+        c = cert.coloring()
+        claim = cert.claim_f if kind == "claim" else claim
+    keyed, ambiguous = {}, False
+    for ei in draw(st.permutations(range(g.m))):
+        a, b = g.edge_labels[ei]
+        spellings = [edge_key(a, b), edge_key(b, a)][::draw(st.sampled_from((1, -1)))]
+        alone = [key for key in spellings if g.edge_keys[key] == ei]
+        ambiguous |= not alone
+        keyed[(alone or spellings)[0]] = c.colors[ei]
+    spec = "petersen" if g == petersen() else graph_to_dict(g)
+    doc = {"graph": spec, "t": c.t, "colors": keyed, "claims": {"f": claim}}
+    return g, c, claim, doc, ambiguous
+
+
+class TestDocumentDifferential:
+    @settings(deadline=None, max_examples=300)
+    @given(_documents())
+    def test_document_check_agrees_with_the_definition(self, case):
+        # parsing a document and checking it gives what the definitions
+        # give on the coloring it holds, in any key order and spelling
+        g, c, claim, doc, ambiguous = case
+        if ambiguous:
+            with pytest.raises(GraphError, match="names more than one edge"):
+                Certificate.from_dict(doc)
+            return
+        cert = Certificate.from_dict(doc)
+        assert (cert.graph, cert.colors) == (g, c.colors)
+        check = check_certificate(cert)
+        valid = naive_valid(g, c)
+        assert check.violations == validate(g, c)
+        assert (check.violations == ()) is valid
+        assert check.f == (naive_f(g, c) if valid else None)
+        assert check.ok is (valid and claim == naive_f(g, c))
