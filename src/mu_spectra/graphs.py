@@ -84,7 +84,7 @@ class Graph(Record):
     else (colorings, matchings, certificates).
     """
 
-    # __dict__ holds the cached properties
+    # __dict__ holds the cached properties, the hash among them
     __slots__ = ("name", "vertices", "edges", "__dict__")
 
     def __init__(self, name: str, vertices: tuple[str, ...],
@@ -127,6 +127,14 @@ class Graph(Record):
         if not g.is_connected():
             raise GraphError("graph must be connected")
         return g
+
+    @cached_property
+    def _hash(self) -> int:
+        return Record.__hash__(self)
+
+    def __hash__(self) -> int:
+        # every lru_cache keyed by a graph hashes it: hash the fields once
+        return self._hash
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -472,6 +480,13 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...]
     Level 0 at ``req=0`` is edge ``order[0]``'s orbit under all of Aut(g).
     The group itself is never listed (Aut(K_11) has 11! elements).
 
+    A map that fixes ``req`` setwise fixes the rest of V setwise too, so
+    the chain depends on the vertex partition {``req``, V - ``req``}
+    alone: ``req`` and ``V ^ req`` refine to the same classes, and give
+    the same levels and maps. Callers key it by the partition, as
+    ``req=min(req, V ^ req)``, so both spellings share one build; ``req=V``
+    shares the chain of ``req=0``.
+
     Each vertex may take only the images in its class under color
     refinement (``_refine``) of its degree, its membership of ``req`` and
     the fixed edges it lies on. Every map of G_l keeps each class, so
@@ -575,23 +590,29 @@ def _orbit_chain(g: Graph, req: int, order: tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _generators(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The maps of every level of ``_orbit_chain`` for the edge order
-    0..m-1, level by level in depth order, identities left out: the one
-    list of maps that ``_chunk_images`` and ``_vertex_orbits`` share.
+    """The maps of every level of ``_orbit_chain`` for the kernel's edge
+    order at ``req=0``, ``_most_constrained_order(g, 0)``, level by level in
+    depth order, identities left out: the one list of maps that
+    ``_chunk_images`` and ``_vertex_orbits`` share. That chain is the one
+    the kernel's own runs at ``req=0`` (and ``req=V``) build, so each
+    graph's group is built once.
 
     Level l holds one map of G_l per edge of ``order[l]``'s orbit, a
     transversal of G_{l+1} in G_l, and the chain runs down to a G_l that
     fixes every vertex: on a connected graph with three vertices or more,
     fixing every edge setwise fixes every vertex. So each automorphism is
-    a product of one map per level, and the maps generate Aut(g). The one
-    other connected graph, K_2, is given the swap of its ends, which
-    fixes its edge. A chain cut by ``_AUTOMORPHISM_BUDGET`` gives maps
-    that generate only a subgroup, whose orbits are finer: more classes,
-    each still inside one orbit of Aut(g).
+    a product of one map per level, and the maps generate Aut(g), for any
+    edge order; the orbits, and each orbit's least member that the
+    tables name it by, do not depend on the order. The one other
+    connected graph, K_2, is given the swap of its ends, which fixes its
+    edge. A chain cut by ``_AUTOMORPHISM_BUDGET`` gives maps that
+    generate only a subgroup, whose orbits are finer: more classes, each
+    still inside one orbit of Aut(g). Which subgroup depends on the order,
+    so a cut chain's tables may differ from those of another order.
     """
     if g.n == 2:
         return ((1, 0),)
-    chain = _orbit_chain(g, 0, tuple(range(g.m)))
+    chain = _orbit_chain(g, 0, _most_constrained_order(g, 0))
     return tuple(img for lvl, level in enumerate(chain)
                  for d, img in level.items() if d != lvl)
 
@@ -873,8 +894,8 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     A first-solution run (``mu2=None`` with ``req=0``) ends at its first
     leaf, so deeper floors could only move that leaf; it takes level 0
     alone, the levels of any prefix being sound by the same induction. It
-    reads that level off the whole chain, which every other run of the
-    same (g, req, order) shares.
+    reads that level off the whole chain, which it shares with every other
+    run of the same g and order at ``req`` 0 or V.
     Its color-1 subtree of ``order[0]`` keeps every child, and without
     ``rng`` colors are tried lowest first, so a first-solution run that
     ends inside that subtree runs and returns exactly as it would with the
@@ -896,8 +917,8 @@ def _search(g: Graph, t: int, mu2: bool | None = None, best: int = -1,
     full = (1 << t) - 1
     first_mask = full
     mates: list[tuple[int, ...]] = []  # per level, the depths of its mates
-    if reflect:
-        chain = _orbit_chain(g, req, tuple(order))
+    if reflect:  # keyed by the partition {req, V - req}
+        chain = _orbit_chain(g, min(req, req ^ ((1 << n) - 1)), tuple(order))
         if mu2 is None and not req:  # a first solution: level 0 alone
             chain = chain[:1]
         mates = [tuple(level)[1:] for level in chain]

@@ -34,6 +34,7 @@ from mu_spectra import (
 )
 from mu_spectra import graphs as graphs_module
 from mu_spectra.graphs import (
+    _generators,
     _most_constrained_order,
     _orbit_chain,
     _search,
@@ -565,6 +566,59 @@ class TestEdgeTransitivity:
     def test_exhausted_budget_answers_false(self, P, monkeypatch):
         monkeypatch.setattr(graphs_module, "_AUTOMORPHISM_BUDGET", 5)
         assert len(_orbit_chain.__wrapped__(P, 0, tuple(range(P.m)))[0]) < P.m
+
+
+CHAIN_KEY_GRAPHS = TRANSITIVITY_GRAPHS + [
+    delete_vertex(petersen(), "x1"), complete_bipartite(4, 4)]
+
+
+def fresh_copy(g, tag):
+    """An equal-shaped graph named after ``tag``, so that no cache holds it
+    before the test that made it, whatever order tests run in."""
+    return Graph.from_labels(f"{g.name}-{tag}", g.vertices, g.edge_labels)
+
+
+class TestOneChainPerGroup:
+    @pytest.mark.parametrize("g", CHAIN_KEY_GRAPHS, ids=lambda g: g.name)
+    def test_a_mask_and_its_complement_give_one_chain(self, g):
+        # the automorphisms that fix req setwise are those that fix V - req,
+        # so on the kernel's order for req both masks give the same levels,
+        # with the same maps, in the same order
+        rng = random.Random(0)
+        full = full_set(g)
+        for req in [0, full] + [rng.getrandbits(g.n) for _ in range(20)]:
+            order = _most_constrained_order(g, req)
+            mine, theirs = (_orbit_chain.__wrapped__(g, mask, order)
+                            for mask in (req, full ^ req))
+            assert ([list(level.items()) for level in mine]
+                    == [list(level.items()) for level in theirs]), req
+
+    @pytest.mark.parametrize("g", [petersen(), delete_vertex(petersen(), "x1"),
+                                   complete_bipartite(4, 4)],
+                             ids=lambda g: g.name)
+    def test_every_vertex_required_reuses_the_unrequired_chain(self, g):
+        g = fresh_copy(g, "req-V")
+        t = g.max_degree() + 1
+        before = _orbit_chain.cache_info().misses
+        _search(g, t)
+        assert _orbit_chain.cache_info().misses == before + 1
+        _search(g, t, req=full_set(g))
+        assert _orbit_chain.cache_info().misses == before + 1
+
+    @pytest.mark.parametrize("g", CHAIN_KEY_GRAPHS, ids=lambda g: g.name)
+    def test_generators_are_the_kernel_chain_maps(self, g):
+        # the non-identity maps of the kernel's req=0 chain, level by level;
+        # a graph the kernel has run on builds no second chain for them.
+        # K_2 gets the swap of its ends, which its chain cannot hold
+        g = fresh_copy(g, "generators")
+        _search(g, g.max_degree())
+        before = _orbit_chain.cache_info().misses
+        maps = _generators(g)
+        assert _orbit_chain.cache_info().misses == before
+        chain = _orbit_chain(g, 0, _most_constrained_order(g, 0))
+        assert maps == (((1, 0),) if g.n == 2 else tuple(
+            img for lvl, level in enumerate(chain)
+            for d, img in level.items() if d != lvl))
 
 
 def representatives(orbits: dict[int, int]) -> tuple[int, ...]:

@@ -532,6 +532,20 @@ class TestConfig:
         assert out == solve(P, 4, Objective.MU1, cfg.replace(time_limit_ms=None))
 
 
+def clear_caches() -> int:
+    """Clear every lru_cache of the package but the catalog's
+    ``petersen()``; returns how many were cleared."""
+    cleared = 0
+    for name, module in list(sys.modules.items()):
+        if name == "mu_spectra" or name.startswith("mu_spectra."):
+            for obj in vars(module).values():
+                if (hasattr(obj, "cache_clear") and obj is not petersen
+                        and obj.__module__.startswith("mu_spectra")):
+                    obj.cache_clear()
+                    cleared += 1
+    return cleared
+
+
 @pytest.fixture(scope="module")
 def petersen_profile():
     return profile(petersen())
@@ -641,31 +655,45 @@ class TestProfile:
         # a repetition that starts from cleared module-level lru_caches
         # sees what a fresh process sees only if no memo rides on the
         # Graph object or in a module dict: a graph that profile has run
-        # on keeps its seven cached properties and nothing else, and a
-        # rerun from cleared caches gives the same profile at the same
-        # node total. The catalog's petersen() keeps its graph, which the
-        # session fixture P holds and later tests compare against
-        def clear_caches() -> int:
-            cleared = 0
-            for name, module in list(sys.modules.items()):
-                if name == "mu_spectra" or name.startswith("mu_spectra."):
-                    for obj in vars(module).values():
-                        if (hasattr(obj, "cache_clear") and obj is not petersen
-                                and obj.__module__.startswith("mu_spectra")):
-                            obj.cache_clear()
-                            cleared += 1
-            return cleared
-
+        # on keeps its seven cached properties and its hash, a function of
+        # its fields alone, and nothing else, and a rerun from cleared
+        # caches gives the same profile at the same node total. The
+        # catalog's petersen() keeps its graph, which the session fixture
+        # P holds and later tests compare against
         assert clear_caches() >= 10
         g = Graph.from_labels(P.name, P.vertices, P.edge_labels)  # a new Graph
         first = profile(g)
         assert set(vars(g)) <= {"index", "adjacency", "incident", "neighbors",
-                                "degrees", "edge_labels", "edge_keys"}
+                                "degrees", "edge_labels", "edge_keys", "_hash"}
         clear_caches()
         again = profile(g)
         assert again.to_dict() == first.to_dict()
         assert sum(r.mu1.nodes_visited + r.mu2.nodes_visited
                    for r in again.rows) == 4_844
+
+    def test_chain_builds_are_pinned(self, P, capsys):
+        # from cleared caches, the stabilizer chains built: one per group,
+        # edge order and vertex partition {req, V - req}, the orbit tables'
+        # chain among them. A Petersen profile, the six cells of the
+        # benchmark's exact workload, and the lemmas replay
+        from mu_spectra import cli
+
+        clear_caches()
+        profile(P)
+        assert _orbit_chain.cache_info().misses == 5
+        clear_caches()
+        for g, t, obj, cfg in ((P, 4, Objective.MU1, BARE),
+                               (P, 4, Objective.MU2, BARE),
+                               (P, 5, Objective.MU2, BARE),
+                               (P, 6, Objective.MU2, BARE),
+                               (P, 9, Objective.MU2, SearchConfig()),
+                               (complete(5), 8, Objective.MU2, BARE)):
+            assert solve(g, t, obj, cfg).is_exact
+        assert _orbit_chain.cache_info().misses == 7
+        clear_caches()
+        assert cli.main(["lemmas", "--json"]) == 0
+        capsys.readouterr()
+        assert _orbit_chain.cache_info().misses == 2
 
     @pytest.mark.parametrize("g, nodes", [
         (hypercube(3), 281),
